@@ -1,99 +1,39 @@
 #!/usr/bin/env python3
-"""Run every verification sweep at its full documented range and print a
-one-line summary per suite.  Exit status is nonzero if anything failed."""
+"""Run every verification suite of the command line (``burauforge.cli.SUITES``)
+at its full documented range, plus the twist orders of the admissible levels,
+and print a one-line summary per sweep.  Exit status is nonzero if anything
+failed."""
 
 import sys
 import time
 
-from burauforge.modular import (psl_order, psl_order_bruteforce,
-                                verify_presentation, verify_st_kernel)
-from burauforge.quantum import build_params, twist_projective_order
-from burauforge.reports import ClaimReport
-from burauforge.triangle import (primitive_roots, verify_commutator_relator,
-                                 verify_even, verify_kernel_words, verify_odd,
-                                 verify_odd_embedding)
+from burauforge.cli import SUITES
+from burauforge.quantum import twist_projective_order
 
 
-def sweep(label, claims):
+def sweep(label, make_claims, *args):
     start = time.perf_counter()
-    claims = list(claims)
+    claims = make_claims(*args)
+    elapsed = time.perf_counter() - start
     bad = [c for c in claims if not c.passed and not c.flagged]
     flagged = [c for c in claims if c.flagged]
-    elapsed = time.perf_counter() - start
     status = "ok" if not bad else "FAILED"
     print(f"{label:44s} {len(claims):5d} claims  {len(flagged):3d} flagged  "
           f"{status}  ({elapsed:5.1f}s)")
     return not bad
 
 
-def even_claims():
-    for k in range(4, 25):
-        for q in primitive_roots(2 * k):
-            yield verify_even(k, q)
-
-
-def odd_claims():
-    for k in range(3, 16):
-        for q in primitive_roots(2 * k + 1):
-            yield verify_odd(k, q)
-
-
-def oddlem_claims():
-    for k in range(3, 16):
-        for q in primitive_roots(2 * k + 1):
-            yield verify_odd_embedding(k, q)
-
-
-def kernel_claims():
-    for n in range(2, 41):
-        if n in (1, 6):
-            continue
-        for q in primitive_roots(n):
-            yield verify_kernel_words(n, q)
-
-
-def onerel_claims():
-    for r in range(2, 51):
-        yield verify_commutator_relator(r)
-
-
-def psl_claims():
-    for n in range(3, 14):
-        yield ClaimReport(
-            claim="group order closed form vs enumeration",
-            params={"n": n}, witnesses=[],
-            passed=psl_order(n) == psl_order_bruteforce(n))
-
-
-def st_claims():
-    for n in range(7, 32, 2):
-        yield verify_st_kernel(n)
-        yield verify_presentation(n)
-
-
-def quantum_claims():
-    for p in range(3, 65):
-        if p % 4 == 2:
-            continue
-        params = build_params(p)
-        ok = params.burau_parameter.multiplicative_order() == 2 * params.half_order
-        yield ClaimReport(claim="parameter order matches table",
-                          params={"p": p}, witnesses=[], passed=ok)
-        if p >= 5:
-            _, rep = twist_projective_order(p)
-            yield rep
+def twist_claims():
+    # levels p with p % 4 == 2 are not admissible
+    return [twist_projective_order(p)[1] for p in range(5, 65) if p % 4 != 2]
 
 
 def main() -> int:
     all_ok = True
-    all_ok &= sweep("even presentation (k = 4..24)", even_claims())
-    all_ok &= sweep("odd presentation (k = 3..15)", odd_claims())
-    all_ok &= sweep("median-triangle embedding (k = 3..15)", oddlem_claims())
-    all_ok &= sweep("kernel words (n = 2..40, n != 6)", kernel_claims())
-    all_ok &= sweep("commutator relator (r = 2..50)", onerel_claims())
-    all_ok &= sweep("group orders (n = 3..13)", psl_claims())
-    all_ok &= sweep("kernel membership + relators (n = 7..31)", st_claims())
-    all_ok &= sweep("quantum parameters (p = 3..64)", quantum_claims())
+    for name, suite in SUITES.items():
+        lo, hi = suite.full
+        all_ok &= sweep(f"verify --suite {name} --range {lo}..{hi}", suite.run, lo, hi)
+    all_ok &= sweep("twist orders (p = 5..64)", twist_claims)
     print("all suites passed" if all_ok else "SOME SUITES FAILED")
     return 0 if all_ok else 1
 

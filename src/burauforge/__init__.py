@@ -8,8 +8,8 @@ from .balls import ComplexBall, embed, PrecisionExhausted
 from .words import (GroupWord, free_group, free_product, braid_group, word,
                     generator, commutator, iterated_bracket, st_words,
                     parse_word, format_word)
-from .burau import (CycloMatrix, ProjMatrix2, burau_generator, burau_eval,
-                    squared_images, projective_order)
+from .burau import (CycloMatrix, burau_generator, burau_eval, squared_images,
+                    projective_order)
 from .triangle import (TriangleClassification, classify, primitive_roots,
                        verify_even, verify_odd, verify_odd_embedding,
                        verify_kernel_words, euler_characteristics,

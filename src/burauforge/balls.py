@@ -118,15 +118,6 @@ class ComplexBall:
         return f"({float(self.re):+.12g}{float(self.im):+.12g}j) +/- {float(self.rad):.3g}"
 
 
-def real_sign(ball: ComplexBall):
-    """Certified sign of a real quantity: -1, 1, or None when undecided."""
-    if ball.re - ball.rad > 0:
-        return 1
-    if ball.re + ball.rad < 0:
-        return -1
-    return None
-
-
 # ---------------------------------------------------------------------------
 # pi and exp(2 pi i t)
 
@@ -235,20 +226,3 @@ def _embed_at(x: CyclotomicNumber, j: int, bits: int) -> ComplexBall:
         acc = acc.round_to(bits)
     return acc
 
-
-def embed_sign(x: CyclotomicNumber, j: int, start_bits: int = 32):
-    """Certified sign of a real cyclotomic number at embedding j.
-
-    Exact-zero is decided symbolically; otherwise the precision is raised
-    until the enclosure excludes zero.
-    """
-    if x.is_zero:
-        return 0
-    bits = start_bits
-    for _ in range(12):
-        ball = embed(x, j, bits)
-        s = real_sign(ball)
-        if s is not None:
-            return s
-        bits *= 2
-    raise PrecisionExhausted("sign could not be certified")

@@ -13,13 +13,11 @@ checks them against these closed forms before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import CyclotomicNumber
 from .words import GroupWord, evaluate_word
 
-__all__ = ["CycloMatrix", "ProjMatrix2", "burau_generator", "burau_eval",
-           "squared_images", "projective_order"]
+__all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
+           "projective_order"]
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
@@ -208,49 +206,13 @@ def pair_word_eval(w: GroupWord, a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
     return evaluate_word(w, {names[0]: a, names[1]: b}, CycloMatrix.identity(a.size))
 
 
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjMatrix2:
-    """A 2x2 matrix considered up to nonzero scalars."""
-
-    matrix: CycloMatrix
-
-    def normalized(self) -> CycloMatrix:
-        for r in self.matrix.rows:
-            for v in r:
-                if not v.is_zero:
-                    s = v.inverse()
-                    return CycloMatrix([[x * s for x in row] for row in self.matrix.rows])
-        raise ZeroDivisionError("zero matrix has no projective class")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjMatrix2):
-            return NotImplemented
-        return self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    def __mul__(self, other: "ProjMatrix2") -> "ProjMatrix2":
-        return ProjMatrix2(self.matrix * other.matrix)
-
-    def inverse(self) -> "ProjMatrix2":
-        return ProjMatrix2(self.matrix.inverse())
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.matrix.is_scalar()
-
-
-def projective_order(m: CycloMatrix | ProjMatrix2, bound: int):
+def projective_order(m: CycloMatrix, bound: int):
     """Least n <= bound with m^n scalar, or None when the bound is exceeded."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    mat = m.matrix if isinstance(m, ProjMatrix2) else m
-    power = mat
+    power = m
     for n in range(1, bound + 1):
         if power.is_scalar():
             return n
-        power = power * mat
+        power = power * m
     return None

@@ -3,7 +3,7 @@
 JSON reports go to stdout, a one-line human summary per claim to stderr.
 Exit codes: 0 all claims pass, 1 a claim failed, 2 usage error,
 3 precision exhausted.  Output is deterministic unless --timestamps is
-given.  BURAU_FORGE_THREADS caps worker threads for the sweep commands.
+given.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .balls import PrecisionExhausted
 from .cyclotomic import root_of_unity
@@ -21,7 +23,7 @@ from .hyperbolic import (PAIR_CONTEXT, PingPongCertificate, PingPongConfig,
 from .modular import (psl_order, psl_order_bruteforce, verify_presentation,
                       verify_st_kernel)
 from .quantum import build_params, gamma_at_p, twist_projective_order
-from .reports import ClaimReport, map_ordered, overall_status
+from .reports import ClaimReport, overall_status
 from .triangle import (classify, euler_characteristics, primitive_roots,
                        surface_free_bound, verify_commutator_relator,
                        verify_even, verify_kernel_words, verify_odd,
@@ -63,76 +65,61 @@ def _emit(report: dict, claims: list[ClaimReport], args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# suite runners
+# verification suites
 
-def _suite_even(lo, hi):
-    def run_k(k):
-        return [verify_even(k, q) for q in primitive_roots(2 * k)]
-    return [c for ks in map_ordered(run_k, range(max(lo, 2), hi + 1)) for c in ks]
+@dataclass(frozen=True)
+class Suite:
+    """A sweep of one claim family over an integer parameter.
 
+    ``claims`` maps a parameter to its claims.  ``run(lo, hi)`` takes the
+    parameters first, first + step, ... that lie in lo..hi and are at most
+    ``last``, leaves out those in ``skip``, and concatenates their claims.
+    ``full`` is the documented full range.
+    """
 
-def _suite_odd(lo, hi):
-    def run_k(k):
-        return [verify_odd(k, q) for q in primitive_roots(2 * k + 1)]
-    return [c for ks in map_ordered(run_k, range(max(lo, 2), hi + 1)) for c in ks]
+    claims: Callable[[int], list[ClaimReport]]
+    first: int
+    full: tuple[int, int]
+    last: int | None = None
+    step: int = 1
+    skip: tuple[int, ...] = ()
 
-
-def _suite_oddlem(lo, hi):
-    def run_k(k):
-        return [verify_odd_embedding(k, q) for q in primitive_roots(2 * k + 1)]
-    return [c for ks in map_ordered(run_k, range(max(lo, 2), hi + 1)) for c in ks]
-
-
-def _suite_kernel(lo, hi):
-    def run_n(n):
-        if n in (1, 6):
-            return []
-        return [verify_kernel_words(n, q) for q in primitive_roots(n)]
-    return [c for ns in map_ordered(run_n, range(max(lo, 2), hi + 1)) for c in ns]
-
-
-def _suite_onerel(lo, hi):
-    return map_ordered(verify_commutator_relator, range(max(lo, 2), hi + 1))
+    def run(self, lo: int, hi: int) -> list[ClaimReport]:
+        start = max(lo, self.first)
+        start += (self.first - start) % self.step
+        stop = hi if self.last is None else min(hi, self.last)
+        return [c for n in range(start, stop + 1, self.step) if n not in self.skip
+                for c in self.claims(n)]
 
 
-def _suite_psl(lo, hi):
-    claims = []
-    for n in range(max(lo, 3), min(hi, 13) + 1):
-        brute = psl_order_bruteforce(n)
-        closed = psl_order(n)
-        claims.append(ClaimReport(
-            claim="closed-form group order matches brute-force enumeration",
-            params={"n": n, "closed_form": closed, "enumerated": brute},
-            witnesses=[],
-            passed=brute == closed,
-        ))
-    return claims
+def _psl_claim(n: int) -> ClaimReport:
+    brute = psl_order_bruteforce(n)
+    closed = psl_order(n)
+    return ClaimReport(
+        claim="closed-form group order matches brute-force enumeration",
+        params={"n": n, "closed_form": closed, "enumerated": brute},
+        witnesses=[],
+        passed=brute == closed,
+    )
 
 
-def _odd_range(lo, hi):
-    start = max(lo, 7)
-    if start % 2 == 0:
-        start += 1
-    return range(start, hi + 1, 2)
-
-
-def _suite_st(lo, hi):
-    return map_ordered(verify_st_kernel, _odd_range(lo, hi))
-
-
-def _suite_presentation(lo, hi):
-    return map_ordered(verify_presentation, _odd_range(lo, hi))
-
-
-_SUITES = {
-    "even": _suite_even,
-    "odd": _suite_odd,
-    "oddlem": _suite_oddlem,
-    "kernel": _suite_kernel,
-    "onerel": _suite_onerel,
-    "psl": _suite_psl,
-    "st": _suite_st,
-    "presentation": _suite_presentation,
+# The claim functions are looked up when a suite runs, not when this table
+# is built, so that rebinding a module global (as a tracer does) reaches them.
+SUITES = {
+    "even": Suite(lambda k: [verify_even(k, q) for q in primitive_roots(2 * k)],
+                  first=2, full=(4, 24)),
+    "odd": Suite(lambda k: [verify_odd(k, q) for q in primitive_roots(2 * k + 1)],
+                 first=2, full=(3, 15)),
+    "oddlem": Suite(lambda k: [verify_odd_embedding(k, q)
+                               for q in primitive_roots(2 * k + 1)],
+                    first=2, full=(3, 15)),
+    "kernel": Suite(lambda n: [verify_kernel_words(n, q) for q in primitive_roots(n)],
+                    first=2, full=(2, 40), skip=(6,)),
+    "onerel": Suite(lambda r: [verify_commutator_relator(r)], first=2, full=(2, 50)),
+    "psl": Suite(lambda n: [_psl_claim(n)], first=3, full=(3, 13), last=13),
+    "st": Suite(lambda n: [verify_st_kernel(n)], first=7, full=(7, 31), step=2),
+    "presentation": Suite(lambda n: [verify_presentation(n)],
+                          first=7, full=(7, 31), step=2),
 }
 
 
@@ -153,7 +140,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.range
-    claims = _SUITES[args.suite](lo, hi)
+    claims = SUITES[args.suite].run(lo, hi)
     return _emit({"command": "verify",
                   "parameters": {"suite": args.suite, "range": f"{lo}..{hi}"}},
                  claims, args)
@@ -311,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = add_parser("verify", help="run a verification suite over a range")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--range", type=_parse_range, required=True,
                    help="inclusive, e.g. 4..24 (k for even/odd/oddlem, n or r otherwise)")
     p.set_defaults(func=_cmd_verify)

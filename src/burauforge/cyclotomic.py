@@ -152,7 +152,8 @@ def _polymul(a: list[int], b: list[int]) -> list[int]:
             r -= 1 << bits
         out.append(r)
         prod = (prod - r) >> bits
-    assert prod == 0
+    if prod:
+        raise AssertionError("Kronecker decode left a remainder; digit width too small")
     return out
 
 

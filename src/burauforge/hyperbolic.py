@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,6 +223,38 @@ class PingPongConfig:
     order_bound: int = 120
 
 
+# Bounds on certificate input, checked before any arithmetic: verification
+# works at twice the stored precision and doubles it on retries, and the
+# conductor and the powers set the size of the exact matrices.
+MAX_CERT_PRECISION = 1024
+MAX_CERT_CONDUCTOR = 1024
+MAX_CERT_POWER = 64
+_CERT_KEYS = ("q", "embedding", "x_word", "y_word", "power_x", "power_y",
+              "arcs", "margin", "precision")
+_ARC_NAMES = ("x_att", "x_rep", "y_att", "y_rep")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_JSON_KINDS = {dict: "object", list: "list", int: "integer", str: "string"}
+
+
+def _json_typed(value, kind: type, what: str):
+    # JSON true and false load as bool, a subclass of int
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"certificate {what} must be a JSON {_JSON_KINDS[kind]}")
+    return value
+
+
+def _json_int(value, what: str, lo: int, hi: int) -> int:
+    if not lo <= _json_typed(value, int, what) <= hi:
+        raise ValueError(f"certificate {what} must lie in {lo}..{hi}")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ValueError(f"certificate {what} must be a rational string such as '3/8'")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class PingPongCertificate:
     """Freeness witness for <x^a, y^b> acting on the invariant circle.
@@ -256,17 +289,45 @@ class PingPongCertificate:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "PingPongCertificate":
+    def from_json(data) -> "PingPongCertificate":
+        """Read a certificate from untrusted JSON data.  Raises ValueError on
+        a malformed or out-of-bounds field, before any arithmetic runs."""
+        if not isinstance(data, dict):
+            raise ValueError("certificate must be a JSON object")
+        missing = [k for k in _CERT_KEYS if k not in data]
+        if missing:
+            raise ValueError(f"certificate lacks {', '.join(missing)}")
+        q = _json_typed(data["q"], dict, "q")
+        if sorted(q) != ["coeffs", "conductor"]:
+            raise ValueError("certificate q must have exactly the keys conductor, coeffs")
+        conductor = _json_int(q["conductor"], "q conductor", 1, MAX_CERT_CONDUCTOR)
+        coeffs = [_json_rational(c, "q coefficient")
+                  for c in _json_typed(q["coeffs"], list, "q coeffs")]
+        arcs = _json_typed(data["arcs"], dict, "arcs")
+        if sorted(arcs) != list(_ARC_NAMES):
+            raise ValueError(f"certificate arcs must be exactly {', '.join(_ARC_NAMES)}")
+        turns = {}
+        for name in arcs:
+            ends = _json_typed(arcs[name], list, f"arc {name}")
+            if len(ends) != 2:
+                raise ValueError(f"certificate arc {name} must have two endpoints")
+            turns[name] = tuple(_json_rational(t, f"arc {name} endpoint") for t in ends)
+            if not all(0 <= t < 1 for t in turns[name]):
+                raise ValueError(f"certificate arc {name} endpoints must lie in [0, 1)")
+        precision = _json_int(data["precision"], "precision", 1, MAX_CERT_PRECISION)
+        power_x = _json_int(data["power_x"], "power_x", 1, MAX_CERT_POWER)
+        power_y = _json_int(data["power_y"], "power_y", 1, MAX_CERT_POWER)
+        x_word = _json_typed(data["x_word"], str, "x_word")
+        y_word = _json_typed(data["y_word"], str, "y_word")
+        margin = _json_rational(data["margin"], "margin")
+        embedding = _json_typed(data["embedding"], int, "embedding")
+        q_value = CyclotomicNumber.from_coefficients(conductor, coeffs)
+        if math.gcd(embedding, q_value.conductor) != 1:
+            raise ValueError("certificate embedding must be coprime to the conductor of q")
         return PingPongCertificate(
-            q=CyclotomicNumber.from_json(data["q"]),
-            embedding=int(data["embedding"]),
-            x_word=data["x_word"],
-            y_word=data["y_word"],
-            power_x=int(data["power_x"]),
-            power_y=int(data["power_y"]),
-            arcs={k: (Fraction(v[0]), Fraction(v[1])) for k, v in data["arcs"].items()},
-            margin=Fraction(data["margin"]),
-            precision=int(data["precision"]),
+            q=q_value, embedding=embedding, x_word=x_word, y_word=y_word,
+            power_x=power_x, power_y=power_y, arcs=turns, margin=margin,
+            precision=precision,
         )
 
     def dump(self, path: str):
@@ -276,7 +337,11 @@ class PingPongCertificate:
     @staticmethod
     def load(path: str) -> "PingPongCertificate":
         with open(path) as fh:
-            return PingPongCertificate.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("certificate JSON is nested too deeply") from None
+        return PingPongCertificate.from_json(data)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-__all__ = ["ClaimReport", "claim_status", "overall_status", "map_ordered"]
+__all__ = ["ClaimReport", "claim_status", "overall_status"]
 
 
 @dataclass
@@ -43,24 +41,3 @@ def overall_status(claims: list[ClaimReport], strict: bool = False) -> str:
             return "fail"
     return "pass"
 
-
-def thread_cap() -> int:
-    raw = os.environ.get("BURAU_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn, items):
-    """Apply fn over items, honouring the BURAU_FORGE_THREADS cap.
-
-    Results always come back in input order, so reports stay deterministic
-    regardless of the worker count.
-    """
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from burauforge.burau import (CycloMatrix, ProjMatrix2, burau_eval,
-                              burau_generator, projective_order, squared_images)
+from burauforge.burau import (CycloMatrix, burau_eval, burau_generator,
+                              projective_order, squared_images)
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.words import braid_group, parse_word, word
 
@@ -98,13 +98,3 @@ def test_projective_order_examples():
     a10, _, _ = squared_images(root_of_unity(10, 1))
     assert projective_order(a10, 10) == 5
 
-
-def test_projective_equality_is_equivalence():
-    q = root_of_unity(9, 1)
-    a, b, c = squared_images(q)
-    pa = ProjMatrix2(a)
-    scaled = ProjMatrix2(CycloMatrix([[v * root_of_unity(9, 2) for v in row]
-                                      for row in a.rows]))
-    assert pa == scaled
-    assert ProjMatrix2(c).is_trivial
-    assert pa != ProjMatrix2(b)

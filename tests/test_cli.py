@@ -3,6 +3,9 @@ import json
 import pytest
 
 from burauforge.cli import main
+from burauforge.cyclotomic import root_of_unity
+from burauforge.hyperbolic import PAIR_CONTEXT, PingPongConfig, ping_pong_certify
+from burauforge.words import parse_word
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +63,18 @@ def test_verify_kernel_includes_flagged_n2(capsys):
     assert statuses[3] == "pass"
 
 
+@pytest.mark.parametrize("suite, text, key, expected", [
+    ("kernel", "1..7", "n", [2, 3, 4, 5, 7]),   # no claims for n = 1 or 6
+    ("psl", "10..20", "n", [10, 11, 12, 13]),   # enumeration capped at 13
+    ("st", "8..12", "n", [9, 11]),              # odd n >= 7 only
+    ("even", "0..3", "k", [2, 3]),              # k starts at 2
+])
+def test_verify_range_edges(capsys, suite, text, key, expected):
+    code, report, _ = run_cli(capsys, "verify", "--suite", suite, "--range", text)
+    assert code == 0
+    assert list(dict.fromkeys(c["params"][key] for c in report["claims"])) == expected
+
+
 def test_params(capsys):
     code, report, _ = run_cli(capsys, "params", "--p", "12")
     assert code == 0
@@ -98,6 +113,75 @@ def test_certify_free_pingpong_and_verify_cert(capsys, tmp_path):
     assert "certificate" in report
     code, report, _ = run_cli(capsys, "verify-cert", "--file", str(cert_path))
     assert code == 0 and report["overall"] == "pass"
+
+
+@pytest.fixture(scope="module")
+def cert_json():
+    x = parse_word(PAIR_CONTEXT, "A B A^-1 B^-1")
+    y = parse_word(PAIR_CONTEXT, "A^2 B A^-2 B^-1")
+    cert = ping_pong_certify(x, y, root_of_unity(14, 1), 1, PingPongConfig(precision=32))
+    return json.dumps(cert.to_json())
+
+
+def _with(**fields):
+    return lambda data: {**data, **fields}
+
+
+def _with_arc(name, ends):
+    return lambda data: {**data, "arcs": {**data["arcs"], name: ends}}
+
+
+def _without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+def _swap_attracting(data):
+    arcs = dict(data["arcs"])
+    arcs["x_att"], arcs["y_att"] = arcs["y_att"], arcs["x_att"]
+    return {**data, "arcs": arcs}
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda data: "{", 2),
+    (lambda data: "[" * 100000 + "]" * 100000, 2),
+    (lambda data: [1, 2], 2),
+    (lambda data: {"q": {"conductor": 14}, "embedding": 1}, 2),
+    (_with(q={"conductor": 14}), 2),
+    (_with(q={"conductor": 7, "coeffs": ["1", "2"]}), 2),
+    (_with(q={"conductor": 10 ** 15, "coeffs": []}), 2),
+    (_without("margin"), 2),
+    (_with(embedding="1"), 2),
+    (_with(embedding=7), 2),          # not coprime to the conductor 7
+    (_with(power_x=True), 2),
+    (_with(power_y=0), 2),
+    (_with(power_y=65), 2),
+    (_with(margin=0.5), 2),
+    (_with(margin="1e999999999"), 2),
+    (_with_arc("z_att", ["0", "1/2"]), 2),
+    (lambda data: {**data, "arcs": {k: v for k, v in data["arcs"].items()
+                                    if k != "y_rep"}}, 2),
+    (_with_arc("x_att", ["1", "1/2"]), 2),
+    (_with_arc("x_att", ["-1/2", "1/2"]), 2),
+    (_with_arc("x_att", ["1/0", "1/2"]), 2),
+    (_with_arc("x_att", ["0", "1/4", "1/2"]), 2),
+    (_with(precision=0), 2),
+    (_with(precision=32.0), 2),
+    (_with(precision=10 ** 12), 2),   # rejected before any arithmetic
+    (_swap_attracting, 1),            # well-formed, fails the ball inclusions
+    (_with(margin="1/65536"), 1),     # well-formed, wrong margin
+    (lambda data: data, 0),
+])
+def test_verify_cert_input(capsys, tmp_path, cert_json, edit, expected):
+    path = tmp_path / "cert.json"
+    edited = edit(json.loads(cert_json))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    code, report, err = run_cli(capsys, "verify-cert", "--file", str(path))
+    assert code == expected
+    if expected == 2:
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert report["overall"] == ("pass" if expected == 0 else "fail")
 
 
 def test_artin_command(capsys):

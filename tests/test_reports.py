@@ -1,4 +1,4 @@
-from burauforge.reports import ClaimReport, claim_status, map_ordered, overall_status
+from burauforge.reports import ClaimReport, claim_status, overall_status
 
 
 def make(passed, flagged=False):
@@ -19,18 +19,3 @@ def test_overall_status_flag_semantics():
     assert overall_status([make(True), make(False)]) == "fail"
     assert overall_status([]) == "pass"
 
-
-def test_map_ordered_sequential(monkeypatch):
-    monkeypatch.delenv("BURAU_FORGE_THREADS", raising=False)
-    assert map_ordered(lambda v: v * v, range(6)) == [0, 1, 4, 9, 16, 25]
-
-
-def test_map_ordered_threaded_keeps_order(monkeypatch):
-    monkeypatch.setenv("BURAU_FORGE_THREADS", "4")
-    items = list(range(40))
-    assert map_ordered(lambda v: v - 1, items) == [v - 1 for v in items]
-
-
-def test_map_ordered_bad_env(monkeypatch):
-    monkeypatch.setenv("BURAU_FORGE_THREADS", "many")
-    assert map_ordered(lambda v: v, [3, 1]) == [3, 1]
