@@ -172,7 +172,18 @@ def _cos_sin_small(theta_lo: Fraction, theta_hi: Fraction, bits: int):
 
 
 def unit_turn(t: Fraction, bits: int) -> ComplexBall:
-    """Enclosure of exp(2 pi i t) for a rational number of turns t."""
+    """Enclosure of exp(2 pi i t) for a rational number of turns t.
+
+    Results are memoised per (t mod 1, bits): embedding a matrix and
+    placing arc endpoints ask for the same few roots many times.
+    """
+    return _unit_turn(Fraction(t) % 1, bits)
+
+
+@lru_cache(maxsize=None)
+def _unit_turn(t: Fraction, bits: int) -> ComplexBall:
+    # normalises t again so that the uncached _unit_turn.__wrapped__,
+    # the reference the tests compare against, takes any t
     t = Fraction(t) % 1
     quarter, t = divmod(t, Fraction(1, 4))
     flip = False

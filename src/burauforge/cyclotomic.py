@@ -48,6 +48,7 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     phi = m
     for p in _prime_factors(m):

@@ -178,7 +178,10 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
 
     Enumeration is breadth-first, letters ordered x, x^-1, y, y^-1, so the
     reported witness is deterministic.  All evaluation is exact; returns
-    None if no relation exists at this length.
+    None if no relation exists at this length.  Nodes of the last level
+    are never extended, so each is decided from entry (0, 1) of its
+    product first: the full product is built and tested only when that
+    entry is zero.
     """
     if max_len < 1:
         raise ValueError("length bound must be positive")
@@ -190,13 +193,18 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
         ((1, 1), y_mat), ((1, -1), y_mat.inverse()),
     ]
     frontier: list[tuple[tuple[tuple[int, int], ...], CycloMatrix]] = [((), CycloMatrix.identity(2))]
-    for _ in range(max_len):
+    for level in range(1, max_len + 1):
         new_frontier = []
         for sylls, mat in frontier:
             last = sylls[-1] if sylls else None
+            (m00, m01), _ = mat.rows
             for (gen, sign), letter_mat in letters:
                 if last is not None and last[0] == gen and last[1] == -sign:
                     continue
+                if level == max_len:
+                    (_, l01), (_, l11) = letter_mat.rows
+                    if not (m00 * l01 + m01 * l11).is_zero:
+                        continue
                 nxt = mat * letter_mat
                 nxt_sylls = sylls + ((gen, sign),)
                 if nxt.is_scalar():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burauforge import balls
 from burauforge.balls import ComplexBall, embed, pi_bounds, unit_turn
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 
@@ -74,3 +75,18 @@ def test_rounding_preserves_enclosure():
     dist_sq = (a.re - r.re) ** 2 + (a.im - r.im) ** 2
     assert dist_sq <= (r.rad - a.rad) ** 2
     assert r.rad >= a.rad
+
+
+@given(st.fractions(min_value=-2, max_value=2), st.integers(min_value=20, max_value=200))
+@settings(max_examples=40, deadline=None)
+def test_unit_turn_cache_is_a_pure_memo(t, bits):
+    # the memoised value equals the uncached computation, field for field
+    got = unit_turn(t, bits)
+    want = balls._unit_turn.__wrapped__(t, bits)
+    assert (got.re, got.im, got.rad) == (want.re, want.im, want.rad)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 7), Fraction(-3, 8), Fraction(5, 3)])
+@pytest.mark.parametrize("bits", [20, 72, 200])
+def test_unit_turn_is_periodic(t, bits):
+    assert unit_turn(t, bits) == unit_turn(t + 1, bits)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,27 @@ def test_verify_cert_input(capsys, tmp_path, cert_json, edit, expected):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert report["overall"] == ("pass" if expected == 0 else "fail")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_certify_free_and_verify_cert_golden(capsys, tmp_path, monkeypatch):
+    # stdout of the freeness path, byte for byte; the certificate files are
+    # named relative to the working directory, as the reports echo them
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, expected, golden):
+        assert main(argv) == expected
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    check(["certify-free", "--order", "14", "--x", "A B A^-1 B^-1",
+           "--y", "A^2 B A^-2 B^-1", "--max-len", "6", "--pingpong",
+           "--precision", "32", "--cert-out", "cert.json"], 0, "certify_free_14.json")
+    check(["verify-cert", "--file", "cert.json"], 0, "verify_cert_14.json")
+    swapped = _swap_attracting(json.loads(Path("cert.json").read_text()))
+    Path("swapped.json").write_text(json.dumps(swapped))
+    check(["verify-cert", "--file", "swapped.json"], 1, "verify_cert_14_swapped.json")
 
 
 def test_artin_command(capsys):

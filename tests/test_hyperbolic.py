@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from burauforge.burau import pair_word_eval, squared_images
+from burauforge.burau import CycloMatrix, pair_word_eval, squared_images
 from burauforge.cyclotomic import root_of_unity
 from burauforge.hyperbolic import (PAIR_CONTEXT, PingPongCertificate,
                                    invariant_form, ping_pong_certify,
                                    short_relation_oracle, verify_certificate)
-from burauforge.words import parse_word, word
+from burauforge.words import free_group, parse_word, word
 
 Q14 = root_of_unity(14, 1)
 X_WORD = parse_word(PAIR_CONTEXT, "A B A^-1 B^-1")
@@ -95,6 +95,62 @@ def test_oracle_finite_image_other_orders():
     for n in (3, 4, 6):
         q = root_of_unity(n, 1)
         assert short_relation_oracle(X_WORD, Y_WORD, q, 20) is not None
+
+
+def reference_oracle(x_word, y_word, q, max_len):
+    """The relation oracle with the full product built at every node."""
+    a, b, _ = squared_images(q)
+    x_mat = pair_word_eval(x_word, a, b)
+    y_mat = pair_word_eval(y_word, a, b)
+    letters = [((0, 1), x_mat), ((0, -1), x_mat.inverse()),
+               ((1, 1), y_mat), ((1, -1), y_mat.inverse())]
+    frontier = [((), CycloMatrix.identity(2))]
+    for _ in range(max_len):
+        new_frontier = []
+        for sylls, mat in frontier:
+            last = sylls[-1] if sylls else None
+            for (gen, sign), letter_mat in letters:
+                if last is not None and last[0] == gen and last[1] == -sign:
+                    continue
+                nxt = mat * letter_mat
+                if nxt.is_scalar():
+                    return word(free_group(("x", "y")), sylls + ((gen, sign),))
+                new_frontier.append((sylls + ((gen, sign),), nxt))
+        frontier = new_frontier
+    return None
+
+
+# witnesses of the commutator pair at finite-image orders, each found on
+# the last level when the length bound equals the witness length
+LAST_LEVEL_WITNESSES = [(3, "x^2", 2), (4, "x", 1), (5, "y^3", 3),
+                        (6, "x y x^-1 y^-1", 4)]
+
+
+@pytest.mark.parametrize("order,text,length", LAST_LEVEL_WITNESSES)
+def test_oracle_witness_on_the_last_level(order, text, length):
+    q = root_of_unity(order, 1)
+    witness = short_relation_oracle(X_WORD, Y_WORD, q, length)
+    assert str(witness) == text and witness.length() == length
+    assert str(short_relation_oracle(X_WORD, Y_WORD, q, 20)) == text
+
+
+# order 4 is left out: its witness has length 1 and the bound must be positive
+@pytest.mark.parametrize("order,text,length",
+                         [case for case in LAST_LEVEL_WITNESSES if case[2] > 1])
+def test_oracle_no_witness_one_level_short(order, text, length):
+    q = root_of_unity(order, 1)
+    assert short_relation_oracle(X_WORD, Y_WORD, q, length - 1) is None
+
+
+@pytest.mark.parametrize("order", [7, 8, 14])
+def test_oracle_agrees_with_full_product_reference(order):
+    q = root_of_unity(order, 1)
+    for max_len in range(1, 6):
+        for x, y in [(X_WORD, Y_WORD), (parse_word(PAIR_CONTEXT, "A"),
+                                        parse_word(PAIR_CONTEXT, "A^2"))]:
+            got = short_relation_oracle(x, y, q, max_len)
+            want = reference_oracle(x, y, q, max_len)
+            assert str(got) == str(want)
 
 
 @pytest.fixture(scope="module")
