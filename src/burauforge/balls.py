@@ -53,9 +53,6 @@ class ComplexBall:
     def exact(re, im=0) -> "ComplexBall":
         return ComplexBall(Fraction(re), Fraction(im), _ZERO)
 
-    def abs_upper(self) -> Fraction:
-        return sqrt_upper(self.re * self.re + self.im * self.im) + self.rad
-
     def abs_lower(self) -> Fraction:
         low = sqrt_lower(self.re * self.re + self.im * self.im) - self.rad
         return low if low > 0 else _ZERO
@@ -78,10 +75,6 @@ class ComplexBall:
         b = sqrt_upper(other.re * other.re + other.im * other.im)
         rad = a * other.rad + b * self.rad + self.rad * other.rad
         return ComplexBall(re, im, rad)
-
-    def scale(self, f: Fraction) -> "ComplexBall":
-        f = Fraction(f)
-        return ComplexBall(self.re * f, self.im * f, self.rad * abs(f))
 
     def conj(self) -> "ComplexBall":
         return ComplexBall(self.re, -self.im, self.rad)
@@ -110,9 +103,6 @@ class ComplexBall:
         im = Fraction(round(self.im * scale), scale)
         rad = Fraction(math.ceil(self.rad * scale) + 1, scale)
         return ComplexBall(re, im, rad)
-
-    def contains_zero(self) -> bool:
-        return sqrt_upper(self.re * self.re + self.im * self.im) <= self.rad
 
     def __str__(self):
         return f"({float(self.re):+.12g}{float(self.im):+.12g}j) +/- {float(self.rad):.3g}"

@@ -13,8 +13,8 @@ checks them against these closed forms before returning.
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicNumber
-from .words import GroupWord, evaluate_word
+from .cyclotomic import CyclotomicNumber, row_reduce
+from .words import GroupWord, evaluate_word, power
 
 __all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
            "projective_order"]
@@ -59,16 +59,7 @@ class CycloMatrix:
         return CycloMatrix(out)
 
     def __pow__(self, e: int) -> "CycloMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CycloMatrix.identity(self.size)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, CycloMatrix.identity(self.size))
 
     def __eq__(self, other):
         return isinstance(other, CycloMatrix) and all(
@@ -88,21 +79,12 @@ class CycloMatrix:
             det = a * d - b * c
             dinv = det.inverse()
             return CycloMatrix([[d * dinv, -b * dinv], [-c * dinv, a * dinv]])
-        # general case: Gauss-Jordan with exact pivoting
-        aug = [list(r) + [(_ONE if i == j else _ZERO) for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if not aug[i][c].is_zero), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            pinv = aug[c][c].inverse()
-            aug[c] = [v * pinv for v in aug[c]]
-            for i in range(n):
-                if i != c and not aug[i][c].is_zero:
-                    f = aug[i][c]
-                    aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
-        return CycloMatrix([r[n:] for r in aug])
+        # general case: row reduce [M | I] to [I | M^-1]
+        rref, pivots = row_reduce([list(r) + [(_ONE if i == j else _ZERO) for j in range(n)]
+                                   for i, r in enumerate(self.rows)])
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return CycloMatrix([r[n:] for r in rref])
 
     def is_scalar(self) -> bool:
         n = self.size

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .balls import PrecisionExhausted
 from .cyclotomic import root_of_unity
-from .hyperbolic import (PAIR_CONTEXT, PingPongCertificate, PingPongConfig,
-                         invariant_form, oracle_report, ping_pong_certify,
-                         verify_certificate)
+from .hyperbolic import (MAX_CERT_POWER, MAX_CERT_PRECISION, PAIR_CONTEXT,
+                         PingPongCertificate, PingPongConfig, invariant_form,
+                         oracle_report, ping_pong_certify, verify_certificate)
 from .modular import (psl_order, psl_order_bruteforce, verify_presentation,
                       verify_st_kernel)
 from .quantum import build_params, gamma_at_p, twist_projective_order
@@ -48,6 +48,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     if a > b:
         raise argparse.ArgumentTypeError("empty range")
     return a, b
+
+
+def _int_in(lo: int, hi: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in {lo}..{hi}")
+        return value
+    return parse
 
 
 def _emit(report: dict, claims: list[ClaimReport], args) -> int:
@@ -319,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--pingpong", action="store_true")
-    p.add_argument("--max-power", type=int, default=4)
-    p.add_argument("--precision", type=int, default=96)
+    p.add_argument("--max-power", type=_int_in(1, MAX_CERT_POWER), default=4)
+    # the search may double the precision once, and every certificate it
+    # writes must stay within what verify-cert accepts
+    p.add_argument("--precision", type=_int_in(1, MAX_CERT_PRECISION // 2), default=96)
     p.add_argument("--cert-out", help="write the certificate JSON to this path")
     p.set_defaults(func=_cmd_certify_free)
 
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("artin", help="longitude and depth certificate for a pure braid")
     p.add_argument("--braid", required=True, help="word over g1, g2, e.g. 'g1^2 g2^-2'")
-    p.add_argument("--strand", type=int, required=True)
+    p.add_argument("--strand", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--depth", type=int, required=True, help="expansion truncation degree")
     p.set_defaults(func=_cmd_artin)
 

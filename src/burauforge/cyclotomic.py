@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
+from .words import power
+
 __all__ = [
     "CyclotomicNumber",
     "root_of_unity",
@@ -28,13 +30,16 @@ __all__ = [
     "galois_conjugates",
     "euler_phi",
     "cyclotomic_polynomial",
+    "prime_factors",
+    "row_reduce",
 ]
 
 
 # ---------------------------------------------------------------------------
 # small number theory
 
-def _prime_factors(m: int) -> list[int]:
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= m:
@@ -51,7 +56,7 @@ def _prime_factors(m: int) -> list[int]:
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     phi = m
-    for p in _prime_factors(m):
+    for p in prime_factors(m):
         phi -= phi // p
     return phi
 
@@ -158,20 +163,25 @@ def _polymul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(m: int, vec: list[int]) -> list[int]:
+def _row_sum(m: int, terms, out: list | None = None) -> list:
+    # out (zero by default) plus the sum of c * (z^e reduced mod Phi_m)
+    # over the pairs (e, c) in terms; out is updated in place
+    rows = _reduction_rows(m)
+    if out is None:
+        out = [0] * euler_phi(m)
+    for e, c in terms:
+        if c:
+            for i, r in enumerate(rows[e]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+def _reduce_mod_phi(m: int, vec: list) -> list:
     d = euler_phi(m)
     if len(vec) <= d:
         return vec + [0] * (d - len(vec))
-    rows = _reduction_rows(m)
-    out = vec[:d]
-    for e in range(d, len(vec)):
-        c = vec[e]
-        if c:
-            row = rows[e]
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
+    return _row_sum(m, enumerate(vec[d:], d), vec[:d])
 
 
 def _content_normalise(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -243,6 +253,9 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     @property
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -260,16 +273,7 @@ class CyclotomicNumber:
         if target == m:
             return self.num
         t = target // m
-        rows = _reduction_rows(target)
-        d = euler_phi(target)
-        out = [0] * d
-        for k, c in enumerate(self.num):
-            if c:
-                row = rows[k * t]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+        return tuple(_row_sum(target, ((k * t, c) for k, c in enumerate(self.num))))
 
     @staticmethod
     def _common(x: "CyclotomicNumber", y: "CyclotomicNumber"):
@@ -350,16 +354,7 @@ class CyclotomicNumber:
         return CyclotomicNumber._coerce(other) * self.inverse()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CyclotomicNumber.from_rational(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, CyclotomicNumber.from_rational(1))
 
     # -- equality ------------------------------------------------------------
 
@@ -388,15 +383,7 @@ class CyclotomicNumber:
         j %= m
         if math.gcd(j, m) != 1:
             raise ValueError("Galois exponent must be coprime to the conductor")
-        rows = _reduction_rows(m)
-        d = euler_phi(m)
-        out = [0] * d
-        for k, c in enumerate(self.num):
-            if c:
-                row = rows[(k * j) % m]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
+        out = _row_sum(m, (((k * j) % m, c) for k, c in enumerate(self.num)))
         return CyclotomicNumber._make(m, out, self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
@@ -499,17 +486,7 @@ def _fold_even_conductor(m: int, vec: list[int]) -> tuple[int, list[int]]:
     # m = 2d with d odd: zeta_m = -zeta_d^((d+1)/2)
     d = m // 2
     half = (d + 1) // 2
-    rows = _reduction_rows(d)
-    dd = euler_phi(d)
-    out = [0] * dd
-    for k, c in enumerate(vec):
-        if c:
-            sign = -1 if k % 2 else 1
-            row = rows[(k * half) % d]
-            for i in range(dd):
-                if row[i]:
-                    out[i] += sign * c * row[i]
-    return d, out
+    return d, _row_sum(d, (((k * half) % d, -c if k % 2 else c) for k, c in enumerate(vec)))
 
 
 def _fixed_by_subfield_group(x: CyclotomicNumber, d: int) -> bool:
@@ -528,42 +505,46 @@ def _rewrite_in_subfield(x: CyclotomicNumber, d: int) -> CyclotomicNumber:
     rows = _reduction_rows(m)
     dm, dd = euler_phi(m), euler_phi(d)
     cols = [rows[(t * s) % m] for s in range(dd)]
-    target = [Fraction(v, x.den) for v in x.num]
-    sol = _solve_rational([[Fraction(cols[c][r]) for c in range(dd)] for r in range(dm)], target)
-    if sol is None:
+    aug = [[Fraction(cols[c][r]) for c in range(dd)] + [Fraction(x.num[r], x.den)]
+           for r in range(dm)]
+    # the columns are independent, so a solution is a pivot in each of them
+    # and none in the right-hand side
+    rref, pivots = row_reduce(aug)
+    if pivots != list(range(dd)):
         raise ArithmeticError("subfield rewrite failed despite Galois fixedness")
-    return CyclotomicNumber.from_coefficients(d, sol)
+    return CyclotomicNumber.from_coefficients(d, [row[dd] for row in rref[:dd]])
 
 
-def _solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    # Gaussian elimination; returns one exact solution or None
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [matrix[r][:] + [rhs[r]] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of a matrix over Q or a cyclotomic field.
+
+    Entries are Fractions or CyclotomicNumbers: anything with exact
+    ``+ - * /`` whose truth value means "nonzero".  ``rows`` is left
+    unchanged.  Columns are taken left to right; the pivot of a column is
+    its first nonzero entry at or below the next free row, that row is
+    swapped up and scaled by ``1 / pivot`` (one inversion per pivot), and
+    the column is cleared in every other row.  Returns ``(rref, pivots)``:
+    the reduced rows, and the pivot column of rref[i] for each leading
+    row i, ascending; rows from len(pivots) on are zero.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
             break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def _field_inverse(m: int, coeffs: tuple[Fraction, ...]) -> list[Fraction]:
@@ -601,20 +582,8 @@ def _field_inverse(m: int, coeffs: tuple[Fraction, ...]) -> list[Fraction]:
     if deg(r1) != 0:
         raise ZeroDivisionError("division by zero in a cyclotomic field")
     lead = r1[deg(r1)]
-    inv = [v / lead for v in s1]
-    d = euler_phi(m)
-    # reduce the Bezout coefficient mod Phi_m
-    if len(inv) > d:
-        rows = _reduction_rows(m)
-        out = inv[:d] + [Fraction(0)] * max(0, d - len(inv))
-        for e in range(d, len(inv)):
-            if inv[e]:
-                row = rows[e]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += inv[e] * row[i]
-        inv = out
-    return inv + [Fraction(0)] * (d - len(inv))
+    # the Bezout coefficient, reduced mod Phi_m
+    return _reduce_mod_phi(m, [v / lead for v in s1])
 
 
 def _polymul_frac(a, b):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .balls import ComplexBall, PrecisionExhausted, embed, sqrt_lower, sqrt_upper, unit_turn
 from .burau import CycloMatrix, pair_word_eval, projective_order, squared_images
-from .cyclotomic import CyclotomicNumber, root_of_unity
+from .cyclotomic import CyclotomicNumber, root_of_unity, row_reduce
 from .reports import ClaimReport
 from .words import GroupWord, free_group, parse_word, word
 
@@ -53,39 +53,21 @@ class HermitianForm2:
 
 
 def _nullspace(rows: list[list[CyclotomicNumber]]) -> list[list[CyclotomicNumber]]:
-    # exact kernel of a matrix over the field
+    # exact kernel of a matrix over the field: one basis vector per
+    # non-pivot column of the reduced form
     zero = CyclotomicNumber.from_rational(0)
     one = CyclotomicNumber.from_rational(1)
-    m = [row[:] for row in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    rref, pivots = row_reduce(rows)
+    ncols = len(rows[0])
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:
         vec = [zero] * ncols
         vec[fc] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
+            vec[pc] = -rref[i][fc]
         basis.append(vec)
     return basis
-
-
-def _dagger(m: CycloMatrix) -> CycloMatrix:
-    return m.transpose_conjugate()
 
 
 def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None:
@@ -98,7 +80,7 @@ def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None
     a, b, _ = squared_images(q)
     rows = []
     for mat in (a, b):
-        md = _dagger(mat)
+        md = mat.transpose_conjugate()
         for r in range(2):
             for s in range(2):
                 # coefficient of J_ij in (M* J M - J)_rs
@@ -150,7 +132,7 @@ def _hermitian_part(m: CycloMatrix) -> CycloMatrix | None:
 
 def _check_invariance(j_mat: CycloMatrix, mats) -> None:
     for m in mats:
-        lhs = _dagger(m) * j_mat * m
+        lhs = m.transpose_conjugate() * j_mat * m
         if lhs != j_mat:
             raise AssertionError("form is not invariant; implementation bug")
 
@@ -221,14 +203,17 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
 class PingPongConfig:
     max_power: int = 4
     precision: int = 96
-    # (repelling-arc, padding) half-widths as fractions of the least gap
-    # between the four fixed points; tried in order
-    shrink_ladder: tuple[tuple[Fraction, Fraction], ...] = (
-        (Fraction(1, 3), Fraction(1, 4)),
-        (Fraction(1, 4), Fraction(1, 6)),
-        (Fraction(1, 8), Fraction(1, 12)),
-    )
-    order_bound: int = 120
+
+
+# (repelling-arc, padding) half-widths as fractions of the least gap
+# between the four fixed points; tried in order
+_SHRINK_LADDER = (
+    (Fraction(1, 3), Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(1, 6)),
+    (Fraction(1, 8), Fraction(1, 12)),
+)
+# a generator whose projective order is at most this is rejected as torsion
+_ORDER_BOUND = 120
 
 
 # Bounds on certificate input, checked before any arithmetic: verification
@@ -512,7 +497,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     """Search for a certified ping-pong configuration for powers of the pair.
 
     Returns the first certificate found over powers (a, b) up to
-    config.max_power and the configured aperture ladder, or None when the
+    config.max_power and the aperture ladder, or None when the
     search space is exhausted.  Raises PrecisionExhausted only when an
     inclusion could not be decided at any tried precision.
     """
@@ -525,7 +510,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     for mat, name in ((x_mat, "x"), (y_mat, "y")):
         if mat.is_scalar():
             raise ValueError(f"generator {name} is projectively trivial")
-        if projective_order(mat, config.order_bound) is not None:
+        if projective_order(mat, _ORDER_BOUND) is not None:
             raise ValueError(f"generator {name} has finite projective order")
     circle = _invariant_circle(form)
     centre_n = _numeric_value(circle.centre, embedding)
@@ -546,7 +531,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
             fy = _fixed_turns(yb_n, centre_n, radius_n)
             if fx is None or fy is None:
                 continue
-            for shrink, pad in config.shrink_ladder:
+            for shrink, pad in _SHRINK_LADDER:
                 arcs = _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n, radius_n, shrink, pad)
                 if arcs is None:
                     continue

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cyclotomic import prime_factors
 from .reports import ClaimReport
-from .words import GroupWord, evaluate_word, st_words
+from .words import GroupWord, evaluate_word, power, st_words
 
 __all__ = [
     "ModMatrix2", "psi_generators", "ab_images", "eval_ab_word",
@@ -50,15 +51,7 @@ class ModMatrix2:
         return ModMatrix2.make(self.n, d, -b, -c, a)
 
     def __pow__(self, e: int) -> "ModMatrix2":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = ModMatrix2.identity(self.n)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, ModMatrix2.identity(self.n))
 
     @property
     def is_identity(self) -> bool:
@@ -164,21 +157,9 @@ def psl_order(n: int) -> int:
     if n == 1:
         return 1
     sl = n ** 3
-    for p in sorted({p for p in _prime_divisors(n)}):
+    for p in prime_factors(n):
         sl = sl // (p * p) * (p * p - 1)
     return sl if n == 2 else sl // 2
-
-
-def _prime_divisors(n: int):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        yield n
 
 
 def psl_order_bruteforce(n: int) -> int:

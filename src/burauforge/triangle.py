@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .burau import CycloMatrix, squared_images
-from .cyclotomic import CyclotomicNumber, root_of_unity
+from .cyclotomic import CyclotomicNumber, prime_factors, root_of_unity
 from .modular import psl_order
 from .reports import ClaimReport
 from .words import commutator, free_product, generator, word
@@ -233,22 +233,11 @@ def surface_free_bound(n: int) -> Fraction:
     if n < 7 or n % 2 == 0:
         raise ValueError("n must be odd and at least 7")
     value = Fraction(psl_order(n) * (n - 6), 6 * n)
-    if _is_prime(n):
+    if prime_factors(n) == [n]:
         closed = Fraction((n + 1) * (n - 1) * (n - 6), 12)
         if value != closed:
             raise AssertionError("general and prime formulas disagree")
     return value
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

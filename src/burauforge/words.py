@@ -16,7 +16,7 @@ __all__ = [
     "GroupContext", "GroupWord",
     "free_group", "free_product", "braid_group",
     "word", "generator", "commutator", "iterated_bracket", "st_words",
-    "parse_word", "format_word", "evaluate_word",
+    "parse_word", "format_word", "evaluate_word", "power",
 ]
 
 FREE = "free"
@@ -194,26 +194,34 @@ def parse_word(context: GroupContext, text: str) -> GroupWord:
 
 # ---------------------------------------------------------------------------
 
+def power(base, e: int, one):
+    """base ** e by square-and-multiply; for e < 0, base.inverse() ** -e.
+
+    ``base`` must support ``*``, and ``.inverse()`` when e < 0.  ``one``
+    is returned as it is for e == 0 and is never multiplied in.  For
+    e >= 1 the cost is bit_length(e) - 1 squarings plus popcount(e) - 1
+    other products: there is no squaring after the top bit.
+    """
+    if e < 0:
+        base, e = base.inverse(), -e
+    acc = None
+    while e:
+        if e & 1:
+            acc = base if acc is None else acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one if acc is None else acc
+
+
 def evaluate_word(w: GroupWord, images: Mapping[str, object], one):
     """Fold a word through generator images.
 
-    Images must support ``*`` and ``.inverse()``; exponents are resolved
-    by square-and-multiply.
+    Images must support ``*`` and ``.inverse()``; each syllable is raised
+    by ``power``, and ``one`` is returned only for the empty word.
     """
-    result = one
+    result = None
     for g, e in w.syllables:
-        if e == 0:
-            continue
-        base = images[w.context.names[g]]
-        if e < 0:
-            base = base.inverse()
-            e = -e
-        acc = None
-        while e:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        result = result * acc
-    return result
+        acc = power(images[w.context.names[g]], e, one)
+        result = acc if result is None else result * acc
+    return one if result is None else result

@@ -98,3 +98,38 @@ def test_projective_order_examples():
     a10, _, _ = squared_images(root_of_unity(10, 1))
     assert projective_order(a10, 10) == 5
 
+
+
+def test_matrix_power_makes_no_spare_products(monkeypatch):
+    # 13 = 0b1101: three squarings and two further products, none with
+    # the identity and no squaring past the top bit
+    a, _, _ = squared_images(root_of_unity(7, 1))
+    expected = a * a * a * a * a * a * a * a * a * a * a * a * a
+    products = []
+    mul = CycloMatrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloMatrix, "__mul__", counted)
+    result = a ** 13
+    assert len(products) == 5
+    assert result == expected
+
+
+@pytest.mark.parametrize("text", ["g1", "g2^-1 g3", "g1 g2 g3 g1^-2", "g3^3 g2 g1^-1 g2"])
+def test_inverse_3x3_on_b4_words(text):
+    m = burau_eval(parse_word(B4, text), root_of_unity(9, 2))
+    identity = CycloMatrix.identity(3)
+    assert m * m.inverse() == identity
+    assert m.inverse() * m == identity
+
+
+def test_inverse_3x3_singular_raises():
+    q = root_of_unity(5, 1)
+    one, zero = C.from_rational(1), C.from_rational(0)
+    top, middle = [q, q * q, one], [one, q, zero]
+    m = CycloMatrix([top, middle, [u + v for u, v in zip(top, middle)]])
+    with pytest.raises(ZeroDivisionError):
+        m.inverse()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from burauforge.cli import main
+from burauforge.cli import build_parser, main
 from burauforge.cyclotomic import root_of_unity
 from burauforge.hyperbolic import PAIR_CONTEXT, PingPongConfig, ping_pong_certify
 from burauforge.words import parse_word
@@ -214,6 +214,62 @@ def test_artin_command(capsys):
     code, report, _ = run_cli(capsys, "artin", "--braid", "g1", "--strand", "1",
                               "--depth", "2")
     assert code == 1  # not a pure braid
+
+
+_CERTIFY = ["certify-free", "--order", "14", "--x", "A", "--y", "B", "--max-len", "2",
+            "--pingpong"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["artin", "--braid", "g1^2", "--strand", "4", "--depth", "1"],
+    ["artin", "--braid", "g1^2", "--strand", "0", "--depth", "1"],
+    [*_CERTIFY, "--precision", "-5"],
+    [*_CERTIFY, "--precision", "0"],
+    [*_CERTIFY, "--precision", "513"],
+    [*_CERTIFY, "--max-power", "0"],
+    [*_CERTIFY, "--max-power", "-2"],
+    [*_CERTIFY, "--max-power", "65"],
+])
+def test_out_of_range_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_option_bounds_are_inclusive():
+    # --precision may be doubled once by the search and still be accepted
+    # by verify-cert, whose bound is 1024
+    args = build_parser().parse_args([*_CERTIFY, "--precision", "512", "--max-power", "64"])
+    assert (args.precision, args.max_power) == (512, 64)
+    args = build_parser().parse_args([*_CERTIFY, "--precision", "1", "--max-power", "1"])
+    assert (args.precision, args.max_power) == (1, 1)
+    for strand in ("1", "2", "3"):
+        args = build_parser().parse_args(["artin", "--braid", "g1^2", "--strand", strand,
+                                          "--depth", "1"])
+        assert args.strand == int(strand)
+
+
+# stdout recorded from the program before its powering, row reduction,
+# factoring and reduction-row sums were merged into one routine each; every
+# range reaches an edge of its suite's parameter domain
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "--suite", "even", "--range", "1..5"], "verify_even.json"),
+    (["verify", "--suite", "odd", "--range", "1..4"], "verify_odd.json"),
+    (["verify", "--suite", "oddlem", "--range", "1..4"], "verify_oddlem.json"),
+    (["verify", "--suite", "kernel", "--range", "5..8"], "verify_kernel.json"),
+    (["verify", "--suite", "onerel", "--range", "1..4"], "verify_onerel.json"),
+    (["verify", "--suite", "psl", "--range", "12..14"], "verify_psl.json"),
+    (["verify", "--suite", "st", "--range", "6..10"], "verify_st.json"),
+    (["verify", "--suite", "presentation", "--range", "6..10"], "verify_presentation.json"),
+    *[([cmd, "--p", str(p)], f"{cmd.replace('-', '_')}_{p}.json")
+      for cmd in ("params", "twist-order") for p in (5, 12, 33)],
+])
+def test_reports_golden(capsys, argv, golden):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                    euler_phi, galois_conjugates,
-                                   multiplicative_order, root_of_unity)
+                                   multiplicative_order, prime_factors,
+                                   root_of_unity, row_reduce)
+from burauforge.hyperbolic import _nullspace
 
 C = CyclotomicNumber
 
@@ -159,3 +161,139 @@ def test_cross_conductor_product_order(m1, m2):
     x = root_of_unity(m1, 1) * root_of_unity(m2, 1)
     lcm = math.lcm(m1, m2)
     assert multiplicative_order(x) == lcm // math.gcd(lcm // m1 + lcm // m2, lcm)
+
+
+# ---------------------------------------------------------------------------
+# row reduction against the two elimination loops it replaced, kept here as
+# reference paths
+
+def reference_solve_rational(matrix, rhs):
+    # Gaussian elimination; returns one exact solution or None
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [matrix[r][:] + [rhs[r]] for r in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][cols] != 0:
+            return None
+    sol = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][cols]
+    return sol
+
+
+def reference_nullspace(rows):
+    # exact kernel of a matrix over the field
+    zero = C.from_rational(0)
+    one = C.from_rational(1)
+    m = [row[:] for row in rows]
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free_cols:
+        vec = [zero] * ncols
+        vec[fc] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][fc]
+        basis.append(vec)
+    return basis
+
+
+_ENTRIES = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def rational_systems(draw):
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    matrix = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    return matrix, [draw(_ENTRIES) for _ in range(rows)]
+
+
+@given(rational_systems())
+@settings(max_examples=150, deadline=None)
+def test_row_reduce_agrees_with_reference_solve(system):
+    matrix, rhs = system
+    cols = len(matrix[0])
+    aug = [row + [b] for row, b in zip(matrix, rhs)]
+    before = [row[:] for row in aug]
+    rref, pivots = row_reduce(aug)
+    assert aug == before
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in rref] == [int(k == i) for k in range(len(rref))]
+    assert not any(any(row) for row in rref[len(pivots):])
+    expected = reference_solve_rational(matrix, rhs)
+    if cols in pivots:
+        assert expected is None
+    else:
+        sol = [Fraction(0)] * cols
+        for i, c in enumerate(pivots):
+            sol[c] = rref[i][cols]
+        assert sol == expected
+
+
+@given(rational_systems(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=120, deadline=None)
+def test_nullspace_agrees_with_reference(system, twist):
+    # rational entries, or the same entries times powers of zeta_5
+    matrix, _ = system
+    z = root_of_unity(5, 1)
+    rows = [[C.from_rational(v) * z ** ((twist * (i + j)) % 5)
+             for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+    assert _nullspace(rows) == reference_nullspace(rows)
+
+
+@given(st.integers(min_value=1, max_value=30),
+       st.lists(st.integers(min_value=-1, max_value=1), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_truth_value_is_nonzero(m, coeffs):
+    coeffs = (coeffs + [0] * euler_phi(m))[:euler_phi(m)]
+    x = C.from_coefficients(m, coeffs)
+    assert bool(x) is not x.is_zero
+    assert bool(x - x) is False
+
+
+def test_truth_value_of_computed_zero():
+    assert not (1 + root_of_unity(3, 1) + root_of_unity(3, 2))
+    assert root_of_unity(3, 1)
+    assert not rational(0) and rational(-1)
+
+
+@pytest.mark.parametrize("n, primes", [
+    (1, []), (2, [2]), (12, [2, 3]), (49, [7]), (97, [97]), (360, [2, 3, 5]),
+])
+def test_prime_factors(n, primes):
+    assert prime_factors(n) == primes

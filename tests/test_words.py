@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burauforge.burau import burau_eval
-from burauforge.cyclotomic import root_of_unity
+from burauforge.burau import CycloMatrix, burau_eval, squared_images
+from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
+from burauforge.modular import ModMatrix2, ab_images
 from burauforge.words import (braid_group, commutator, format_word, free_group,
                               free_product, generator, iterated_bracket,
-                              parse_word, st_words, word)
+                              parse_word, power, st_words, word)
 
 FREE = free_group(("a", "b"))
 A = generator(FREE, "a")
@@ -107,3 +108,35 @@ def test_reduction_preserves_braid_element():
         sylls = tuple((rng.randint(0, 1), rng.randint(-2, 2)) for _ in range(6))
         unreduced = GroupWord(ctx, sylls)
         assert burau_eval(unreduced.reduce(), q) == burau_eval(unreduced, q)
+
+
+def _repeated(x, e, one):
+    # reference: |e| plain products of x (or of x^-1) onto one
+    step = x if e >= 0 else x.inverse()
+    for _ in range(abs(e)):
+        one = one * step
+    return one
+
+
+def _power_cases():
+    a, b, _ = squared_images(root_of_unity(7, 1))
+    ma, mb = ab_images(11)
+    return [
+        (root_of_unity(12, 5) + 2, CyclotomicNumber.from_rational(1)),
+        (a * b.inverse(), CycloMatrix.identity(2)),
+        (ma * mb, ModMatrix2.identity(11)),
+    ]
+
+
+@pytest.mark.parametrize("e", range(-4, 10))
+def test_power_is_repeated_multiplication(e):
+    for x, one in _power_cases():
+        expected = _repeated(x, e, one)
+        assert power(x, e, one) == expected
+        assert x ** e == expected
+
+
+def test_power_zero_returns_one_untouched():
+    one = CycloMatrix.identity(2)
+    a, _, _ = squared_images(root_of_unity(5, 1))
+    assert power(a, 0, one) is one
