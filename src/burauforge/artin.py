@@ -7,10 +7,14 @@ boundary word x1 x2 x3 are the consistency oracle, exercised in tests):
 
     g_i : x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i,  others fixed.
 
-Longitudes of deep commutators run to hundreds of thousands of letters,
-so the substitution engine works on flat signed-integer words (letter
-g^s encoded as s*(g+1)) with stack cancellation, and Magnus expansions
-are accumulated syllable by syllable against cached one-variable series.
+Longitudes of deep commutators run to hundreds of thousands of letters.
+Every word here is a reduced tuple of (generator, exponent) syllables:
+substitution strings together the syllables of the images and reduces
+once with the stack pass of ``words.word``, which keeps untouched
+syllables as the same tuple objects, so most syllables of a large image
+are objects shared with the images it was substituted from.  Magnus
+expansions are accumulated syllable by syllable against cached
+one-variable series.
 
 Depth certificates are one-sided: a word whose expansion vanishes below
 degree k is certified to lie at filtration depth >= k; exact membership
@@ -33,83 +37,39 @@ F3 = free_group(("x1", "x2", "x3"))
 F6 = free_group(("y1", "z1", "y2", "z2", "y3", "z3"))
 B3 = braid_group(3)
 
-
-# ---------------------------------------------------------------------------
-# flat words: letter g (0-based) with sign s is the integer s*(g+1)
-
-def _flatten(w: GroupWord) -> list[int]:
-    out: list[int] = []
-    for g, e in w.syllables:
-        token = (g + 1) if e > 0 else -(g + 1)
-        out.extend([token] * abs(e))
-    return out
-
-
-def _unflatten(ctx, flat: list[int]) -> GroupWord:
-    sylls = []
-    for token in flat:
-        g = abs(token) - 1
-        s = 1 if token > 0 else -1
-        if sylls and sylls[-1][0] == g:
-            sylls[-1][1] += s
-        else:
-            sylls.append([g, s])
-    return word(ctx, [(g, e) for g, e in sylls if e])
-
-
-def _extend_table(images: list[list[int]], rank: int = 3) -> list[list[int]]:
-    # index token + rank -> image; inverses precomputed by reversal
-    table = [None] * (2 * rank + 1)
-    for g in range(rank):
-        table[rank + g + 1] = images[g]
-        table[rank - g - 1] = [-t for t in reversed(images[g])]
-    return table
-
-
-def _sub_flat(src: list[int], table: list[list[int]], rank: int = 3) -> list[int]:
-    out: list[int] = []
-    push = out.append
-    pop = out.pop
-    for token in src:
-        for t in table[token + rank]:
-            if out and out[-1] == -t:
-                pop()
-            else:
-                push(t)
-    return out
+# largest truncation degree the command line accepts: the expansion
+# enumerates about 1.5 * 3^degree monomials over F_3
+MAX_MAGNUS_DEPTH = 10
 
 
 class FreeAutomorphism:
-    """Automorphism of F_3, with the inverse materialised on demand."""
+    """Automorphism of F_3 given by the images of x1, x2, x3.
 
-    __slots__ = ("images", "_inverse_images", "_source")
+    ``source`` is the braid word the automorphism was built from, when
+    known; ``inverse`` acts by the inverse braid and needs it.
+    """
 
-    def __init__(self, images: tuple[GroupWord, ...], inverse_images=None, source=None):
+    __slots__ = ("images", "source")
+
+    def __init__(self, images: tuple[GroupWord, ...], source: GroupWord | None = None):
         self.images = images
-        self._inverse_images = inverse_images
-        self._source = source  # braid word, when known, for cheap inversion
-
-    @property
-    def inverse_images(self) -> tuple[GroupWord, ...]:
-        if self._inverse_images is None:
-            if self._source is not None:
-                self._inverse_images = artin_action(self._source.inverse()).images
-            else:
-                raise ValueError("no inverse stored for a bare automorphism")
-        return self._inverse_images
+        self.source = source
 
     def apply(self, w: GroupWord) -> GroupWord:
         return substitute(w, self.images)
 
     def inverse(self) -> "FreeAutomorphism":
-        inv = FreeAutomorphism(self.inverse_images, self.images)
-        return inv
+        if self.source is None:
+            raise ValueError("no inverse stored for a bare automorphism")
+        return artin_action(self.source.inverse())
 
     def __mul__(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        # composition: (self * other)(x) = self(other(x))
-        fwd = tuple(self.apply(w) for w in other.images)
-        bwd = tuple(other.inverse().apply(w) for w in self.inverse_images)
-        return FreeAutomorphism(fwd, bwd)
+        # composition: (self * other)(x) = self(other(x)), the action of
+        # the braid self.source * other.source
+        images = tuple(self.apply(w) for w in other.images)
+        if self.source is None or other.source is None:
+            return FreeAutomorphism(images)
+        return FreeAutomorphism(images, self.source * other.source)
 
     def __eq__(self, other):
         return isinstance(other, FreeAutomorphism) and self.images == other.images
@@ -122,27 +82,30 @@ class FreeAutomorphism:
 
 
 def substitute(w: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
-    ctx = images[0].context
-    rank = len(images)
-    table = _extend_table([_flatten(im) for im in images], rank)
-    flat = _sub_flat(_flatten(w), table, rank)
-    return _unflatten(ctx, flat)
+    """The word w with each generator g replaced by images[g], reduced."""
+    inverses = [im.inverse().syllables for im in images]
+    sylls: list[tuple[int, int]] = []
+    for g, e in w.syllables:
+        sylls.extend((images[g].syllables if e > 0 else inverses[g]) * abs(e))
+    return word(images[0].context, sylls)
 
 
-# generator images as flat words: g_i sends x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
-def _gen_images_flat(i: int, sign: int) -> list[list[int]]:
-    a, b = i + 1, i + 2  # tokens
-    images = [[t] for t in (1, 2, 3)]
+_IDENTITY = tuple(word(F3, [(g, 1)]) for g in range(3))
+
+
+def _generator_images(i: int, sign: int) -> tuple[GroupWord, ...]:
+    # g_i sends x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i
+    images = list(_IDENTITY)
     if sign > 0:
-        images[a - 1] = [a, b, -a]
-        images[b - 1] = [a]
+        images[i] = word(F3, [(i, 1), (i + 1, 1), (i, -1)])
+        images[i + 1] = word(F3, [(i, 1)])
     else:
-        images[a - 1] = [b]
-        images[b - 1] = [-b, a, b]
-    return images
+        images[i] = word(F3, [(i + 1, 1)])
+        images[i + 1] = word(F3, [(i + 1, -1), (i, 1), (i + 1, 1)])
+    return tuple(images)
 
 
-_GEN_TABLES = {(i, s): _extend_table(_gen_images_flat(i, s)) for i in (0, 1) for s in (1, -1)}
+_GENERATOR_IMAGES = {(i, s): _generator_images(i, s) for i in (0, 1) for s in (1, -1)}
 
 
 # small cache: deep-commutator images run to megabytes, and reuse is
@@ -152,61 +115,34 @@ def artin_action(w: GroupWord) -> FreeAutomorphism:
     """Automorphism of F_3 attached to a braid word in B_3."""
     if w.context.strands != 3:
         raise ValueError("the action is implemented for 3-strand braids")
-    letters = w.letters()
     # action(l_1 ... l_n) = action(l_1) o ... o action(l_n): fold from the right
-    fwd = [[1], [2], [3]]
-    for g, step in reversed(letters):
-        table = _GEN_TABLES[(g, step)]
-        fwd = [_sub_flat(v, table) for v in fwd]
-    images = tuple(_unflatten(F3, v) for v in fwd)
+    images = _IDENTITY
+    for g, e in reversed(w.syllables):
+        table = _GENERATOR_IMAGES[(g, 1 if e > 0 else -1)]
+        for _ in range(abs(e)):
+            images = tuple(substitute(v, table) for v in images)
     return FreeAutomorphism(images, source=w)
-
-
-def _conjugator_flat(flat: list[int], token: int) -> list[int] | None:
-    """If flat = u . token . u^-1 (reduced), return u; else None."""
-    if len(flat) % 2 == 0:
-        return None
-    i, j = 0, len(flat) - 1
-    while i < j:
-        if flat[i] != -flat[j]:
-            return None
-        i += 1
-        j -= 1
-    if flat[i] != token:
-        return None
-    return flat[:i]
 
 
 def longitude(w: GroupWord, strand: int) -> GroupWord:
     """The word l with action(w)(x_i) = l^-1 x_i l, for a pure braid w.
 
-    Purity is checked on all three strands.  The conjugator is defined
-    up to left powers of x_i; the representative returned has total
+    Purity is checked on all three strands: each image must be spelled
+    u x_j u^-1 with u its first half.  The conjugator is defined up to
+    left powers of x_i; the representative returned has total
     x_i-exponent zero.
     """
     if strand not in (1, 2, 3):
         raise ValueError("strand index must be 1, 2 or 3")
-    act = artin_action(w)
-    target = None
-    for j in range(3):
-        u = _conjugator_flat(_flatten(act.images[j]), j + 1)
-        if u is None:
+    for j, image in enumerate(artin_action(w).images):
+        sylls = image.syllables
+        half = len(sylls) // 2
+        u_inv = GroupWord(F3, sylls[:half]).inverse()  # a prefix of a reduced word is reduced
+        if sylls[half:] != ((j, 1),) + u_inv.syllables:
             raise ValueError("braid is not pure: a strand generator is not conjugated")
         if j == strand - 1:
-            target = u
-    token = strand
-    ell = [-t for t in reversed(target)]
-    e = sum(1 for t in ell if t == token) - sum(1 for t in ell if t == -token)
-    if e:
-        head = [-token if e > 0 else token] * abs(e)
-        merged: list[int] = []
-        for t in head + ell:
-            if merged and merged[-1] == -t:
-                merged.pop()
-            else:
-                merged.append(t)
-        ell = merged
-    return _unflatten(F3, ell)
+            ell = u_inv
+    return word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))]) * ell
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .triangle import (classify, euler_characteristics, primitive_roots,
                        verify_even, verify_kernel_words, verify_odd,
                        verify_odd_embedding)
 from .words import parse_word
-from .artin import B3, longitude, magnus_depth
+from .artin import B3, MAX_MAGNUS_DEPTH, longitude, magnus_depth
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -236,6 +236,8 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_artin(args) -> int:
+    report = {"command": "artin",
+              "parameters": {"braid": args.braid, "strand": args.strand, "depth": args.depth}}
     w = parse_word(B3, args.braid)
     try:
         ell = longitude(w, args.strand)
@@ -243,9 +245,7 @@ def _cmd_artin(args) -> int:
         claim = ClaimReport(claim="longitude of a pure braid strand",
                             params={"braid": args.braid, "strand": args.strand},
                             witnesses=[{"error": str(exc)}], passed=False)
-        return _emit({"command": "artin",
-                      "parameters": {"braid": args.braid, "strand": args.strand,
-                                     "depth": args.depth}}, [claim], args)
+        return _emit(report, [claim], args)
     depth = magnus_depth(ell, args.depth)
     claim = ClaimReport(
         claim="longitude of a pure braid strand",
@@ -255,9 +255,7 @@ def _cmd_artin(args) -> int:
                     "depth": depth if depth is not None else f">{args.depth}"}],
         passed=True,
     )
-    return _emit({"command": "artin",
-                  "parameters": {"braid": args.braid, "strand": args.strand,
-                                 "depth": args.depth}}, [claim], args)
+    return _emit(report, [claim], args)
 
 
 def _cmd_euler(args) -> int:
@@ -345,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("artin", help="longitude and depth certificate for a pure braid")
     p.add_argument("--braid", required=True, help="word over g1, g2, e.g. 'g1^2 g2^-2'")
     p.add_argument("--strand", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--depth", type=int, required=True, help="expansion truncation degree")
+    p.add_argument("--depth", type=_int_in(1, MAX_MAGNUS_DEPTH), required=True,
+                   help=f"expansion truncation degree, 1..{MAX_MAGNUS_DEPTH}")
     p.set_defaults(func=_cmd_artin)
 
     p = add_parser("euler", help="Euler characteristics for the (2,3,n) data")

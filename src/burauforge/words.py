@@ -53,19 +53,24 @@ def braid_group(n: int) -> GroupContext:
 
 
 def _reduce(kind: str, torsion, sylls: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    # One stack pass.  Invariant: ``out`` is reduced -- every exponent is
+    # nonzero (in 1..torsion-1 in a free product) and neighbours have
+    # different generators -- so an incoming syllable can merge only with
+    # the top, and a merge that cancels uncovers a top with a different
+    # generator.  A syllable that needs no change is pushed as the same
+    # tuple object; a list comes out as a tuple.
+    mod = torsion if kind == FREE_PRODUCT else 0
     out: list[tuple[int, int]] = []
-    for g, e in sylls:
-        cur_g, cur_e = g, e
-        while True:
-            if kind == FREE_PRODUCT:
-                cur_e %= torsion
-            if cur_e == 0:
-                break
-            if out and out[-1][0] == cur_g:
-                cur_e += out.pop()[1]
-                continue
-            out.append((cur_g, cur_e))
-            break
+    push, pop = out.append, out.pop
+    for syl in sylls:
+        g, e = syl
+        if out and out[-1][0] == g:
+            e += pop()[1]
+            syl = (g, e)
+        if mod:
+            e %= mod
+        if e:
+            push(syl if e == syl[1] and type(syl) is tuple else (g, e))
     return tuple(out)
 
 
@@ -96,14 +101,6 @@ class GroupWord:
         base = self if e > 0 else self.inverse()
         return word(self.context, base.syllables * abs(e))
 
-    def letters(self) -> list[tuple[int, int]]:
-        """Flat list of (generator, +-1)."""
-        out = []
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            out.extend((g, step) for _ in range(abs(e)))
-        return out
-
     def exponent_sum(self, gen: int) -> int:
         return sum(e for g, e in self.syllables if g == gen)
 
@@ -115,7 +112,7 @@ class GroupWord:
 
 
 def word(context: GroupContext, syllables: Iterable[tuple[int, int]]) -> GroupWord:
-    return GroupWord(context, _reduce(context.kind, context.torsion, tuple(syllables)))
+    return GroupWord(context, _reduce(context.kind, context.torsion, syllables))
 
 
 def generator(context: GroupContext, name: str, e: int = 1) -> GroupWord:

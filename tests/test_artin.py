@@ -149,3 +149,127 @@ def test_magnus_inverse_cancels(sylls, d):
     w = word(F3, sylls)
     prod = magnus_expansion(w, d) * magnus_expansion(w.inverse(), d)
     assert prod.terms == {(): 1}
+
+
+# ---------------------------------------------------------------------------
+# reference path: the flat engine the syllable engine replaced.  A word is
+# a list of signed integers, letter x_g^s (g 0-based, s = +-1) encoded as
+# s*(g+1), and each substitution cancels on a stack as it goes.
+
+def _flatten(w):
+    out = []
+    for g, e in w.syllables:
+        token = (g + 1) if e > 0 else -(g + 1)
+        out.extend([token] * abs(e))
+    return out
+
+
+def _unflatten(ctx, flat):
+    sylls = []
+    for token in flat:
+        g = abs(token) - 1
+        s = 1 if token > 0 else -1
+        if sylls and sylls[-1][0] == g:
+            sylls[-1][1] += s
+        else:
+            sylls.append([g, s])
+    return word(ctx, [(g, e) for g, e in sylls if e])
+
+
+def _sub_flat(src, images):
+    # images[g] is the flat image of x_g; x_g^-1 maps to its inverse
+    out = []
+    for token in src:
+        image = images[token - 1] if token > 0 else [-t for t in reversed(images[-token - 1])]
+        for t in image:
+            if out and out[-1] == -t:
+                out.pop()
+            else:
+                out.append(t)
+    return out
+
+
+def _gen_images_flat(i, sign):
+    a, b = i + 1, i + 2
+    images = [[1], [2], [3]]
+    if sign > 0:
+        images[a - 1], images[b - 1] = [a, b, -a], [a]
+    else:
+        images[a - 1], images[b - 1] = [b], [-b, a, b]
+    return images
+
+
+def reference_action(w):
+    """Images of x1, x2, x3 under the braid w, folded letter by letter."""
+    fwd = [[1], [2], [3]]
+    for g, e in reversed(w.syllables):
+        images = _gen_images_flat(g, 1 if e > 0 else -1)
+        for _ in range(abs(e)):
+            fwd = [_sub_flat(v, images) for v in fwd]
+    return tuple(_unflatten(F3, v) for v in fwd)
+
+
+def reference_longitude(w, strand):
+    """Read each conjugator letter by letter from both ends of its image,
+    then normalise the total x_strand-exponent to zero on a stack."""
+    target = None
+    for j, image in enumerate(reference_action(w)):
+        flat = _flatten(image)
+        i, k = 0, len(flat) - 1
+        while i < k and flat[i] == -flat[k]:
+            i += 1
+            k -= 1
+        if len(flat) % 2 == 0 or i != k or flat[i] != j + 1:
+            raise ValueError("braid is not pure: a strand generator is not conjugated")
+        if j == strand - 1:
+            target = flat[:i]
+    ell = [-t for t in reversed(target)]
+    e = ell.count(strand) - ell.count(-strand)
+    merged = []
+    for t in [-strand if e > 0 else strand] * abs(e) + ell:
+        if merged and merged[-1] == -t:
+            merged.pop()
+        else:
+            merged.append(t)
+    return _unflatten(F3, merged)
+
+
+def _longitude_or_error(fn, w, strand):
+    try:
+        return fn(w, strand)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_agrees_with_reference(w):
+    """Returns the longitudes, or the error message for an impure braid."""
+    assert artin_action(w).images == reference_action(w)
+    outcomes = [_longitude_or_error(longitude, w, strand) for strand in (1, 2, 3)]
+    assert outcomes == [_longitude_or_error(reference_longitude, w, strand)
+                        for strand in (1, 2, 3)]
+    return outcomes
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.sampled_from((-2, -1, 1, 2))),
+                max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_action_and_longitude_match_reference_on_random_braids(sylls):
+    _assert_agrees_with_reference(word(B3, sylls))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_action_and_longitude_match_reference_on_brackets(k):
+    squares = [G1 ** 2, G1 ** -2, G2 ** 2, G2 ** -2]
+    for u in squares:
+        for v in squares:
+            # brackets of pure braids are pure: no strand may fail
+            outcomes = _assert_agrees_with_reference(iterated_bracket(u, v, k))
+            assert not any(isinstance(ell, str) for ell in outcomes)
+
+
+def test_impure_braid_raises_in_both_paths():
+    for w in (G1, G1 ** 2 * G2, G2 ** -3):
+        for fn in (longitude, reference_longitude):
+            with pytest.raises(ValueError, match="not pure"):
+                fn(w, 2)

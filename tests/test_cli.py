@@ -229,6 +229,10 @@ _CERTIFY = ["certify-free", "--order", "14", "--x", "A", "--y", "B", "--max-len"
     [*_CERTIFY, "--max-power", "0"],
     [*_CERTIFY, "--max-power", "-2"],
     [*_CERTIFY, "--max-power", "65"],
+    ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "0"],
+    ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "-3"],
+    ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "11"],
+    ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "30"],
 ])
 def test_out_of_range_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -250,6 +254,10 @@ def test_option_bounds_are_inclusive():
         args = build_parser().parse_args(["artin", "--braid", "g1^2", "--strand", strand,
                                           "--depth", "1"])
         assert args.strand == int(strand)
+    for depth in ("1", "10"):
+        args = build_parser().parse_args(["artin", "--braid", "g1^2", "--strand", "1",
+                                          "--depth", depth])
+        assert args.depth == int(depth)
 
 
 # stdout recorded from the program before its powering, row reduction,
@@ -266,10 +274,20 @@ def test_option_bounds_are_inclusive():
     (["verify", "--suite", "presentation", "--range", "6..10"], "verify_presentation.json"),
     *[([cmd, "--p", str(p)], f"{cmd.replace('-', '_')}_{p}.json")
       for cmd in ("params", "twist-order") for p in (5, 12, 33)],
+    # recorded from the program before the Artin engine moved from flat
+    # signed-integer words to syllable words
+    *[(["artin", "--braid", "g1^2 g2^2 g1^-2 g2^-2", "--strand", str(s), "--depth", "3"],
+       f"artin_commutator_{s}.json") for s in (1, 2, 3)],
+    (["artin", "--braid", "g1^4 g2^2 g1^-2 g2^-2 g1^-2 g2^2 g1^2 g2^-2 g1^-2",
+      "--strand", "2", "--depth", "2"], "artin_bracket3.json"),
+    (["artin", "--braid", "g1", "--strand", "1", "--depth", "2"], "artin_impure.json"),
+    (["artin", "--braid", "1", "--strand", "2", "--depth", "2"], "artin_empty.json"),
 ])
 def test_reports_golden(capsys, argv, golden):
-    assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    text = (GOLDEN / golden).read_text()
+    # a failed claim, such as an impure braid's, exits 1
+    assert main(argv) == (0 if json.loads(text)["overall"] == "pass" else 1)
+    assert capsys.readouterr().out == text
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "burauforge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "burauforge"
 
 
 def test_library_has_no_assert_statements():
@@ -12,3 +15,29 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps package functions by name; a rename
+    # would otherwise show up only as an error in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, path, _ in tracer.SPAN_TARGETS + tracer.COUNT_TARGETS:
+        importlib.import_module(module)
+        try:
+            owner, attr = tracer._resolve(module, path)
+        except AttributeError:
+            missing.append(f"{module}.{path}")
+            continue
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{module}.{path}")
+    assert missing == []
+    # the tracer measures the words these return
+    from burauforge.artin import B3, artin_action, longitude
+    from burauforge.words import parse_word
+    braid = parse_word(B3, "g1^2 g2^2 g1^-2 g2^-2")
+    assert all(w.length() >= 1 for w in artin_action(braid).images)
+    assert longitude(braid, 2).length() == 4

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from burauforge.burau import CycloMatrix, burau_eval, squared_images
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.modular import ModMatrix2, ab_images
-from burauforge.words import (braid_group, commutator, format_word, free_group,
+from burauforge.words import (FREE_PRODUCT, _reduce, braid_group, commutator, format_word, free_group,
                               free_product, generator, iterated_bracket,
                               parse_word, power, st_words, word)
 
@@ -32,6 +32,52 @@ def test_reduce_idempotent_and_ranges():
             w = word(ctx, [(rng.randint(0, 1), rng.randint(-7, 7)) for _ in range(8)])
             assert w.reduce() == w
             assert all(1 <= e <= r - 1 for _, e in w.syllables)
+
+
+def reference_reduce(kind, torsion, sylls):
+    """Free reduction as it was written before the single stack pass: an
+    incoming syllable keeps merging with the top until it settles."""
+    out = []
+    for g, e in sylls:
+        cur_g, cur_e = g, e
+        while True:
+            if kind == FREE_PRODUCT:
+                cur_e %= torsion
+            if cur_e == 0:
+                break
+            if out and out[-1][0] == cur_g:
+                cur_e += out.pop()[1]
+                continue
+            out.append((cur_g, cur_e))
+            break
+    return tuple(out)
+
+
+_CONTEXTS = [free_group(("a", "b", "c")),
+             *[free_product(("a", "b", "c"), r) for r in range(2, 6)]]
+
+
+# exponents reach past the largest torsion, and each syllable comes as a
+# tuple or as a list
+@given(st.sampled_from(_CONTEXTS),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                          st.integers(min_value=-12, max_value=12),
+                          st.booleans()),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_reduce_matches_reference(ctx, drawn):
+    sylls = [[g, e] if as_list else (g, e) for g, e, as_list in drawn]
+    out = _reduce(ctx.kind, ctx.torsion, sylls)
+    assert out == reference_reduce(ctx.kind, ctx.torsion, sylls)
+    assert all(type(syl) is tuple for syl in out)
+    hash(out)
+
+
+def test_reduce_keeps_untouched_syllables():
+    x, y = (0, 1), (1, -2)
+    out = _reduce(FREE_PRODUCT, 5, [x, (1, 5), y, (0, 3), (0, -3)])
+    assert out == (x, (1, 3)) and out[0] is x
+    assert _reduce(FREE.kind, None, [x, y, (2, 1)])[1] is y
 
 
 def test_commutator_examples():
