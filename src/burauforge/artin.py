@@ -16,6 +16,17 @@ are objects shared with the images it was substituted from.  Magnus
 expansions are accumulated syllable by syllable against cached
 one-variable series.
 
+The depth of a longitude does not need the longitude word:
+``longitude_magnus`` folds the braid letters left to right,
+phi_k = phi_{k-1} o l_k, in the truncated Magnus algebra.  It keeps each
+image phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as the expansions of U_i and
+U_i^-1 and the strand permutation pi; a letter costs four truncated
+products and two products by a one-variable series, so the work grows
+with the braid length and the number of nonzero coefficients, not with
+the longitude, whose length grows exponentially with the bracket depth.
+``magnus_expansion(longitude(w, s), d)`` stays the reference it is
+tested against.
+
 Depth certificates are one-sided: a word whose expansion vanishes below
 degree k is certified to lie at filtration depth >= k; exact membership
 is never claimed.
@@ -30,15 +41,16 @@ from .words import GroupWord, braid_group, free_group, word
 
 __all__ = [
     "F3", "F6", "FreeAutomorphism", "artin_action", "longitude",
-    "MagnusSeries", "magnus_expansion", "magnus_depth", "eta_embed",
+    "MagnusSeries", "magnus_expansion", "magnus_depth", "longitude_magnus",
+    "eta_embed",
 ]
 
 F3 = free_group(("x1", "x2", "x3"))
 F6 = free_group(("y1", "z1", "y2", "z2", "y3", "z3"))
 B3 = braid_group(3)
 
-# largest truncation degree the command line accepts: the expansion
-# enumerates about 1.5 * 3^degree monomials over F_3
+# largest truncation degree the command line accepts: a truncated
+# expansion over F_3 has up to about 1.5 * 3^degree monomials
 MAX_MAGNUS_DEPTH = 10
 
 
@@ -264,6 +276,103 @@ def magnus_depth(w: GroupWord, dmax: int) -> int | None:
     if dmax < 1:
         raise ValueError("dmax must be positive")
     return magnus_expansion(w, dmax).lowest_degree()
+
+
+# ---------------------------------------------------------------------------
+# the longitude's expansion, folded over the braid letters
+#
+# A truncated series over F_3 is a list of degree blocks: block p maps the
+# position i of a degree-p monomial inside its block to its nonzero
+# coefficient, the letters of the monomial being the p base-3 digits of i,
+# first letter most significant.  The monomial's index in
+# ``_mono_tables(3, degree)`` is (3^p - 1) / 2 + i, and the concatenation
+# of positions i (degree p) and j (degree q) is position i * 3^q + j of
+# block p + q, so products need no table.
+
+def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    # both factors have constant term 1, as every expansion of a group
+    # element does: the product is a + b - 1 plus the products of their
+    # positive-degree terms
+    degree = len(a) - 1
+    out = [dict(block) for block in a]
+    for q in range(1, degree + 1):
+        acc = out[q]
+        get = acc.get
+        for j, y in b[q].items():
+            acc[j] = get(j, 0) + y
+    for p in range(1, degree):
+        block = a[p]
+        if not block:
+            continue
+        for q in range(1, degree - p + 1):
+            other = b[q]
+            if not other:
+                continue
+            acc = out[p + q]
+            get = acc.get
+            shift = 3 ** q
+            for i, x in block.items():
+                base = i * shift
+                for j, y in other.items():
+                    k = base + j
+                    acc[k] = get(k, 0) + x * y
+    return [{k: c for k, c in acc.items() if c} for acc in out]
+
+
+def _letter_series(g: int, e: int, degree: int) -> list[dict]:
+    # (1 + X_g)^e: X_g^j sits at position g * (3^j - 1) / 2 of block j
+    return [{g * (3 ** j - 1) // 2: c} if c else {}
+            for j, c in enumerate(_syllable_coeffs(degree, e))]
+
+
+def _to_magnus(blocks: list[dict]) -> MagnusSeries:
+    terms = {}
+    for p, block in enumerate(blocks):
+        for i, c in block.items():
+            mono = []
+            for _ in range(p):
+                i, r = divmod(i, 3)
+                mono.append(r)
+            terms[tuple(reversed(mono))] = c
+    return MagnusSeries(3, len(blocks) - 1, terms)
+
+
+def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
+    """``magnus_expansion(longitude(w, strand), degree)``, without the word.
+
+    Reads the braid letters left to right, phi_k = phi_{k-1} o l_k, and
+    keeps phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as the expansions of U_i and
+    U_i^-1 and the strand permutation pi.  A letter sends one generator
+    x_c to w x_t w^-1 with w = x_c^(+-1), so U_c becomes phi_{k-1}(w) U_t,
+    and the other generator x_t to x_c, so U_t becomes U_c.  The longitude
+    is x_s^-e U_s^-1, e the x_s-exponent of U_s^-1: U_s differs from the
+    conjugator the word path reads off only by a right power of x_s.
+    """
+    if strand not in (1, 2, 3):
+        raise ValueError("strand index must be 1, 2 or 3")
+    if w.context.strands != 3:
+        raise ValueError("the action is implemented for 3-strand braids")
+    if degree < 1:
+        raise ValueError("truncation degree must be positive")
+    mul = _series_mul
+    letter = {(g, e): _letter_series(g, e, degree) for g in range(3) for e in (1, -1)}
+    one = [{0: 1}] + [{} for _ in range(degree)]
+    conj, conj_inv, perm = [one] * 3, [one] * 3, [0, 1, 2]
+    for g, e in w.syllables:
+        # g_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i; its inverse:
+        # x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}, x_i -> x_{i+1}
+        c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
+        for _ in range(abs(e)):
+            u, v = conj[c], conj_inv[c]
+            conj[c] = mul(u, mul(letter[perm[c], sign], mul(v, conj[t])))
+            conj_inv[c] = mul(mul(mul(conj_inv[t], u), letter[perm[c], -sign]), v)
+            conj[t], conj_inv[t] = u, v
+            perm[c], perm[t] = perm[t], perm[c]
+    if perm != [0, 1, 2]:
+        raise ValueError("braid is not pure: a strand generator is not conjugated")
+    s = strand - 1
+    ell = conj_inv[s]
+    return _to_magnus(mul(_letter_series(s, -ell[1].get(s, 0), degree), ell))
 
 
 # ---------------------------------------------------------------------------

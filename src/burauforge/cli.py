@@ -29,7 +29,7 @@ from .triangle import (classify, euler_characteristics, primitive_roots,
                        verify_even, verify_kernel_words, verify_odd,
                        verify_odd_embedding)
 from .words import parse_word
-from .artin import B3, MAX_MAGNUS_DEPTH, longitude, magnus_depth
+from .artin import B3, MAX_MAGNUS_DEPTH, longitude, longitude_magnus
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -246,12 +246,15 @@ def _cmd_artin(args) -> int:
                             params={"braid": args.braid, "strand": args.strand},
                             witnesses=[{"error": str(exc)}], passed=False)
         return _emit(report, [claim], args)
-    depth = magnus_depth(ell, args.depth)
+    # the depth comes from the braid letters; the longitude word is built
+    # only for its length and spelling
+    depth = longitude_magnus(w, args.strand, args.depth).lowest_degree()
+    length = ell.length()
     claim = ClaimReport(
         claim="longitude of a pure braid strand",
         params={"braid": args.braid, "strand": args.strand, "depth_bound": args.depth},
-        witnesses=[{"longitude_length": ell.length(),
-                    "longitude": str(ell) if ell.length() <= 200 else "(too long to print)",
+        witnesses=[{"longitude_length": length,
+                    "longitude": str(ell) if length <= 200 else "(too long to print)",
                     "depth": depth if depth is not None else f">{args.depth}"}],
         passed=True,
     )

@@ -4,6 +4,11 @@ Free and free-product words carry a genuine normal form (syllable
 reduction, exponents mod the torsion order).  Braid words are kept as
 written apart from cancellation of inverse pairs; equality of braid
 elements is only ever decided downstream through a representation.
+
+A ``GroupWord`` is built reduced by ``word``.  Products and inverses
+rely on that: a product reduces only where its factors meet, keeping the
+other syllables as the same tuple objects, and an inverse only reverses
+and negates.
 """
 
 from __future__ import annotations
@@ -88,12 +93,29 @@ class GroupWord:
         return not self.syllables
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        if other.context != self.context:
+        # both factors are reduced: only the junction can cancel or merge
+        ctx = self.context
+        if other.context != ctx:
             raise ValueError("words live in different groups")
-        return word(self.context, self.syllables + other.syllables)
+        a, b = self.syllables, other.syllables
+        mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            g, e = a[i - 1][0], a[i - 1][1] + b[j][1]
+            if mod:
+                e %= mod
+            if e:
+                return GroupWord(ctx, a[:i - 1] + ((g, e),) + b[j + 1:])
+            i, j = i - 1, j + 1
+        return GroupWord(ctx, a[:i] + b[j:])
 
     def inverse(self) -> "GroupWord":
-        return word(self.context, [(g, -e) for g, e in reversed(self.syllables)])
+        # the reversal of a reduced word is reduced
+        sylls = reversed(self.syllables)
+        if self.context.kind == FREE_PRODUCT:
+            mod = self.context.torsion
+            return GroupWord(self.context, tuple((g, -e % mod) for g, e in sylls))
+        return GroupWord(self.context, tuple((g, -e) for g, e in sylls))
 
     def __pow__(self, e: int) -> "GroupWord":
         if e == 0:

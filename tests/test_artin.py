@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
-                              magnus_depth, magnus_expansion, substitute)
+                              longitude_magnus, magnus_depth, magnus_expansion,
+                              substitute)
 from burauforge.words import (commutator, format_word, generator,
                               iterated_bracket, parse_word, word)
 
@@ -273,3 +274,57 @@ def test_impure_braid_raises_in_both_paths():
         for fn in (longitude, reference_longitude):
             with pytest.raises(ValueError, match="not pure"):
                 fn(w, 2)
+
+
+# ---------------------------------------------------------------------------
+# the folded expansion against the word path
+
+def _word_path(w, strand, degree):
+    return magnus_expansion(longitude(w, strand), degree)
+
+
+def _outcome(fn, w, strand, degree):
+    try:
+        return fn(w, strand, degree)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.sampled_from((-2, 2))),
+                max_size=6),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_longitude_magnus_matches_word_path_on_pure_braids(sylls, degree):
+    w = word(B3, sylls)
+    for strand in (1, 2, 3):
+        assert longitude_magnus(w, strand, degree) == _word_path(w, strand, degree)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.sampled_from((-2, -1, 1, 2))),
+                max_size=6),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_longitude_magnus_matches_word_path_on_any_braid(sylls, degree):
+    # an odd exponent makes most draws impure: both paths must then raise
+    # the same message
+    w = word(B3, sylls)
+    for strand in (1, 2, 3):
+        assert (_outcome(longitude_magnus, w, strand, degree)
+                == _outcome(_word_path, w, strand, degree))
+
+
+def test_longitude_magnus_rejects_bad_arguments():
+    for args in ((G1 ** 2, 4, 3), (G1 ** 2, 1, 0), (X1, 1, 3)):
+        with pytest.raises(ValueError):
+            longitude_magnus(*args)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_canonical_bracket_depth_is_sharp(k):
+    # the weight-k bracket of the squared generators vanishes below degree
+    # k on every strand, and not at degree k
+    w = iterated_bracket(G1 ** 2, G2 ** 2, k)
+    for strand in (1, 2, 3):
+        assert longitude_magnus(w, strand, k).lowest_degree() == k

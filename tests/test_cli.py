@@ -282,6 +282,10 @@ def test_option_bounds_are_inclusive():
       "--strand", "2", "--depth", "2"], "artin_bracket3.json"),
     (["artin", "--braid", "g1", "--strand", "1", "--depth", "2"], "artin_impure.json"),
     (["artin", "--braid", "1", "--strand", "2", "--depth", "2"], "artin_empty.json"),
+    # recorded from the program before the depth came from the folded
+    # expansion instead of the longitude word
+    (["artin", "--braid", "g1^2 g2^2 g1^-2 g2^-2", "--strand", "1", "--depth", "10"],
+     "artin_commutator_depth10.json"),
 ])
 def test_reports_golden(capsys, argv, golden):
     text = (GOLDEN / golden).read_text()

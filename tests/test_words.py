@@ -80,6 +80,39 @@ def test_reduce_keeps_untouched_syllables():
     assert _reduce(FREE.kind, None, [x, y, (2, 1)])[1] is y
 
 
+def _leading_shared(out, sylls):
+    # the leading syllables of ``out`` equal to those of ``sylls`` must be
+    # the same tuple objects
+    for x, y in zip(out, sylls):
+        if x != y:
+            break
+        assert x is y
+
+
+# reduced factors in a free group, free products with torsion 2..5 and the
+# 3-strand braid group; the junction may cancel several syllables
+@given(st.sampled_from([*_CONTEXTS, braid_group(3)]),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                          st.integers(min_value=-6, max_value=6)), max_size=8),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                          st.integers(min_value=-6, max_value=6)), max_size=8),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_product_and_inverse_match_full_reduction(ctx, drawn_a, drawn_b, mirror):
+    n = len(ctx.names)
+    a = word(ctx, [(g % n, e) for g, e in drawn_a])
+    b = word(ctx, [(g % n, e) for g, e in drawn_b])
+    if mirror:  # make the junction cancel as far as it can
+        b = word(ctx, [(g, -e) for g, e in reversed(a.syllables)] + list(b.syllables))
+    inverse = a.inverse()
+    assert inverse == word(ctx, [(g, -e) for g, e in reversed(a.syllables)])
+    product = a * b
+    assert product == word(ctx, a.syllables + b.syllables)
+    assert all(type(syl) is tuple for syl in product.syllables)
+    _leading_shared(product.syllables, a.syllables)
+    _leading_shared(product.syllables[::-1], b.syllables[::-1])
+
+
 def test_commutator_examples():
     assert commutator(A, A).is_identity
     assert format_word(commutator(A, B)) == "a b a^-1 b^-1"
