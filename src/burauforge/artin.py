@@ -12,9 +12,12 @@ Every word here is a reduced tuple of (generator, exponent) syllables:
 substitution strings together the syllables of the images and reduces
 once with the stack pass of ``words.word``, which keeps untouched
 syllables as the same tuple objects, so most syllables of a large image
-are objects shared with the images it was substituted from.  Magnus
-expansions are accumulated syllable by syllable against cached
-one-variable series.
+are objects shared with the images it was substituted from.
+
+A truncated Magnus series has one encoding, ``MagnusSeries``: a list of
+degree blocks, each mapping the base-rank position of a monomial to its
+nonzero coefficient.  ``magnus_expansion`` multiplies in place by the
+cached binomial series (1 + X_g)^e of each syllable, top block first.
 
 The depth of a longitude does not need the longitude word:
 ``longitude_magnus`` folds the braid letters left to right,
@@ -49,8 +52,8 @@ F3 = free_group(("x1", "x2", "x3"))
 F6 = free_group(("y1", "z1", "y2", "z2", "y3", "z3"))
 B3 = braid_group(3)
 
-# largest truncation degree the command line accepts: a truncated
-# expansion over F_3 has up to about 1.5 * 3^degree monomials
+# largest truncation degree the command line accepts: degree block p of
+# an expansion over F_3 holds up to 3^p coefficients
 MAX_MAGNUS_DEPTH = 10
 
 
@@ -120,8 +123,8 @@ def _generator_images(i: int, sign: int) -> tuple[GroupWord, ...]:
 _GENERATOR_IMAGES = {(i, s): _generator_images(i, s) for i in (0, 1) for s in (1, -1)}
 
 
-# small cache: deep-commutator images run to megabytes, and reuse is
-# only ever the strand loop of `longitude`
+# small cache: deep-commutator images run to megabytes, and the reuse is
+# the three strand jobs of one braid, each calling `longitude`
 @lru_cache(maxsize=8)
 def artin_action(w: GroupWord) -> FreeAutomorphism:
     """Automorphism of F_3 attached to a braid word in B_3."""
@@ -139,21 +142,21 @@ def artin_action(w: GroupWord) -> FreeAutomorphism:
 def longitude(w: GroupWord, strand: int) -> GroupWord:
     """The word l with action(w)(x_i) = l^-1 x_i l, for a pure braid w.
 
-    Purity is checked on all three strands: each image must be spelled
-    u x_j u^-1 with u its first half.  The conjugator is defined up to
-    left powers of x_i; the representative returned has total
-    x_i-exponent zero.
+    A braid sends each x_j to a conjugate of a generator x_k, reduced
+    u x_k u^-1 with u not ending in a power of x_k, whose middle syllable
+    is therefore (k, 1): the braid is pure when the middle syllable of
+    image j is (j, 1) for every j.  The conjugator is defined up to left
+    powers of x_i; the representative returned has total x_i-exponent
+    zero.
     """
     if strand not in (1, 2, 3):
         raise ValueError("strand index must be 1, 2 or 3")
-    for j, image in enumerate(artin_action(w).images):
-        sylls = image.syllables
-        half = len(sylls) // 2
-        u_inv = GroupWord(F3, sylls[:half]).inverse()  # a prefix of a reduced word is reduced
-        if sylls[half:] != ((j, 1),) + u_inv.syllables:
-            raise ValueError("braid is not pure: a strand generator is not conjugated")
-        if j == strand - 1:
-            ell = u_inv
+    images = artin_action(w).images
+    if any(im.syllables[len(im.syllables) // 2] != (j, 1) for j, im in enumerate(images)):
+        raise ValueError("braid is not pure: a strand generator is not conjugated")
+    sylls = images[strand - 1].syllables
+    # a prefix of a reduced word is reduced
+    ell = GroupWord(F3, sylls[:len(sylls) // 2]).inverse()
     return word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))]) * ell
 
 
@@ -161,87 +164,101 @@ def longitude(w: GroupWord, strand: int) -> GroupWord:
 # Magnus expansion
 
 class MagnusSeries:
-    """Truncated noncommutative integer series in letters X_1..X_r."""
+    """Truncated noncommutative integer series in letters X_1..X_r.
 
-    __slots__ = ("rank", "degree", "terms")
+    ``blocks[p]`` maps the position of a degree-p monomial to its
+    coefficient, zeros dropped on construction; the position's p
+    base-``rank`` digits are the monomial's letters, first letter most
+    significant.  Concatenating positions i (degree p) and j (degree q)
+    gives position i * rank^q + j of degree p + q, so products need no
+    monomial table.  The truncation degree is ``len(blocks) - 1``.
+    """
 
-    def __init__(self, rank: int, degree: int, terms: dict[tuple[int, ...], int]):
+    __slots__ = ("rank", "blocks")
+
+    def __init__(self, rank: int, blocks: list[dict[int, int]]):
         self.rank = rank
-        self.degree = degree
-        self.terms = {k: v for k, v in terms.items() if v and len(k) <= degree}
+        self.blocks = [{k: c for k, c in block.items() if c} for block in blocks]
 
     @staticmethod
     def one(rank: int, degree: int) -> "MagnusSeries":
-        return MagnusSeries(rank, degree, {(): 1})
+        return MagnusSeries(rank, [{0: 1}] + [{} for _ in range(degree)])
+
+    @property
+    def degree(self) -> int:
+        return len(self.blocks) - 1
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The nonzero coefficients keyed by monomial, a tuple of 0-based letters."""
+        out = {}
+        for p, block in enumerate(self.blocks):
+            for i, c in block.items():
+                letters = []
+                for _ in range(p):
+                    i, g = divmod(i, self.rank)
+                    letters.append(g)
+                out[tuple(reversed(letters))] = c
+        return out
 
     def coefficient(self, letters: tuple[int, ...]) -> int:
-        return self.terms.get(letters, 0)
+        if len(letters) > self.degree:
+            return 0
+        i = 0
+        for g in letters:
+            i = i * self.rank + g
+        return self.blocks[len(letters)].get(i, 0)
 
     def __eq__(self, other):
         return (isinstance(other, MagnusSeries) and self.rank == other.rank
-                and self.degree == other.degree and self.terms == other.terms)
+                and self.blocks == other.blocks)
 
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
-        if other.rank != self.rank or other.degree != self.degree:
+        """The truncated product.  Both factors must have constant term 1,
+        as the expansion of every group element has."""
+        if other.rank != self.rank or len(other.blocks) != len(self.blocks):
             raise ValueError("series with different shapes")
-        d = self.degree
-        out: dict[tuple[int, ...], int] = {}
-        for mono1, c1 in self.terms.items():
-            room = d - len(mono1)
-            for mono2, c2 in other.terms.items():
-                if len(mono2) <= room:
-                    key = mono1 + mono2
-                    out[key] = out.get(key, 0) + c1 * c2
-        return MagnusSeries(self.rank, d, out)
+        blocks = [dict(block) for block in self.blocks]
+        _mul_into(blocks, other.blocks, self.rank)
+        return MagnusSeries(self.rank, blocks)
 
     def lowest_degree(self) -> int | None:
         """Smallest positive degree carrying a nonzero coefficient."""
-        best = None
-        for mono in self.terms:
-            if mono and (best is None or len(mono) < best):
-                best = len(mono)
-        return best
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "terms": {" ".join(f"X{i + 1}" for i in mono) if mono else "1": c
-                      for mono, c in sorted(self.terms.items())},
-        }
+        return next((p for p in range(1, len(self.blocks)) if self.blocks[p]), None)
 
     def __repr__(self):
-        return f"MagnusSeries({self.to_json()['terms']})"
+        return f"<MagnusSeries rank={self.rank} degree={self.degree} {self.terms}>"
+
+
+def _mul_into(blocks: list[dict], factor: list[dict], rank: int) -> None:
+    # blocks <- blocks * factor, both with constant term 1, top block
+    # first: block p gains blocks[p - q] * factor[q] for q = 1..p, and
+    # those lower blocks are still the left factor's.  Zeros are kept.
+    for p in range(len(blocks) - 1, 0, -1):
+        acc = blocks[p]
+        get = acc.get
+        for j, y in factor[p].items():
+            acc[j] = get(j, 0) + y
+        for q in range(1, p):
+            left, right = blocks[p - q], factor[q]
+            if not left or not right:
+                continue
+            shift = rank ** q
+            for j, y in right.items():
+                for i, x in left.items():
+                    k = i * shift + j
+                    acc[k] = get(k, 0) + x * y
 
 
 @lru_cache(maxsize=4096)
-def _syllable_coeffs(degree: int, exp: int) -> tuple[int, ...]:
-    # coefficients of (1 + X)^exp up to the truncation degree
-    out = []
+def _letter_series(rank: int, g: int, e: int, degree: int) -> MagnusSeries:
+    # (1 + X_g)^e, the binomial series: shared by every caller, never mutated
+    blocks, position = [], 0
     for j in range(degree + 1):
-        if exp >= 0:
-            out.append(math.comb(exp, j) if j <= exp else 0)
-        else:
-            out.append((-1) ** j * math.comb(-exp + j - 1, j))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _mono_tables(rank: int, degree: int):
-    # monomials of degree <= degree, indexed; ext[m][g] = index of mono+(g,) or -1
-    monos: list[tuple[int, ...]] = [()]
-    by_key = {(): 0}
-    frontier = [()]
-    for _ in range(degree):
-        new = []
-        for mono in frontier:
-            for g in range(rank):
-                ext = mono + (g,)
-                by_key[ext] = len(monos)
-                monos.append(ext)
-                new.append(ext)
-        frontier = new
-    ext_table = [[by_key.get(m + (g,), -1) for g in range(rank)] for m in monos]
-    return tuple(monos), ext_table
+        c = math.comb(e, j) if e >= 0 else (-1) ** j * math.comb(j - e - 1, j)
+        blocks.append({position: c})
+        position = position * rank + g
+    return MagnusSeries(rank, blocks)
 
 
 def magnus_expansion(w: GroupWord, degree: int) -> MagnusSeries:
@@ -249,26 +266,10 @@ def magnus_expansion(w: GroupWord, degree: int) -> MagnusSeries:
     if degree < 1:
         raise ValueError("truncation degree must be positive")
     rank = len(w.context.names)
-    monos, ext = _mono_tables(rank, degree)
-    size = len(monos)
-    acc = [0] * size
-    acc[0] = 1
+    blocks = MagnusSeries.one(rank, degree).blocks
     for g, e in w.syllables:
-        coeffs = _syllable_coeffs(degree, e)
-        nxt = [0] * size
-        for m in range(size):
-            c = acc[m]
-            if not c:
-                continue
-            idx = m
-            nxt[idx] += c  # j = 0 term, coefficient is always 1
-            for j in range(1, degree - len(monos[m]) + 1):
-                idx = ext[idx][g]
-                cj = coeffs[j]
-                if cj:
-                    nxt[idx] += c * cj
-        acc = nxt
-    return MagnusSeries(rank, degree, {monos[m]: acc[m] for m in range(size) if acc[m]})
+        _mul_into(blocks, _letter_series(rank, g, e, degree).blocks, rank)
+    return MagnusSeries(rank, blocks)
 
 
 def magnus_depth(w: GroupWord, dmax: int) -> int | None:
@@ -280,62 +281,6 @@ def magnus_depth(w: GroupWord, dmax: int) -> int | None:
 
 # ---------------------------------------------------------------------------
 # the longitude's expansion, folded over the braid letters
-#
-# A truncated series over F_3 is a list of degree blocks: block p maps the
-# position i of a degree-p monomial inside its block to its nonzero
-# coefficient, the letters of the monomial being the p base-3 digits of i,
-# first letter most significant.  The monomial's index in
-# ``_mono_tables(3, degree)`` is (3^p - 1) / 2 + i, and the concatenation
-# of positions i (degree p) and j (degree q) is position i * 3^q + j of
-# block p + q, so products need no table.
-
-def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
-    # both factors have constant term 1, as every expansion of a group
-    # element does: the product is a + b - 1 plus the products of their
-    # positive-degree terms
-    degree = len(a) - 1
-    out = [dict(block) for block in a]
-    for q in range(1, degree + 1):
-        acc = out[q]
-        get = acc.get
-        for j, y in b[q].items():
-            acc[j] = get(j, 0) + y
-    for p in range(1, degree):
-        block = a[p]
-        if not block:
-            continue
-        for q in range(1, degree - p + 1):
-            other = b[q]
-            if not other:
-                continue
-            acc = out[p + q]
-            get = acc.get
-            shift = 3 ** q
-            for i, x in block.items():
-                base = i * shift
-                for j, y in other.items():
-                    k = base + j
-                    acc[k] = get(k, 0) + x * y
-    return [{k: c for k, c in acc.items() if c} for acc in out]
-
-
-def _letter_series(g: int, e: int, degree: int) -> list[dict]:
-    # (1 + X_g)^e: X_g^j sits at position g * (3^j - 1) / 2 of block j
-    return [{g * (3 ** j - 1) // 2: c} if c else {}
-            for j, c in enumerate(_syllable_coeffs(degree, e))]
-
-
-def _to_magnus(blocks: list[dict]) -> MagnusSeries:
-    terms = {}
-    for p, block in enumerate(blocks):
-        for i, c in block.items():
-            mono = []
-            for _ in range(p):
-                i, r = divmod(i, 3)
-                mono.append(r)
-            terms[tuple(reversed(mono))] = c
-    return MagnusSeries(3, len(blocks) - 1, terms)
-
 
 def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
     """``magnus_expansion(longitude(w, strand), degree)``, without the word.
@@ -354,9 +299,8 @@ def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
         raise ValueError("the action is implemented for 3-strand braids")
     if degree < 1:
         raise ValueError("truncation degree must be positive")
-    mul = _series_mul
-    letter = {(g, e): _letter_series(g, e, degree) for g in range(3) for e in (1, -1)}
-    one = [{0: 1}] + [{} for _ in range(degree)]
+    letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
+    one = MagnusSeries.one(3, degree)
     conj, conj_inv, perm = [one] * 3, [one] * 3, [0, 1, 2]
     for g, e in w.syllables:
         # g_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i; its inverse:
@@ -364,15 +308,15 @@ def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
         c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
         for _ in range(abs(e)):
             u, v = conj[c], conj_inv[c]
-            conj[c] = mul(u, mul(letter[perm[c], sign], mul(v, conj[t])))
-            conj_inv[c] = mul(mul(mul(conj_inv[t], u), letter[perm[c], -sign]), v)
+            conj[c] = u * (letter[perm[c], sign] * (v * conj[t]))
+            conj_inv[c] = conj_inv[t] * u * letter[perm[c], -sign] * v
             conj[t], conj_inv[t] = u, v
             perm[c], perm[t] = perm[t], perm[c]
     if perm != [0, 1, 2]:
         raise ValueError("braid is not pure: a strand generator is not conjugated")
     s = strand - 1
     ell = conj_inv[s]
-    return _to_magnus(mul(_letter_series(s, -ell[1].get(s, 0), degree), ell))
+    return _letter_series(3, s, -ell.coefficient((s,)), degree) * ell
 
 
 # ---------------------------------------------------------------------------

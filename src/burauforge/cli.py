@@ -14,6 +14,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 from .balls import PrecisionExhausted
 from .cyclotomic import root_of_unity
@@ -288,6 +289,8 @@ def _cmd_f(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# built once, on first use: parsing leaves the parser unchanged
+@cache
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand parse from clobbering flags given before it
     common = argparse.ArgumentParser(add_help=False)

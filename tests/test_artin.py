@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
                               longitude_magnus, magnus_depth, magnus_expansion,
                               substitute)
-from burauforge.words import (commutator, format_word, generator,
+from burauforge.words import (commutator, format_word, free_group, generator,
                               iterated_bracket, parse_word, word)
 
 G1 = generator(B3, "g1")
@@ -150,6 +151,55 @@ def test_magnus_inverse_cancels(sylls, d):
     w = word(F3, sylls)
     prod = magnus_expansion(w, d) * magnus_expansion(w.inverse(), d)
     assert prod.terms == {(): 1}
+
+
+def test_magnus_product_rejects_different_shapes():
+    with pytest.raises(ValueError, match="different shapes"):
+        magnus_expansion(X1, 2) * magnus_expansion(X1, 3)
+    y1 = word(free_group(("y1", "y2")), [(0, 1)])
+    with pytest.raises(ValueError, match="different shapes"):
+        magnus_expansion(X1, 2) * magnus_expansion(y1, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference expansion: series as dicts keyed by tuples of 0-based letters,
+# each syllable x_g^e multiplied in as the binomial series of (1 + X_g)^e
+
+def reference_magnus_expansion(w, degree):
+    terms = {(): 1}
+    for g, e in w.syllables:
+        coeffs = [math.comb(e, j) if e >= 0 else (-1) ** j * math.comb(-e + j - 1, j)
+                  for j in range(degree + 1)]
+        out = {}
+        for mono, c in terms.items():
+            for j in range(degree - len(mono) + 1):
+                key = mono + (g,) * j
+                out[key] = out.get(key, 0) + c * coeffs[j]
+        terms = {k: v for k, v in out.items() if v}
+    return terms
+
+
+def _assert_matches_reference(w, degree):
+    series, expected = magnus_expansion(w, degree), reference_magnus_expansion(w, degree)
+    assert series.terms == expected
+    assert all(series.coefficient(mono) == c for mono, c in expected.items())
+
+
+_F3_SYLLABLES = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                   st.integers(min_value=-3, max_value=3)),
+                         max_size=8)
+
+
+@given(_F3_SYLLABLES, st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_magnus_expansion_matches_reference_over_f3(sylls, degree):
+    _assert_matches_reference(word(F3, sylls), degree)
+
+
+@given(_F3_SYLLABLES, st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_magnus_expansion_matches_reference_over_f6(sylls, degree):
+    _assert_matches_reference(eta_embed(word(F3, sylls)), degree)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_module_exports_resolve():
+    # a deleted function must not leave its name behind in __all__
+    missing, exporting = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"burauforge{stem}")
+        names = getattr(module, "__all__", None)
+        if names is None:
+            continue
+        exporting += 1
+        missing += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    assert exporting
+    assert missing == []
+
+
 def test_benchmark_tracer_targets_resolve():
     # the benchmark's tracer wraps package functions by name; a rename
     # would otherwise show up only as an error in a traced benchmark run
