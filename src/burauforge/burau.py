@@ -62,8 +62,7 @@ class CycloMatrix:
         return power(self, e, CycloMatrix.identity(self.size))
 
     def __eq__(self, other):
-        return isinstance(other, CycloMatrix) and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
+        return isinstance(other, CycloMatrix) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)

@@ -12,6 +12,12 @@ Reduction to the minimal cyclotomic subfield is performed lazily by
 ``canonical()`` (and by hashing / serialisation), never in the hot
 arithmetic path; equality across conductors is an exact zero test of
 the difference, which gives the same answer.
+
+Inversion uses only these field operations.  A root of unity +-zeta^j is
+looked up in the torsion table and inverts to its complex conjugate.
+Any other x inverts as the product of its Galois conjugates other than
+x, divided by the rational norm N(x), which is the product of all of
+them (Cohen, *A Course in Computational Algebraic Number Theory*, 4.2).
 """
 
 from __future__ import annotations
@@ -256,10 +262,6 @@ class CyclotomicNumber:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError("not a rational number")
@@ -338,10 +340,14 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero:
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        if self.conductor == 1:
+        m = self.conductor
+        if m == 1:
             return CyclotomicNumber._make(1, [self.den], self.num[0])
-        inv = _field_inverse(self.conductor, self.coefficients())
-        return CyclotomicNumber.from_coefficients(self.conductor, inv)
+        if self.den == 1 and self.num in _torsion_table(m):
+            return self.conjugate()
+        # x times the product of its other Galois conjugates is the norm
+        rest = math.prod(self.galois(j) for j in range(2, m) if math.gcd(j, m) == 1)
+        return rest * (1 / (self * rest).rational_value())
 
     def __truediv__(self, other):
         try:
@@ -480,7 +486,7 @@ class CyclotomicNumber:
 
 
 # ---------------------------------------------------------------------------
-# conductor folding, subfield rewriting, inversion
+# conductor folding, subfield rewriting, torsion
 
 def _fold_even_conductor(m: int, vec: list[int]) -> tuple[int, list[int]]:
     # m = 2d with d odd: zeta_m = -zeta_d^((d+1)/2)
@@ -547,62 +553,6 @@ def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
     return m, pivots
 
 
-def _field_inverse(m: int, coeffs: tuple[Fraction, ...]) -> list[Fraction]:
-    # extended Euclid of the coefficient polynomial against Phi_m over Q
-    phi = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    a = list(coeffs)
-    b = phi
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    r0, r1 = b, a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        d0, d1 = deg(r0), deg(r1)
-        if d0 < d1:
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-            continue
-        q = [Fraction(0)] * (d0 - d1 + 1)
-        rem = r0[:]
-        for i in range(d0 - d1, -1, -1):
-            c = rem[i + d1] / r1[d1]
-            q[i] = c
-            if c:
-                for j in range(d1 + 1):
-                    rem[i + j] -= c * r1[j]
-        qs = _polymul_frac(q, s1)
-        s_new = [x - y for x, y in _zip_pad(s0, qs)]
-        r0, r1 = r1, rem
-        s0, s1 = s1, s_new
-    if deg(r1) != 0:
-        raise ZeroDivisionError("division by zero in a cyclotomic field")
-    lead = r1[deg(r1)]
-    # the Bezout coefficient, reduced mod Phi_m
-    return _reduce_mod_phi(m, [v / lead for v in s1])
-
-
-def _polymul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
 @lru_cache(maxsize=None)
 def _torsion_table(m: int) -> dict[tuple[int, ...], tuple[bool, int]]:
     # every root of unity in Q(zeta_m) is +-zeta_m^j
@@ -627,11 +577,6 @@ def root_of_unity(m: int, j: int) -> CyclotomicNumber:
     n, e = m // g, j // g
     if n == 1:
         return CyclotomicNumber.from_rational(1)
-    if n % 4 == 2:
-        # zeta_2d = -zeta_d^((d+1)/2) for odd d; e is odd since gcd(e, n) = 1
-        n2 = n // 2
-        e2 = (e * ((n2 + 1) // 2)) % n2
-        return -root_of_unity(n2, e2)
     rows = _reduction_rows(n)
     return CyclotomicNumber._make(n, list(rows[e]), 1)
 

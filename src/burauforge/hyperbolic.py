@@ -422,15 +422,30 @@ def _arcs_disjoint_margin(arcs: dict) -> Fraction | None:
     return margin
 
 
-def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
-    """Re-derive the four mapping-table inclusions with ball arithmetic."""
+def _exact_pair(cert: PingPongCertificate) -> tuple[CycloMatrix, CycloMatrix, _Circle] | None:
+    """The certificate's x^power_x, y^power_y and invariant circle, exactly;
+    None when the invariant form at its embedding is not indefinite."""
     a, b, _ = squared_images(cert.q)
     x_mat = pair_word_eval(parse_word(PAIR_CONTEXT, cert.x_word), a, b) ** cert.power_x
     y_mat = pair_word_eval(parse_word(PAIR_CONTEXT, cert.y_word), a, b) ** cert.power_y
     form = invariant_form(cert.q, cert.embedding)
     if form is None or form.signature != "indefinite":
-        return False
-    balls = _CircleBalls(_invariant_circle(form), cert.embedding, bits)
+        return None
+    return x_mat, y_mat, _invariant_circle(form)
+
+
+def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
+    """Re-derive the four mapping-table inclusions from the certificate
+    alone, at one precision; False when the form is not indefinite."""
+    pair = _exact_pair(cert)
+    return pair is not None and _ball_inclusions(cert, *pair, bits)
+
+
+def _ball_inclusions(cert: PingPongCertificate, x_mat: CycloMatrix, y_mat: CycloMatrix,
+                     circle: _Circle, bits: int) -> bool:
+    """Re-derive the four mapping-table inclusions with ball arithmetic,
+    for the exact data of ``_exact_pair``."""
+    balls = _CircleBalls(circle, cert.embedding, bits)
     checks = [
         (x_mat, cert.arcs["x_rep"], cert.arcs["x_att"]),
         (x_mat.inverse(), cert.arcs["x_att"], cert.arcs["x_rep"]),
@@ -504,6 +519,9 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     form = invariant_form(q, embedding)
     if form is None or form.signature != "indefinite":
         raise ValueError("no indefinite invariant form at this embedding")
+    # a certificate stores the words as text in the pair's alphabet: search
+    # on the words that text denotes
+    x_word, y_word = (parse_word(PAIR_CONTEXT, str(w)) for w in (x_word, y_word))
     a_mat, b_mat, _ = squared_images(q)
     x_mat = pair_word_eval(x_word, a_mat, b_mat)
     y_mat = pair_word_eval(y_word, a_mat, b_mat)
@@ -546,7 +564,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
                         margin=margin, precision=bits,
                     )
                     try:
-                        if _check_inclusions(cert, bits):
+                        if _ball_inclusions(cert, xa, yb, circle, bits):
                             return cert
                         break  # decided negative: try the next shrink level
                     except PrecisionExhausted:
@@ -627,10 +645,16 @@ def verify_certificate(cert: PingPongCertificate) -> bool:
     margin = _arcs_disjoint_margin(cert.arcs)
     if margin is None or margin <= 0 or margin != cert.margin:
         return False
+    try:
+        pair = _exact_pair(cert)
+    except PrecisionExhausted:
+        return False
+    if pair is None:
+        return False
     bits = cert.precision * 2
     for _ in range(3):
         try:
-            return _check_inclusions(cert, bits)
+            return _ball_inclusions(cert, *pair, bits)
         except PrecisionExhausted:
             bits *= 2
     return False

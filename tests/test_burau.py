@@ -133,3 +133,11 @@ def test_inverse_3x3_singular_raises():
     m = CycloMatrix([top, middle, [u + v for u, v in zip(top, middle)]])
     with pytest.raises(ZeroDivisionError):
         m.inverse()
+
+
+def test_matrices_of_different_sizes_are_unequal():
+    assert CycloMatrix.identity(2) != CycloMatrix.identity(3)
+    g1 = burau_generator(4, 1, root_of_unity(13, 1))
+    block = CycloMatrix([row[:2] for row in g1.rows[:2]])
+    assert g1 != block and block != g1
+    assert g1 == CycloMatrix(g1.rows)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                    euler_phi, galois_conjugates,
@@ -161,6 +161,66 @@ def test_cross_conductor_product_order(m1, m2):
     x = root_of_unity(m1, 1) * root_of_unity(m2, 1)
     lcm = math.lcm(m1, m2)
     assert multiplicative_order(x) == lcm // math.gcd(lcm // m1 + lcm // m2, lcm)
+
+
+# ---------------------------------------------------------------------------
+# inversion: field inverses are unique, so x * x^-1 == 1 decides the answer
+
+_COEFF = st.one_of(st.just(0), st.integers(-4, 4),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def nonzero_elements(draw):
+    m = draw(st.integers(min_value=1, max_value=40))
+    x = C.from_coefficients(m, draw(st.lists(_COEFF, min_size=euler_phi(m),
+                                             max_size=euler_phi(m))))
+    assume(not x.is_zero)
+    return x
+
+
+@given(nonzero_elements())
+@settings(max_examples=150, deadline=None)
+def test_inverse_is_a_two_sided_involution(x):
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert inv.inverse() == x
+
+
+@given(nonzero_elements(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_inverse_commutes_with_galois(x, data):
+    m = x.conductor
+    j = data.draw(st.sampled_from([j for j in range(1, m + 1) if math.gcd(j, m) == 1]))
+    assert x.galois(j).inverse() == x.inverse().galois(j)
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(), st.sampled_from([1, -1]))
+@settings(max_examples=120, deadline=None)
+def test_root_of_unity_inverse_is_its_conjugate(m, j, sign):
+    x = sign * root_of_unity(m, j)
+    assert x.inverse() == x.conjugate()
+    assert x.inverse() == sign * root_of_unity(m, -j)
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_inverse_above_the_minimal_conductor(offset):
+    # offset + zeta_3 at conductor 12, where zeta_3 = zeta_12^2 - 1;
+    # offset 1 gives the root of unity zeta_12^2, offset 2 a non-unit
+    x = C.from_coefficients(12, [offset - 1, 0, 1, 0])
+    assert x.conductor == 12 and x == offset + root_of_unity(12, 4)
+    assert x * x.inverse() == 1
+    assert x.inverse() == (offset + root_of_unity(3, 1)).inverse()
+
+
+def test_dense_non_unit_inverse_at_conductor_59():
+    rng = random.Random(59)
+    x = C.from_coefficients(59, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(euler_phi(59))])
+    assert x.conductor == 59 and x.multiplicative_order() is None
+    inv = x.inverse()
+    assert x * inv == 1
+    assert inv.inverse() == x
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from burauforge import hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, squared_images
 from burauforge.cyclotomic import root_of_unity
-from burauforge.hyperbolic import (PAIR_CONTEXT, PingPongCertificate,
+from burauforge.hyperbolic import (PAIR_CONTEXT, PingPongCertificate, PrecisionExhausted,
                                    invariant_form, ping_pong_certify,
                                    short_relation_oracle, verify_certificate)
 from burauforge.words import free_group, parse_word, word
@@ -220,3 +221,35 @@ def test_certify_rejects_finite_order_generator():
     a = parse_word(PAIR_CONTEXT, "A")  # projective order 7
     with pytest.raises(ValueError):
         ping_pong_certify(a, Y_WORD, Q14, 1)
+
+
+def test_certify_rejects_foreign_words():
+    other = free_group(("x", "y"))
+    with pytest.raises(ValueError, match="unknown generator"):
+        ping_pong_certify(parse_word(other, "x y x^-1 y^-1"), Y_WORD, Q14, 1)
+
+
+def _counting_forms(monkeypatch):
+    calls = []
+
+    def counted(q, embedding):
+        calls.append((q, embedding))
+        return invariant_form(q, embedding)
+    monkeypatch.setattr(hyperbolic, "invariant_form", counted)
+    return calls
+
+
+def test_form_solved_once_per_search_and_per_verification(monkeypatch, certificate):
+    calls = _counting_forms(monkeypatch)
+    assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1) == certificate
+    assert len(calls) == 1
+    calls.clear()
+    assert verify_certificate(certificate)
+    assert len(calls) == 1
+
+
+def test_undecided_exact_data_fails_verification(monkeypatch, certificate):
+    def undecided(q, embedding):
+        raise PrecisionExhausted("sign of the form determinant undecided")
+    monkeypatch.setattr(hyperbolic, "invariant_form", undecided)
+    assert not verify_certificate(certificate)
