@@ -13,7 +13,7 @@ checks them against these closed forms before returning.
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicNumber, row_reduce
+from .cyclotomic import CyclotomicNumber, dot, matmul, row_reduce
 from .words import GroupWord, evaluate_word, power
 
 __all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
@@ -44,19 +44,11 @@ class CycloMatrix:
         return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other: "CycloMatrix") -> "CycloMatrix":
-        n = self.size
-        orows = other.rows
-        out = []
-        for r in self.rows:
-            new = []
-            for j in range(n):
-                acc = r[0] * orows[0][j]
-                for k in range(1, n):
-                    if not r[k].is_zero:
-                        acc = acc + r[k] * orows[k][j]
-                new.append(acc)
-            out.append(new)
-        return CycloMatrix(out)
+        """The product through the fused kernel ``cyclotomic.matmul``: each
+        entry is one integer sum of products over Q(zeta_m), m the lcm of
+        the conductors of both factors, reduced mod Phi_m and normalised
+        once, with no field product or sum built per term."""
+        return CycloMatrix(matmul(self.rows, other.rows))
 
     def __pow__(self, e: int) -> "CycloMatrix":
         return power(self, e, CycloMatrix.identity(self.size))
@@ -69,14 +61,13 @@ class CycloMatrix:
 
     def det2(self) -> CyclotomicNumber:
         (a, b), (c, d) = self.rows
-        return a * d - b * c
+        return dot((a, b), (d, -c))
 
     def inverse(self) -> "CycloMatrix":
         n = self.size
         if n == 2:
             (a, b), (c, d) = self.rows
-            det = a * d - b * c
-            dinv = det.inverse()
+            dinv = self.det2().inverse()
             return CycloMatrix([[d * dinv, -b * dinv], [-c * dinv, a * dinv]])
         # general case: row reduce [M | I] to [I | M^-1]
         rref, pivots = row_reduce([list(r) + [(_ONE if i == j else _ZERO) for j in range(n)]

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .balls import ComplexBall, PrecisionExhausted, embed, sqrt_lower, sqrt_upper, unit_turn
 from .burau import CycloMatrix, pair_word_eval, projective_order, squared_images
-from .cyclotomic import CyclotomicNumber, root_of_unity, row_reduce
+from .cyclotomic import CyclotomicNumber, dot, root_of_unity, row_reduce
 from .reports import ClaimReport
 from .words import GroupWord, free_group, parse_word, word
 
@@ -185,7 +185,7 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
                     continue
                 if level == max_len:
                     (_, l01), (_, l11) = letter_mat.rows
-                    if not (m00 * l01 + m01 * l11).is_zero:
+                    if not dot((m00, m01), (l01, l11)).is_zero:
                         continue
                 nxt = mat * letter_mat
                 nxt_sylls = sylls + ((gen, sign),)
@@ -525,15 +525,31 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     a_mat, b_mat, _ = squared_images(q)
     x_mat = pair_word_eval(x_word, a_mat, b_mat)
     y_mat = pair_word_eval(y_word, a_mat, b_mat)
-    for mat, name in ((x_mat, "x"), (y_mat, "y")):
-        if mat.is_scalar():
-            raise ValueError(f"generator {name} is projectively trivial")
-        if projective_order(mat, _ORDER_BOUND) is not None:
-            raise ValueError(f"generator {name} has finite projective order")
-    circle = _invariant_circle(form)
+
+    def reject_torsion(*named):
+        for name, mat in named:
+            if projective_order(mat, _ORDER_BOUND) is not None:
+                raise ValueError(f"generator {name} has finite projective order")
+
+    # A certificate proves that both generators have infinite order, and a
+    # generator of finite order has no fixed points on the circle, so the
+    # costly torsion test runs only when no certificate is found.  Where a
+    # check below fails before the search, the torsion tests that used to
+    # precede it run first, so the reported reason stays the same.
+    if x_mat.is_scalar():
+        raise ValueError("generator x is projectively trivial")
+    if y_mat.is_scalar():
+        reject_torsion(("x", x_mat))
+        raise ValueError("generator y is projectively trivial")
+    try:
+        circle = _invariant_circle(form)
+    except PrecisionExhausted:  # a degenerate chart, after the torsion tests
+        reject_torsion(("x", x_mat), ("y", y_mat))
+        raise
     centre_n = _numeric_value(circle.centre, embedding)
     rsq_n = _numeric_value(circle.radius_sq, embedding).real
     if rsq_n <= 0:
+        reject_torsion(("x", x_mat), ("y", y_mat))
         raise ValueError("invariant circle has nonpositive radius at this embedding")
     radius_n = math.sqrt(rsq_n)
 
@@ -569,6 +585,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
                         break  # decided negative: try the next shrink level
                     except PrecisionExhausted:
                         undecided = True
+    reject_torsion(("x", x_mat), ("y", y_mat))
     if undecided:
         raise PrecisionExhausted("inclusions undecided at the configured precision")
     return None

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .burau import CycloMatrix, squared_images
-from .cyclotomic import CyclotomicNumber, prime_factors, root_of_unity
+from .cyclotomic import CyclotomicNumber, dot, prime_factors, root_of_unity
 from .modular import psl_order
 from .reports import ClaimReport
 from .words import commutator, free_product, generator, word
@@ -183,7 +184,12 @@ def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
 
 
 def _proj_equal(m1: CycloMatrix, m2: CycloMatrix) -> bool:
-    return (m1 * m2.inverse()).is_scalar()
+    """m1 = c * m2 for some scalar c, for an invertible m2: every 2x2 minor
+    m1[a] m2[b] - m1[b] m2[a] of the two entry vectors vanishes."""
+    u = [v for row in m1.rows for v in row]
+    w = [v for row in m2.rows for v in row]
+    return all(dot((u[a], u[b]), (w[b], -w[a])).is_zero
+               for a, b in combinations(range(len(u)), 2))
 
 
 def verify_kernel_words(n: int, q: CyclotomicNumber) -> ClaimReport:

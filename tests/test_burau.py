@@ -1,10 +1,13 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burauforge.burau import (CycloMatrix, burau_eval, burau_generator,
                               projective_order, squared_images)
-from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
+from burauforge.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
 from burauforge.words import braid_group, parse_word, word
 
 C = CyclotomicNumber
@@ -141,3 +144,122 @@ def test_matrices_of_different_sizes_are_unequal():
     block = CycloMatrix([row[:2] for row in g1.rows[:2]])
     assert g1 != block and block != g1
     assert g1 == CycloMatrix(g1.rows)
+
+
+# ---------------------------------------------------------------------------
+# the fused product kernel against the per-term loop it replaced
+
+def reference_matmul(left, right):
+    """Rows of left * right with one field product and one field sum per
+    term: the loop CycloMatrix.__mul__ ran before the fused kernel."""
+    out = []
+    for r in left:
+        new = []
+        for j in range(len(right[0])):
+            acc = r[0] * right[0][j]
+            for k in range(1, len(r)):
+                if not r[k].is_zero:
+                    acc = acc + r[k] * right[k][j]
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def _stored(x):
+    return (x.conductor, x.num, x.den)
+
+
+def _canonical(x):
+    return _stored(x.canonical())
+
+
+def _assert_invariants(x):
+    m = x.conductor
+    assert x.den > 0
+    assert len(x.num) == euler_phi(m)
+    assert math.gcd(x.den, *x.num) == 1
+    assert m % 4 != 2
+    if m > 1:
+        assert any(x.num[1:])  # rationals live at conductor 1
+
+
+_COEFF = st.one_of(st.just(0), st.integers(-4, 4),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def _entry(draw, m):
+    # zero, a rational with a denominator, or an element of Q(zeta_m)
+    kind = draw(st.sampled_from(["zero", "rational", "field"]))
+    if kind == "zero":
+        return C.from_rational(0)
+    if kind == "rational":
+        return C.from_rational(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6))))
+    return C.from_coefficients(m, draw(st.lists(_COEFF, min_size=euler_phi(m),
+                                                max_size=euler_phi(m))))
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 3))
+    fields = draw(st.lists(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 16, 20]),
+                           min_size=2, max_size=2, unique=True))
+
+    def matrix():
+        return [[draw(_entry(draw(st.sampled_from(fields)))) for _ in range(n)]
+                for _ in range(n)]
+    return matrix(), matrix()
+
+
+@given(matrix_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_kernel_matches_the_per_term_reference(pair):
+    left, right = pair
+    got = (CycloMatrix(left) * CycloMatrix(right)).rows
+    want = reference_matmul(left, right)
+    conductors = {v.conductor for rows in pair for r in rows for v in r} - {1}
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            assert g == w
+            assert _canonical(g) == _canonical(w)
+            if len(conductors) <= 1:
+                assert _stored(g) == _stored(w)
+            _assert_invariants(g)
+    if len(left) == 2:
+        (a, b), (c, d) = left
+        assert CycloMatrix(left).det2() == a * d - b * c
+
+
+@pytest.mark.parametrize("order", [7, 12, 14, 23])
+def test_product_kernel_stores_burau_words_like_the_reference(order):
+    a, b, _ = squared_images(root_of_unity(order, 1))
+    mats = [a, b, a.inverse(), b * a, a ** 3 * b.inverse()]
+    for x in mats:
+        for y in mats:
+            got = (x * y).rows
+            want = reference_matmul(x.rows, y.rows)
+            assert [[_stored(v) for v in r] for r in got] == \
+                [[_stored(v) for v in r] for r in want]
+
+
+def test_product_kernel_forms_no_field_products_or_sums(monkeypatch):
+    a, b, _ = squared_images(root_of_unity(9, 2))
+    x, y = a * b.inverse(), b ** 3
+    expected = reference_matmul(x.rows, y.rows)
+    calls = []
+
+    def counting(name):
+        method = getattr(C, name)
+
+        def counted(self, other):
+            calls.append(name)
+            return method(self, other)
+        return counted
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(C, name, counting(name))
+    product = x * y
+    det = x.det2()
+    assert calls == []
+    monkeypatch.undo()
+    assert product.rows == tuple(tuple(r) for r in expected)
+    assert det == x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]

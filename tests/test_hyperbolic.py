@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from burauforge import hyperbolic
-from burauforge.burau import CycloMatrix, pair_word_eval, squared_images
+from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
+from burauforge.cli import main
 from burauforge.cyclotomic import root_of_unity
 from burauforge.hyperbolic import (PAIR_CONTEXT, PingPongCertificate, PrecisionExhausted,
                                    invariant_form, ping_pong_certify,
@@ -221,6 +222,61 @@ def test_certify_rejects_finite_order_generator():
     a = parse_word(PAIR_CONTEXT, "A")  # projective order 7
     with pytest.raises(ValueError):
         ping_pong_certify(a, Y_WORD, Q14, 1)
+
+
+# (x, y, reason): the torsion test runs after the search, but a pair that
+# fails several checks still reports the reason the checks gave in order
+# x trivial, x torsion, y trivial, y torsion
+GUARD_CASES = [
+    ("A", "A^2 B A^-2 B^-1", "generator x has finite projective order"),
+    ("A B A^-1 B^-1", "B", "generator y has finite projective order"),
+    ("A", "B", "generator x has finite projective order"),
+    ("A", "1", "generator x has finite projective order"),
+    ("A B A^-1 B^-1", "1", "generator y is projectively trivial"),
+    ("1", "B", "generator x is projectively trivial"),
+]
+
+
+@pytest.mark.parametrize("x,y,reason", GUARD_CASES)
+def test_certify_free_reports_why_a_pair_is_ineligible(capsys, x, y, reason):
+    code = main(["certify-free", "--order", "14", "--x", x, "--y", y,
+                 "--max-len", "2", "--pingpong"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["claims"][1]["witnesses"] == [{"reason": reason}]
+
+
+def _counting_orders(monkeypatch):
+    calls = []
+
+    def counted(mat, bound):
+        calls.append(bound)
+        return projective_order(mat, bound)
+    monkeypatch.setattr(hyperbolic, "projective_order", counted)
+    return calls
+
+
+def test_certifying_pair_runs_no_torsion_test(monkeypatch, certificate):
+    calls = _counting_orders(monkeypatch)
+    assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1) == certificate
+    assert calls == []
+
+
+def test_torsion_test_runs_when_the_search_fails(monkeypatch):
+    calls = _counting_orders(monkeypatch)
+    with pytest.raises(ValueError, match="generator y has finite projective order"):
+        ping_pong_certify(X_WORD, parse_word(PAIR_CONTEXT, "B"), Q14, 1)
+    assert len(calls) == 2
+
+
+def test_torsion_reason_precedes_a_degenerate_circle_chart(monkeypatch):
+    def degenerate(form):
+        raise PrecisionExhausted("circle chart degenerate: J11 = 0")
+    monkeypatch.setattr(hyperbolic, "_invariant_circle", degenerate)
+    with pytest.raises(ValueError, match="generator x has finite projective order"):
+        ping_pong_certify(parse_word(PAIR_CONTEXT, "A"), Y_WORD, Q14, 1)
+    with pytest.raises(PrecisionExhausted):
+        ping_pong_certify(X_WORD, Y_WORD, Q14, 1)
 
 
 def test_certify_rejects_foreign_words():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from burauforge.cyclotomic import root_of_unity
-from burauforge.triangle import (classify, euler_characteristics,
+from burauforge.burau import CycloMatrix, squared_images
+from burauforge.cyclotomic import CyclotomicNumber as C, root_of_unity
+from burauforge.triangle import (_proj_equal, classify, euler_characteristics,
                                  primitive_roots, surface_free_bound,
                                  verify_commutator_relator, verify_even,
                                  verify_kernel_words, verify_odd,
@@ -121,3 +122,51 @@ def test_commutator_relator():
     assert verify_commutator_relator(50).passed
     with pytest.raises(ValueError):
         verify_commutator_relator(1)
+
+
+# ---------------------------------------------------------------------------
+# projective equality from cross products, against the inverse it replaced
+
+def reference_proj_equal(m1, m2):
+    return (m1 * m2.inverse()).is_scalar()
+
+
+def _scaled(m, c):
+    return CycloMatrix([[c * v for v in row] for row in m.rows])
+
+
+@pytest.mark.parametrize("order", [5, 7, 9, 12, 14, 20, 23])
+def test_proj_equal_matches_the_inverse_reference(order):
+    q = root_of_unity(order, 1)
+    a, b, c = squared_images(q)
+    words = [a, b, c, a * b, b * a, a ** 3, a.inverse() * b ** 2, (a * b) ** order]
+    pairs = [(x, y) for x in words for y in words]
+    # scalar multiples by roots of unity, rationals and field elements
+    for k, x in enumerate(words):
+        for scale in (root_of_unity(order, k + 1), -root_of_unity(2 * order, 1),
+                      C.from_rational(Fraction(-3, 7)), 1 + q):
+            pairs += [(_scaled(x, scale), x), (x, _scaled(x, scale))]
+        # a multiple of x with one entry moved off the line through x
+        for p in range(4):
+            rows = [list(r) for r in _scaled(x, q).rows]
+            rows[p // 2][p % 2] += 1
+            pairs.append((CycloMatrix(rows), x))
+    seen = set()
+    for x, y in pairs:
+        got = _proj_equal(x, y)
+        assert got == reference_proj_equal(x, y)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_proj_equal_odd_embedding_relations():
+    # the three projective witnesses of the median-triangle embedding hold
+    # at every primitive root of order 2k + 1, and fail when shifted by A
+    for k in (2, 3, 5):
+        for q in primitive_roots(2 * k + 1):
+            a, b, _ = squared_images(q)
+            alpha = a ** (k + 1)
+            v = a ** k * b ** k * a ** k
+            alpha2 = alpha * alpha
+            assert _proj_equal(alpha2, a) and _proj_equal(v * alpha2 * v, b)
+            assert not _proj_equal(alpha2 * a, a) and not _proj_equal(v * alpha2 * v, b * a)
