@@ -8,11 +8,14 @@ boundary word x1 x2 x3 are the consistency oracle, exercised in tests):
     g_i : x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i,  others fixed.
 
 Longitudes of deep commutators run to hundreds of thousands of letters.
-Every word here is a reduced tuple of (generator, exponent) syllables:
-substitution strings together the syllables of the images and reduces
-once with the stack pass of ``words.word``, which keeps untouched
-syllables as the same tuple objects, so most syllables of a large image
-are objects shared with the images it was substituted from.
+Every word here is a reduced tuple of (generator, exponent) syllables.
+One conjugator fold, ``_conjugator_fold``, reads the braid letters left
+to right, phi_k = phi_{k-1} o l_k, and keeps each image
+phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as U_i, U_i^-1 and the strand
+permutation pi.  It serves both words and Magnus series: over words
+every step is a ``GroupWord`` product, which concatenates the syllable
+tuples and reduces only where the factors meet, so the syllables of a
+large image are objects shared with the words it was built from.
 
 A truncated Magnus series has one encoding, ``MagnusSeries``: a list of
 degree blocks, each mapping the base-rank position of a monomial to its
@@ -20,10 +23,8 @@ nonzero coefficient.  ``magnus_expansion`` multiplies in place by the
 cached binomial series (1 + X_g)^e of each syllable, top block first.
 
 The depth of a longitude does not need the longitude word:
-``longitude_magnus`` folds the braid letters left to right,
-phi_k = phi_{k-1} o l_k, in the truncated Magnus algebra.  It keeps each
-image phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as the expansions of U_i and
-U_i^-1 and the strand permutation pi; a letter costs four truncated
+``longitude_magnus`` runs the same fold in the truncated Magnus algebra,
+on the expansions of U_i and U_i^-1.  A letter costs four truncated
 products and two products by a one-variable series, so the work grows
 with the braid length and the number of nonzero coefficients, not with
 the longitude, whose length grows exponentially with the bracket depth.
@@ -105,37 +106,46 @@ def substitute(w: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     return word(images[0].context, sylls)
 
 
-_IDENTITY = tuple(word(F3, [(g, 1)]) for g in range(3))
+_WORD_LETTERS = {(g, e): GroupWord(F3, ((g, e),)) for g in range(3) for e in (1, -1)}
 
 
-def _generator_images(i: int, sign: int) -> tuple[GroupWord, ...]:
-    # g_i sends x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i
-    images = list(_IDENTITY)
-    if sign > 0:
-        images[i] = word(F3, [(i, 1), (i + 1, 1), (i, -1)])
-        images[i + 1] = word(F3, [(i, 1)])
-    else:
-        images[i] = word(F3, [(i + 1, 1)])
-        images[i + 1] = word(F3, [(i + 1, -1), (i, 1), (i + 1, 1)])
-    return tuple(images)
+def _conjugator_fold(w: GroupWord, one, letter):
+    """Fold the braid w left to right, phi_k = phi_{k-1} o l_k.
 
-
-_GENERATOR_IMAGES = {(i, s): _generator_images(i, s) for i in (0, 1) for s in (1, -1)}
+    Returns (conj, conj_inv, perm) with phi(x_i) = conj[i] x_perm[i]
+    conj[i]^-1 and conj_inv[i] the inverse of conj[i].  ``one`` is the
+    identity and ``letter[g, e]`` the element x_g^e (e = +-1), of words
+    or of series alike.  A letter sends one generator x_c to y x_t y^-1
+    with y = x_c^(+-1), so U_c becomes phi_{k-1}(y) U_t, and the other
+    generator x_t to x_c, so U_t becomes U_c.
+    """
+    if w.context.strands != 3:
+        raise ValueError("the action is implemented for 3-strand braids")
+    conj, conj_inv, perm = [one] * 3, [one] * 3, [0, 1, 2]
+    for g, e in w.syllables:
+        # g_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i; its inverse:
+        # x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}, x_i -> x_{i+1}
+        c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
+        for _ in range(abs(e)):
+            u, v = conj[c], conj_inv[c]
+            conj[c] = u * (letter[perm[c], sign] * (v * conj[t]))
+            conj_inv[c] = conj_inv[t] * u * letter[perm[c], -sign] * v
+            conj[t], conj_inv[t] = u, v
+            perm[c], perm[t] = perm[t], perm[c]
+    return conj, conj_inv, perm
 
 
 # small cache: deep-commutator images run to megabytes, and the reuse is
 # the three strand jobs of one braid, each calling `longitude`
 @lru_cache(maxsize=8)
 def artin_action(w: GroupWord) -> FreeAutomorphism:
-    """Automorphism of F_3 attached to a braid word in B_3."""
-    if w.context.strands != 3:
-        raise ValueError("the action is implemented for 3-strand braids")
-    # action(l_1 ... l_n) = action(l_1) o ... o action(l_n): fold from the right
-    images = _IDENTITY
-    for g, e in reversed(w.syllables):
-        table = _GENERATOR_IMAGES[(g, 1 if e > 0 else -1)]
-        for _ in range(abs(e)):
-            images = tuple(substitute(v, table) for v in images)
+    """Automorphism of F_3 attached to a braid word in B_3.
+
+    Built by the conjugator fold over words: the image of x_i is
+    U_i x_{pi(i)} U_i^-1, every product reducing only at its junction.
+    """
+    conj, conj_inv, perm = _conjugator_fold(w, GroupWord(F3, ()), _WORD_LETTERS)
+    images = tuple(u * (_WORD_LETTERS[p, 1] * v) for u, v, p in zip(conj, conj_inv, perm))
     return FreeAutomorphism(images, source=w)
 
 
@@ -155,8 +165,8 @@ def longitude(w: GroupWord, strand: int) -> GroupWord:
     if any(im.syllables[len(im.syllables) // 2] != (j, 1) for j, im in enumerate(images)):
         raise ValueError("braid is not pure: a strand generator is not conjugated")
     sylls = images[strand - 1].syllables
-    # a prefix of a reduced word is reduced
-    ell = GroupWord(F3, sylls[:len(sylls) // 2]).inverse()
+    # the reduced image is u x_s u^-1: its syllables past the middle are l = u^-1
+    ell = GroupWord(F3, sylls[len(sylls) // 2 + 1:])
     return word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))]) * ell
 
 
@@ -285,33 +295,17 @@ def magnus_depth(w: GroupWord, dmax: int) -> int | None:
 def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
     """``magnus_expansion(longitude(w, strand), degree)``, without the word.
 
-    Reads the braid letters left to right, phi_k = phi_{k-1} o l_k, and
-    keeps phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as the expansions of U_i and
-    U_i^-1 and the strand permutation pi.  A letter sends one generator
-    x_c to w x_t w^-1 with w = x_c^(+-1), so U_c becomes phi_{k-1}(w) U_t,
-    and the other generator x_t to x_c, so U_t becomes U_c.  The longitude
-    is x_s^-e U_s^-1, e the x_s-exponent of U_s^-1: U_s differs from the
-    conjugator the word path reads off only by a right power of x_s.
+    Runs ``_conjugator_fold`` on the expansions of the conjugators U_i
+    and their inverses.  The longitude is x_s^-e U_s^-1, e the
+    x_s-exponent of U_s^-1: U_s differs from the conjugator the word path
+    reads off only by a right power of x_s.
     """
     if strand not in (1, 2, 3):
         raise ValueError("strand index must be 1, 2 or 3")
-    if w.context.strands != 3:
-        raise ValueError("the action is implemented for 3-strand braids")
     if degree < 1:
         raise ValueError("truncation degree must be positive")
     letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
-    one = MagnusSeries.one(3, degree)
-    conj, conj_inv, perm = [one] * 3, [one] * 3, [0, 1, 2]
-    for g, e in w.syllables:
-        # g_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i; its inverse:
-        # x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}, x_i -> x_{i+1}
-        c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
-        for _ in range(abs(e)):
-            u, v = conj[c], conj_inv[c]
-            conj[c] = u * (letter[perm[c], sign] * (v * conj[t]))
-            conj_inv[c] = conj_inv[t] * u * letter[perm[c], -sign] * v
-            conj[t], conj_inv[t] = u, v
-            perm[c], perm[t] = perm[t], perm[c]
+    _, conj_inv, perm = _conjugator_fold(w, MagnusSeries.one(3, degree), letter)
     if perm != [0, 1, 2]:
         raise ValueError("braid is not pure: a strand generator is not conjugated")
     s = strand - 1

@@ -285,6 +285,34 @@ def reference_longitude(w, strand):
     return _unflatten(F3, merged)
 
 
+# second reference: the right fold the conjugator fold replaced,
+# action(l_1 ... l_n) = action(l_1) o ... o action(l_n), substituting all
+# three images through the generator-image triple of each letter
+
+def _generator_images(i, sign):
+    # g_i sends x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i
+    images = [X1, X2, X3]
+    if sign > 0:
+        images[i] = word(F3, [(i, 1), (i + 1, 1), (i, -1)])
+        images[i + 1] = word(F3, [(i, 1)])
+    else:
+        images[i] = word(F3, [(i + 1, 1)])
+        images[i + 1] = word(F3, [(i + 1, -1), (i, 1), (i + 1, 1)])
+    return tuple(images)
+
+
+_GENERATOR_IMAGES = {(i, s): _generator_images(i, s) for i in (0, 1) for s in (1, -1)}
+
+
+def reference_right_fold(w):
+    images = (X1, X2, X3)
+    for g, e in reversed(w.syllables):
+        table = _GENERATOR_IMAGES[g, 1 if e > 0 else -1]
+        for _ in range(abs(e)):
+            images = tuple(substitute(v, table) for v in images)
+    return images
+
+
 def _longitude_or_error(fn, w, strand):
     try:
         return fn(w, strand)
@@ -294,7 +322,9 @@ def _longitude_or_error(fn, w, strand):
 
 def _assert_agrees_with_reference(w):
     """Returns the longitudes, or the error message for an impure braid."""
-    assert artin_action(w).images == reference_action(w)
+    images = artin_action(w).images
+    assert images == reference_action(w)
+    assert images == reference_right_fold(w)
     outcomes = [_longitude_or_error(longitude, w, strand) for strand in (1, 2, 3)]
     assert outcomes == [_longitude_or_error(reference_longitude, w, strand)
                         for strand in (1, 2, 3)]
@@ -302,10 +332,12 @@ def _assert_agrees_with_reference(w):
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
-                          st.sampled_from((-2, -1, 1, 2))),
-                max_size=6))
+                          st.sampled_from((-3, -2, -1, 1, 2, 3))),
+                max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_action_and_longitude_match_reference_on_random_braids(sylls):
+    # odd exponents make most draws impure: then every strand must raise
+    # the same error in both paths
     _assert_agrees_with_reference(word(B3, sylls))
 
 
@@ -378,3 +410,12 @@ def test_canonical_bracket_depth_is_sharp(k):
     w = iterated_bracket(G1 ** 2, G2 ** 2, k)
     for strand in (1, 2, 3):
         assert longitude_magnus(w, strand, k).lowest_degree() == k
+
+
+def test_canonical_depth_4_bracket_is_pinned():
+    # images of over a million letters, too long for the reference paths
+    # in a test: the lengths are those the right fold gives
+    w = iterated_bracket(G1 ** 2, G2 ** 2, 4)
+    assert [im.length() for im in artin_action(w).images] == [1341055, 1710209, 369153]
+    assert [longitude(w, s).length() for s in (1, 2, 3)] == [670528, 855104, 184576]
+    assert [longitude_magnus(w, s, 4).lowest_degree() for s in (1, 2, 3)] == [4, 4, 4]

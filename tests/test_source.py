@@ -32,7 +32,7 @@ def test_module_exports_resolve():
     assert missing == []
 
 
-def test_benchmark_tracer_targets_resolve():
+def test_benchmark_tracer_targets_resolve(monkeypatch):
     # the benchmark's tracer wraps package functions by name; a rename
     # would otherwise show up only as an error in a traced benchmark run
     spec = importlib.util.spec_from_file_location("_perfbench_tracer",
@@ -56,3 +56,15 @@ def test_benchmark_tracer_targets_resolve():
     braid = parse_word(B3, "g1^2 g2^2 g1^-2 g2^-2")
     assert all(w.length() >= 1 for w in artin_action(braid).images)
     assert longitude(braid, 2).length() == 4
+    # the traced run's artin.action span wraps the module global, so
+    # `longitude` must reach the action through it
+    from burauforge import artin
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return artin_action(w)
+
+    monkeypatch.setattr(artin, "artin_action", counting)
+    longitude(braid, 1)
+    assert calls == [braid]
