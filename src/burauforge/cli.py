@@ -18,9 +18,10 @@ from functools import cache
 
 from .balls import PrecisionExhausted
 from .cyclotomic import root_of_unity
-from .hyperbolic import (MAX_CERT_POWER, MAX_CERT_PRECISION, PAIR_CONTEXT,
-                         PingPongCertificate, PingPongConfig, invariant_form,
-                         oracle_report, ping_pong_certify, verify_certificate)
+from .hyperbolic import (MAX_CERT_CONDUCTOR, MAX_CERT_POWER, MAX_CERT_PRECISION,
+                         PAIR_CONTEXT, PingPongCertificate, PingPongConfig,
+                         invariant_form, oracle_report, ping_pong_certify,
+                         verify_certificate)
 from .modular import (psl_order, psl_order_bruteforce, verify_presentation,
                       verify_st_kernel)
 from .quantum import build_params, gamma_at_p, twist_projective_order
@@ -329,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("certify-free",
                    help="relation oracle and optional table-tennis certificate")
-    p.add_argument("--order", type=int, required=True,
-                   help="order of the parameter root of unity")
+    # the order sets the conductor of q, which verify-cert bounds
+    p.add_argument("--order", type=_int_in(1, MAX_CERT_CONDUCTOR), required=True,
+                   help=f"order of the parameter root of unity, 1..{MAX_CERT_CONDUCTOR}")
     p.add_argument("--x", required=True, help="word over A, B, e.g. 'A B A^-1 B^-1'")
     p.add_argument("--y", required=True)
     p.add_argument("--max-len", type=int, required=True)

@@ -1,15 +1,15 @@
 """Invariant Hermitian forms, an exact short-relation oracle, and
 interval-certified ping-pong freeness certificates.
 
-The form J with M* J M = J for both generator images is solved exactly
-over the cyclotomic field (conjugation is zeta -> zeta^-1, which is
-complex conjugation under every embedding); only its signature depends
-on the chosen embedding.  For an indefinite form the null circle
-{ v* J v = 0 } is a genuine round circle preserved by the whole group,
-so ping-pong runs directly on that circle: arcs are given by rational
-fractions of a turn, endpoint images are enclosed in balls, and each
-inclusion is certified by two orientation determinants whose signs are
-bounded away from zero.
+The form J with M* J M = J for both generator images is given in closed
+form over the cyclotomic field and checked exactly (conjugation is
+zeta -> zeta^-1, which is complex conjugation under every embedding);
+only its signature depends on the chosen embedding.  For an indefinite
+form the null circle { v* J v = 0 } is a genuine round circle preserved
+by the whole group, so ping-pong runs directly on that circle: arcs are
+given by rational fractions of a turn, endpoint images are enclosed in
+balls, and each inclusion is certified by two orientation determinants
+whose signs are bounded away from zero.
 
 Floating point appears only inside the certificate *search*; every
 accepted certificate is re-derived from exact data through ball
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .balls import ComplexBall, PrecisionExhausted, embed, sqrt_lower, sqrt_upper, unit_turn
 from .burau import CycloMatrix, pair_word_eval, projective_order, squared_images
-from .cyclotomic import CyclotomicNumber, dot, root_of_unity, row_reduce
+from .cyclotomic import CyclotomicNumber, dot, root_of_unity
 from .reports import ClaimReport
 from .words import GroupWord, free_group, parse_word, word
 
@@ -48,86 +48,43 @@ _ORACLE_CONTEXT = free_group(("x", "y"))
 @dataclass(frozen=True)
 class HermitianForm2:
     matrix: CycloMatrix
-    signature: str          # "indefinite" | "definite" | "degenerate"
+    signature: str          # "indefinite" | "definite"
     embedding: int
-
-
-def _nullspace(rows: list[list[CyclotomicNumber]]) -> list[list[CyclotomicNumber]]:
-    # exact kernel of a matrix over the field: one basis vector per
-    # non-pivot column of the reduced form
-    zero = CyclotomicNumber.from_rational(0)
-    one = CyclotomicNumber.from_rational(1)
-    rref, pivots = row_reduce(rows)
-    ncols = len(rows[0])
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][fc]
-        basis.append(vec)
-    return basis
 
 
 def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None:
     """Hermitian J with A* J A = J and B* J B = J, or None if only degenerate.
 
-    The linear system is solved exactly; the signature tag is certified
-    at the requested embedding by excluding zero from an enclosure of
-    det J (an exactly-real field element).
+    For q q-bar = 1 the form is Squier's, J = [[1, c], [c-bar, 1]] with
+    c = 1/(q - 1) (Squier, "The Burau representation is unitary", Proc.
+    AMS 90, 1984); a nondegenerate invariant form is unique up to a real
+    factor, and this one is degenerate exactly when q has order 6.  At
+    q = 1 the images are a parabolic pair in SL2(Z) and J is i times the
+    symplectic form [[0, 1], [-1, 0]]; at q = -1, A = B = I and J is
+    [[0, 1], [1, 0]].  Any other q (with q q-bar != 1) preserves only
+    degenerate forms.  Invariance is checked exactly; the signature tag
+    is certified at the requested embedding by excluding zero from an
+    enclosure of det J (an exactly-real field element).
     """
     a, b, _ = squared_images(q)
-    rows = []
-    for mat in (a, b):
-        md = mat.transpose_conjugate()
-        for r in range(2):
-            for s in range(2):
-                # coefficient of J_ij in (M* J M - J)_rs
-                row = []
-                for i in range(2):
-                    for j in range(2):
-                        coef = md[r, i] * mat[j, s]
-                        if i == r and j == s:
-                            coef = coef - 1
-                        row.append(coef)
-                rows.append(row)
-    basis = _nullspace(rows)
-    if not basis:
+    one = CyclotomicNumber.from_rational(1)
+    zero = CyclotomicNumber.from_rational(0)
+    if (q - 1).is_zero:
+        i = root_of_unity(4, 1)
+        j_mat = CycloMatrix([[zero, i], [-i, zero]])
+    elif (q + 1).is_zero:
+        j_mat = CycloMatrix([[zero, one], [one, zero]])
+    elif q * q.conjugate() == one:
+        c = (q - 1).inverse()
+        j_mat = CycloMatrix([[one, c], [c.conjugate(), one]])
+    else:
         return None
-    zeta = root_of_unity(q.conductor if q.conductor >= 3 else 4, 1)
-    candidates = []
-    for vec in basis:
-        j_mat = CycloMatrix([[vec[0], vec[1]], [vec[2], vec[3]]])
-        herm = _hermitian_part(j_mat)
-        if herm is not None:
-            candidates.append(herm)
-        scaled = CycloMatrix([[zeta * v for v in row] for row in j_mat.rows])
-        herm2 = _hermitian_part(scaled)
-        if herm2 is not None:
-            candidates.append(herm2)
-    best = None
-    for j_mat in candidates:
-        det = j_mat.det2()
-        if not det.is_zero:
-            best = (j_mat, det)
-            break
-    if best is None:
+    det = j_mat.det2()
+    if det.is_zero:
         return None
-    j_mat, det = best
     _check_invariance(j_mat, (a, b))
     sign = _real_sign_certified(det, embedding)
     return HermitianForm2(j_mat, "indefinite" if sign < 0 else "definite", embedding)
-
-
-def _hermitian_part(m: CycloMatrix) -> CycloMatrix | None:
-    summed = CycloMatrix([
-        [m[0, 0] + m[0, 0].conjugate(), m[0, 1] + m[1, 0].conjugate()],
-        [m[1, 0] + m[0, 1].conjugate(), m[1, 1] + m[1, 1].conjugate()],
-    ])
-    if all(v.is_zero for row in summed.rows for v in row):
-        return None
-    return summed
 
 
 def _check_invariance(j_mat: CycloMatrix, mats) -> None:
@@ -478,14 +435,18 @@ def _numeric_value(v: CyclotomicNumber, embedding: int) -> complex:
 
 
 def _numeric_matrix(m: CycloMatrix, embedding: int):
-    return [[_numeric_value(v, embedding) for v in row] for row in m.rows]
+    """Float entries of m and of its exact determinant: the entries of a
+    deep word can be so large that a*d - b*c cancels to zero in floats."""
+    return ([[_numeric_value(v, embedding) for v in row] for row in m.rows],
+            _numeric_value(m.det2(), embedding))
 
 
-def _fixed_turns(mat, circle_centre: complex, circle_radius: float) -> tuple[float, float] | None:
+def _fixed_turns(mat, det: complex, circle_centre: complex,
+                 circle_radius: float) -> tuple[float, float] | None:
     # attracting and repelling fixed points as fractions of a turn
     (a, b), (c, d) = mat
     tr = a + d
-    disc = cmath.sqrt(tr * tr - 4 * (a * d - b * c))
+    disc = cmath.sqrt(tr * tr - 4 * det)
     lams = [(tr + disc) / 2, (tr - disc) / 2]
     lams.sort(key=abs, reverse=True)
     if abs(abs(lams[0]) - abs(lams[1])) < 1e-9:
@@ -561,8 +522,8 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
             yb = y_mat ** by
             xa_n = _numeric_matrix(xa, embedding)
             yb_n = _numeric_matrix(yb, embedding)
-            fx = _fixed_turns(xa_n, centre_n, radius_n)
-            fy = _fixed_turns(yb_n, centre_n, radius_n)
+            fx = _fixed_turns(*xa_n, centre_n, radius_n)
+            fy = _fixed_turns(*yb_n, centre_n, radius_n)
             if fx is None or fy is None:
                 continue
             for shrink, pad in _SHRINK_LADDER:
@@ -598,8 +559,9 @@ def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
                    shrink: Fraction, pad: Fraction) -> dict | None:
     """Propose arcs from float geometry: repelling arcs around the repelling
     points, attracting arcs around the measured image arcs, endpoints
-    rounded outward onto a dyadic grid.  Soundness comes from the exact
-    checks afterwards, not from this construction."""
+    rounded outward onto a dyadic grid.  ``xa_n`` and ``yb_n`` are the
+    (entries, determinant) pairs of ``_numeric_matrix``.  Soundness comes
+    from the exact checks afterwards, not from this construction."""
 
     def point(t: float) -> complex:
         return centre_n + radius_n * cmath.exp(2j * math.pi * t)
@@ -625,7 +587,7 @@ def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
         return start, end
 
     arcs = {}
-    for name, mat, (att, rep) in (("x", xa_n, fx), ("y", yb_n, fy)):
+    for name, (mat, det), (att, rep) in (("x", xa_n, fx), ("y", yb_n, fy)):
         rep_lo, rep_hi = rep - dr, rep + dr
         w1 = turn(mob(mat, point(rep_hi)))
         w2 = turn(mob(mat, point(rep_lo)))
@@ -636,7 +598,7 @@ def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
         arcs[f"{name}_rep"] = outward(rep_lo, rep_hi)
         arcs[f"{name}_att"] = outward(w1 - padf, w1 + width + padf)
         # numeric pre-check of the inverse inclusion
-        inv = _invert2(mat)
+        inv = _invert2(mat, det)
         v1 = turn(mob(inv, point(w1 + width + padf)))
         v2 = turn(mob(inv, point(w1 - padf)))
         vwidth = (v2 - v1) % 1.0
@@ -650,9 +612,8 @@ def _ccw_contains(start: float, width: float, t: float) -> bool:
     return (t - start) % 1.0 <= width
 
 
-def _invert2(mat):
+def _invert2(mat, det: complex):
     (a, b), (c, d) = mat
-    det = a * d - b * c
     return ((d / det, -b / det), (-c / det, a / det))
 
 

@@ -6,7 +6,7 @@ import pytest
 from burauforge.cli import build_parser, main
 from burauforge.cyclotomic import root_of_unity
 from burauforge.hyperbolic import PAIR_CONTEXT, PingPongConfig, ping_pong_certify
-from burauforge.words import parse_word
+from burauforge.words import iterated_bracket, parse_word
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +206,43 @@ def test_certify_free_and_verify_cert_golden(capsys, tmp_path, monkeypatch):
     check(["verify-cert", "--file", "swapped.json"], 1, "verify_cert_14_swapped.json")
 
 
+# the second claim at orders where the form search ends early, recorded
+# from the program before the invariant form was given in closed form:
+# orders 1 and 6 have no indefinite form at any embedding, and at order 2
+# (q = -1, where A = B = I) the form at embedding 1 is indefinite but x is
+# projectively trivial
+_NO_FORM = {"claim": "an indefinite invariant form exists at some embedding",
+            "witnesses": [], "pass": False, "status": "fail"}
+
+
+@pytest.mark.parametrize("order, second", [
+    (1, {**_NO_FORM, "params": {"order": 1}}),
+    (2, {"claim": "table-tennis certificate found and independently re-verified",
+         "params": {"embedding": 1, "max_power": 4, "precision": 96},
+         "witnesses": [{"reason": "generator x is projectively trivial"}],
+         "pass": False, "status": "fail"}),
+    (6, {**_NO_FORM, "params": {"order": 6}}),
+])
+def test_certify_free_degenerate_orders(capsys, order, second):
+    code, report, _ = run_cli(capsys, "certify-free", "--order", str(order),
+                              "--x", "A B A^-1 B^-1", "--y", "A^2 B A^-2 B^-1",
+                              "--max-len", "2", "--pingpong")
+    assert code == 1
+    assert report["claims"][1] == second
+
+
+def test_certify_free_deep_pair_has_no_traceback(capsys):
+    # x^a and y^b have entries so large that a*d - b*c cancels to zero in
+    # floats; the search takes their exact determinants instead
+    a, b = (parse_word(PAIR_CONTEXT, g) for g in ("A", "B"))
+    code = main(["certify-free", "--order", "11",
+                 "--x", str(iterated_bracket(a, b, 6)), "--y", str(iterated_bracket(b, a, 6)),
+                 "--max-len", "2", "--pingpong"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+
+
 def test_artin_command(capsys):
     code, report, _ = run_cli(capsys, "artin", "--braid", "g1^2 g2^2 g1^-2 g2^-2",
                               "--strand", "1", "--depth", "1")
@@ -229,6 +266,9 @@ _CERTIFY = ["certify-free", "--order", "14", "--x", "A", "--y", "B", "--max-len"
     [*_CERTIFY, "--max-power", "0"],
     [*_CERTIFY, "--max-power", "-2"],
     [*_CERTIFY, "--max-power", "65"],
+    # the order is the conductor of q, which verify-cert bounds by 1024
+    ["certify-free", "--order", "0", "--x", "A", "--y", "B", "--max-len", "2"],
+    ["certify-free", "--order", "1025", "--x", "A", "--y", "B", "--max-len", "2"],
     ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "0"],
     ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "-3"],
     ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "11"],
@@ -248,6 +288,9 @@ def test_option_bounds_are_inclusive():
     # by verify-cert, whose bound is 1024
     args = build_parser().parse_args([*_CERTIFY, "--precision", "512", "--max-power", "64"])
     assert (args.precision, args.max_power) == (512, 64)
+    for order in ("1", "1024"):
+        args = build_parser().parse_args([*_CERTIFY, "--order", order])
+        assert args.order == int(order)
     args = build_parser().parse_args([*_CERTIFY, "--precision", "1", "--max-power", "1"])
     assert (args.precision, args.max_power) == (1, 1)
     for strand in ("1", "2", "3"):

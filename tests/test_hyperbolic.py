@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from burauforge import hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
 from burauforge.cli import main
-from burauforge.cyclotomic import root_of_unity
-from burauforge.hyperbolic import (PAIR_CONTEXT, PingPongCertificate, PrecisionExhausted,
-                                   invariant_form, ping_pong_certify,
+from burauforge.cyclotomic import CyclotomicNumber, root_of_unity, row_reduce
+from burauforge.hyperbolic import (PAIR_CONTEXT, HermitianForm2, PingPongCertificate,
+                                   PrecisionExhausted, invariant_form, ping_pong_certify,
                                    short_relation_oracle, verify_certificate)
 from burauforge.words import free_group, parse_word, word
 
@@ -66,6 +67,95 @@ def test_parabolic_parameter_gets_scaled_symplectic_form():
     a, b, _ = squared_images(CyclotomicNumber.from_rational(1))
     assert dagger(a) * form.matrix * a == form.matrix
     assert dagger(b) * form.matrix * b == form.matrix
+
+
+def reference_invariant_form(q, embedding):
+    """The invariant form solved as a linear system: the kernel of the 8x4
+    system M* J M - J = 0 over the field, whose basis vectors and their
+    zeta-scaled copies give Hermitian parts; the first nondegenerate one
+    is the form."""
+    zero = CyclotomicNumber.from_rational(0)
+    one = CyclotomicNumber.from_rational(1)
+    a, b, _ = squared_images(q)
+    rows = []
+    for mat in (a, b):
+        md = dagger(mat)
+        for r in range(2):
+            for s in range(2):
+                # coefficient of J_ij in (M* J M - J)_rs
+                rows.append([md[r, i] * mat[j, s] - (1 if (i, j) == (r, s) else 0)
+                             for i in range(2) for j in range(2)])
+    rref, pivots = row_reduce(rows)
+    basis = []
+    for fc in (c for c in range(4) if c not in pivots):
+        vec = [zero] * 4
+        vec[fc] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rref[i][fc]
+        basis.append(vec)
+
+    def hermitian_part(m):
+        summed = CycloMatrix([[m[i, j] + m[j, i].conjugate() for j in range(2)]
+                              for i in range(2)])
+        return None if all(v.is_zero for row in summed.rows for v in row) else summed
+
+    zeta = root_of_unity(q.conductor if q.conductor >= 3 else 4, 1)
+    candidates = []
+    for vec in basis:
+        j_mat = CycloMatrix([vec[:2], vec[2:]])
+        scaled = CycloMatrix([[zeta * v for v in row] for row in j_mat.rows])
+        candidates += [h for h in (hermitian_part(j_mat), hermitian_part(scaled))
+                       if h is not None]
+    for j_mat in candidates:
+        det = j_mat.det2()
+        if not det.is_zero:
+            sign = hyperbolic._real_sign_certified(det, embedding)
+            return HermitianForm2(j_mat, "indefinite" if sign < 0 else "definite",
+                                  embedding)
+    return None
+
+
+def _agreement_parameters():
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                yield root_of_unity(n, k)
+    i = root_of_unity(4, 1)
+    yield CyclotomicNumber.from_rational(Fraction(3, 5)) + i * Fraction(4, 5)
+    yield CyclotomicNumber.from_rational(2)
+    yield 1 + root_of_unity(5, 1)
+
+
+def test_closed_form_agrees_with_the_linear_solve():
+    # the closed form is a real multiple of the solved form, or both are
+    # None; then det J differs by a positive factor at every embedding
+    seen = 0
+    for q in _agreement_parameters():
+        m = q.conductor
+        embeddings = [j for j in range(1, max(m, 2)) if math.gcd(j, m) == 1]
+        form = invariant_form(q, embeddings[0])
+        ref = reference_invariant_form(q, embeddings[0])
+        assert (form is None) == (ref is None), q
+        if form is None:
+            continue
+        assert form.signature == ref.signature, q
+        seen += 1
+        i, j = next((i, j) for i in range(2) for j in range(2)
+                    if not form.matrix[i, j].is_zero)
+        ratio = ref.matrix[i, j] / form.matrix[i, j]
+        assert ratio.conjugate() == ratio, q
+        assert ref.matrix == CycloMatrix([[ratio * v for v in row]
+                                          for row in form.matrix.rows]), q
+        # float values stand in for the certified signs, which take a few
+        # ms each; both determinants stay well away from zero here
+        det, ref_det = form.matrix.det2(), ref.matrix.det2()
+        for e in embeddings:
+            d = hyperbolic._numeric_value(det, e).real
+            ref_d = hyperbolic._numeric_value(ref_det, e).real
+            assert min(abs(d), abs(ref_d)) > 1e-6 and (d < 0) == (ref_d < 0), (q, e)
+    # every root of unity but those of order 6, and (3+4i)/5
+    assert seen == sum(1 for n in range(1, 31) for k in range(1, n + 1)
+                       if math.gcd(k, n) == 1) - 2 + 1
 
 
 def test_oracle_dependent_pair():
