@@ -1,10 +1,14 @@
-"""Complex balls with rational centres and certified outward rounding.
+"""Complex balls on a binary grid with certified outward rounding.
 
-All endpoint arithmetic is exact rational; the only approximations are
-explicit radius enlargements, so every operation returns an enclosure of
-the true image.  Pi and the trigonometric values needed for embedding
-roots of unity are produced from alternating series with explicit
-remainder bounds.
+A ball ``ComplexBall(re, im, rad, bits)`` is the closed disc of radius
+rad * 2^-bits about (re + i im) * 2^-bits: three integer mantissas on the
+grid 2^-bits.  Every ``+ - * /`` returns a ball on its operands' grid: the
+exact centre is rounded to the nearest grid point and that rounding, at
+most one grid step, is added to the propagated radius, so every result
+encloses the true image (mid-rad ball arithmetic as in van der Hoeven,
+"Ball arithmetic", 2009).  The grid and its rounding rule live in this
+module only; ``to(bits)`` moves a ball to another grid.  Pi and the roots
+of unity come from integer series with explicit remainder bounds.
 """
 
 from __future__ import annotations
@@ -18,151 +22,112 @@ from .cyclotomic import CyclotomicNumber
 
 __all__ = ["ComplexBall", "embed", "unit_turn", "PrecisionExhausted"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class PrecisionExhausted(RuntimeError):
     """A sign or inclusion could not be decided at the working precision."""
 
 
-def sqrt_upper(q: Fraction) -> Fraction:
-    if q < 0:
-        raise ValueError("negative radicand")
-    n, d = q.numerator, q.denominator
-    s = math.isqrt(n * d)
-    if s * s < n * d:
-        s += 1
-    return Fraction(s, d)
+def _round_shift(v: int, k: int) -> int:
+    # v / 2^k rounded to the nearest integer
+    return (v + (1 << k >> 1)) >> k
 
 
-def sqrt_lower(q: Fraction) -> Fraction:
-    if q <= 0:
-        return _ZERO
-    n, d = q.numerator, q.denominator
-    return Fraction(math.isqrt(n * d), d)
+def _ceil_shift(v: int, k: int) -> int:
+    return -(-v >> k)
+
+
+def _round_div(v: int, d: int) -> int:
+    # v / d rounded to the nearest integer, for d > 0
+    return (2 * v + d) // (2 * d)
+
+
+def _grid(x: "ComplexBall", y: "ComplexBall") -> int:
+    if x.bits != y.bits:
+        raise ValueError("balls on different grids")
+    return x.bits
 
 
 @dataclass(frozen=True)
 class ComplexBall:
-    re: Fraction
-    im: Fraction
-    rad: Fraction
+    """The disc of radius rad * 2^-bits about (re + i im) * 2^-bits."""
 
-    @staticmethod
-    def exact(re, im=0) -> "ComplexBall":
-        return ComplexBall(Fraction(re), Fraction(im), _ZERO)
-
-    def abs_lower(self) -> Fraction:
-        low = sqrt_lower(self.re * self.re + self.im * self.im) - self.rad
-        return low if low > 0 else _ZERO
+    re: int
+    im: int
+    rad: int
+    bits: int
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
         return ComplexBall(self.re + other.re, self.im + other.im,
-                           self.rad + other.rad)
+                           self.rad + other.rad, _grid(self, other))
 
     def __sub__(self, other: "ComplexBall") -> "ComplexBall":
         return ComplexBall(self.re - other.re, self.im - other.im,
-                           self.rad + other.rad)
-
-    def __neg__(self) -> "ComplexBall":
-        return ComplexBall(-self.re, -self.im, self.rad)
+                           self.rad + other.rad, _grid(self, other))
 
     def __mul__(self, other: "ComplexBall") -> "ComplexBall":
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        a = sqrt_upper(self.re * self.re + self.im * self.im)
-        b = sqrt_upper(other.re * other.re + other.im * other.im)
-        rad = a * other.rad + b * self.rad + self.rad * other.rad
-        return ComplexBall(re, im, rad)
-
-    def conj(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im, self.rad)
-
-    def mul_i(self) -> "ComplexBall":
-        return ComplexBall(-self.im, self.re, self.rad)
-
-    def inverse(self) -> "ComplexBall":
-        low = self.abs_lower()
-        if low <= self.rad or low == 0:
-            raise PrecisionExhausted("inversion of a ball containing zero")
-        n = self.re * self.re + self.im * self.im
-        centre_re, centre_im = self.re / n, -self.im / n
-        rad = self.rad / (low * (low - self.rad))
-        return ComplexBall(centre_re, centre_im, rad)
+        bits = _grid(self, other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # |x'y' - xy| <= |x| r_y + |y| r_x + r_x r_y, on the grid 2^-2bits
+        rad = ((math.isqrt(a * a + b * b) + 1) * other.rad
+               + (math.isqrt(c * c + d * d) + 1 + other.rad) * self.rad)
+        return ComplexBall(_round_shift(a * c - b * d, bits), _round_shift(a * d + b * c, bits),
+                           _ceil_shift(rad, bits) + 1, bits)
 
     def __truediv__(self, other: "ComplexBall") -> "ComplexBall":
-        return self * other.inverse()
+        bits = _grid(self, other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
+        low = math.isqrt(norm)  # |other| is at least low grid steps
+        if low <= other.rad:
+            raise PrecisionExhausted("division by a ball containing zero")
+        # |x'/y' - x/y| <= (r_x |y| + |x| r_y) / (|y| (|y| - r_y)), which
+        # decreases in |y|; the quotient's mantissa is scaled by 2^bits
+        rad = (self.rad * low + (math.isqrt(a * a + b * b) + 1) * other.rad) << bits
+        return ComplexBall(_round_div((a * c + b * d) << bits, norm),
+                           _round_div((b * c - a * d) << bits, norm),
+                           -(-rad // (low * (low - other.rad))) + 1, bits)
 
-    def round_to(self, bits: int) -> "ComplexBall":
-        # snap the centre to a dyadic grid (shift absorbed into the radius)
-        # and round the radius itself upward onto the same grid, so that
-        # chained operations cannot accumulate ever-larger denominators
-        scale = 1 << bits
-        re = Fraction(round(self.re * scale), scale)
-        im = Fraction(round(self.im * scale), scale)
-        rad = Fraction(math.ceil(self.rad * scale) + 1, scale)
-        return ComplexBall(re, im, rad)
+    def inverse(self) -> "ComplexBall":
+        return ComplexBall(1 << self.bits, 0, 0, self.bits) / self
 
-    def __str__(self):
-        return f"({float(self.re):+.12g}{float(self.im):+.12g}j) +/- {float(self.rad):.3g}"
+    def to(self, bits: int) -> "ComplexBall":
+        """The same enclosure on the grid 2^-bits: exact when refining."""
+        k = bits - self.bits
+        if k >= 0:
+            return ComplexBall(self.re << k, self.im << k, self.rad << k, bits)
+        return ComplexBall(_round_shift(self.re, -k), _round_shift(self.im, -k),
+                           _ceil_shift(self.rad, -k) + 1, bits)
 
 
 # ---------------------------------------------------------------------------
 # pi and exp(2 pi i t)
 
-def _arctan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
-    # arctan(1/x) by the alternating Taylor series; error < first omitted term
-    total = _ZERO
-    k = 0
-    term = Fraction(1, x)
-    eps = Fraction(1, 1 << (bits + 4))
-    while term >= eps:
-        total += term if k % 2 == 0 else -term
-        k += 1
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-    if k % 2 == 0:
-        return total, total + term
-    return total - term, total
-
-
 @lru_cache(maxsize=None)
-def pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= pi <= hi with hi - lo < 2^-bits (Machin formula)."""
-    a_lo, a_hi = _arctan_inv_bounds(5, bits + 6)
-    b_lo, b_hi = _arctan_inv_bounds(239, bits + 6)
-    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
+def pi_bounds(bits: int) -> tuple[int, int]:
+    """Integers lo < pi * 2^bits < hi with hi - lo <= 2 (Machin's formula).
 
-
-def _cos_sin_small(theta_lo: Fraction, theta_hi: Fraction, bits: int):
-    # Taylor with alternating remainder, valid for 0 <= theta <= 1
-    eps = Fraction(1, 1 << (bits + 2))
-
-    def eval_at(theta: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        c = _ONE
-        s = theta
-        term = theta
-        k = 1
-        while True:
-            term = term * theta / (2 * k)
-            c += term if k % 2 == 0 else -term
-            term = term * theta / (2 * k + 1)
-            s += term if k % 2 == 0 else -term
+    pi = 16 arctan(1/5) - 4 arctan(1/239), each series summed in integers
+    scaled by 2^(bits + guard).  Nested floor divisions by positive
+    integers equal one floor division, so each summand is the floor of
+    its exact value and errs by less than 1; the alternating tail after
+    the first zero power is below 1 as well.
+    """
+    guard = bits.bit_length() + 8
+    total = err = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k = (1 << (bits + guard)) // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += weight * (term if k % 2 == 0 else -term)
+            power //= x * x
             k += 1
-            if term < eps:
-                return c, s, term
-
-    c_lo, s_lo, r1 = eval_at(theta_lo)
-    c_hi, s_hi, r2 = eval_at(theta_hi)
-    slack = max(r1, r2)
-    # cos decreasing, sin increasing on [0, pi/4]
-    cos_int = (c_hi - slack, c_lo + slack)
-    sin_int = (s_lo - slack, s_hi + slack)
-    return cos_int, sin_int
+        err += abs(weight) * (k + 1)
+    return (total - err) >> guard, _ceil_shift(total + err, guard)
 
 
 def unit_turn(t: Fraction, bits: int) -> ComplexBall:
-    """Enclosure of exp(2 pi i t) for a rational number of turns t.
+    """Enclosure of exp(2 pi i t), on the grid 2^-bits with radius at most
+    4 * 2^-bits, for a rational number of turns t.
 
     Results are memoised per (t mod 1, bits): embedding a matrix and
     placing arc endpoints ask for the same few roots many times.
@@ -172,58 +137,62 @@ def unit_turn(t: Fraction, bits: int) -> ComplexBall:
 
 @lru_cache(maxsize=None)
 def _unit_turn(t: Fraction, bits: int) -> ComplexBall:
-    # normalises t again so that the uncached _unit_turn.__wrapped__,
-    # the reference the tests compare against, takes any t
-    t = Fraction(t) % 1
-    quarter, t = divmod(t, Fraction(1, 4))
-    flip = False
-    if t > Fraction(1, 8):
-        t = Fraction(1, 4) - t
-        flip = True
-    pi_lo, pi_hi = pi_bounds(bits + 6)
-    theta_lo, theta_hi = 2 * t * pi_lo, 2 * t * pi_hi
-    (c_lo, c_hi), (s_lo, s_hi) = _cos_sin_small(theta_lo, theta_hi, bits)
-    re = (c_lo + c_hi) / 2
-    im = (s_lo + s_hi) / 2
-    rad = max(c_hi - re, re - c_lo) + max(s_hi - im, im - s_lo)
-    ball = ComplexBall(re, im, rad)
-    if flip:
-        ball = ball.conj().mul_i()  # exp(i(pi/2 - x)) = i conj(exp(ix))
-    for _ in range(int(quarter) % 4):
-        ball = ball.mul_i()
-    return ball.round_to(bits + 8)
+    # exp(2 pi i t) = i^quarter exp(i theta), theta = pi rem / (2 den) in
+    # [0, pi/2); normalising t here lets the uncached __wrapped__ take any t
+    quarter, rem = divmod(4 * (t.numerator % t.denominator), t.denominator)
+    # the exact angle times 2^w lies in [theta, theta + theta_err]
+    w = bits + bits.bit_length() + 6
+    pi_lo, pi_hi = pi_bounds(w)
+    theta = pi_lo * rem // (2 * t.denominator)
+    theta_err = -(-pi_hi * rem // (2 * t.denominator)) - theta
+    # Taylor series of exp(i theta) scaled by 2^w.  The n-th term is the
+    # floor of the previous one times theta / n, so it falls short of its
+    # exact value by e_n <= e_(n-1) theta / n + 1 <= 3 (theta < 1.6, e_1 = 0);
+    # once a term is 0 the exact tail is below 7.  The terms vanish for
+    # n > max(w, 7), so bit_length(bits) + 6 guard bits absorb 3n + 7.
+    one = 1 << w
+    re, im, term, n = one, 0, one, 0
+    while term:
+        n += 1
+        term = (term * theta >> w) // n
+        if n % 4 == 0:
+            re += term
+        elif n % 4 == 1:
+            im += term
+        elif n % 4 == 2:
+            re -= term
+        else:
+            im -= term
+    for _ in range(quarter):
+        re, im = -im, re
+    return ComplexBall(re, im, 3 * n + 7 + theta_err, w).to(bits)
 
 
 # ---------------------------------------------------------------------------
 # certified embedding of cyclotomic numbers
 
 def embed(x: CyclotomicNumber, j: int, precision: int) -> ComplexBall:
-    """Ball of radius <= 2^-precision around x under zeta_m -> exp(2 pi i j / m)."""
+    """Ball around x under zeta_m -> exp(2 pi i j / m), on the grid of
+    ``precision`` (2^-precision) with radius at most 2^(1 - precision)."""
     m = x.conductor
     if math.gcd(j % m if m > 1 else 1, m) != 1:
         raise ValueError("embedding exponent must be coprime to the conductor")
-    target = Fraction(1, 1 << precision)
     bits = precision + 8
     for _ in range(12):
         ball = _embed_at(x, j, bits)
-        if ball.rad <= target:
-            return ball
+        if ball.rad <= 1 << (bits - precision):
+            return ball.to(precision)
         bits *= 2
     raise PrecisionExhausted("embedding did not reach the requested radius")
 
 
 def _embed_at(x: CyclotomicNumber, j: int, bits: int) -> ComplexBall:
-    m = x.conductor
-    if m == 1:
-        return ComplexBall.exact(x.rational_value())
-    root = unit_turn(Fraction(j, m), bits)
-    # Horner over the coefficient vector, rounding to keep denominators small
-    acc = ComplexBall.exact(0)
-    coeffs = x.coefficients()
-    for c in reversed(coeffs):
-        acc = acc * root
-        if c:
-            acc = acc + ComplexBall.exact(c)
-        acc = acc.round_to(bits)
-    return acc
-
+    # Horner over the integer numerator, then one division by the denominator
+    acc = ComplexBall(x.num[-1] << bits, 0, 0, bits)
+    if len(x.num) > 1:
+        root = unit_turn(Fraction(j, x.conductor), bits)
+        for c in reversed(x.num[:-1]):
+            acc = acc * root + ComplexBall(c << bits, 0, 0, bits)
+    if x.den == 1:
+        return acc
+    return acc / ComplexBall(x.den << bits, 0, 0, bits)

@@ -20,8 +20,8 @@ from .balls import PrecisionExhausted
 from .cyclotomic import root_of_unity
 from .hyperbolic import (MAX_CERT_CONDUCTOR, MAX_CERT_POWER, MAX_CERT_PRECISION,
                          PAIR_CONTEXT, PingPongCertificate, PingPongConfig,
-                         invariant_form, oracle_report, ping_pong_certify,
-                         verify_certificate)
+                         check_cert_letters, invariant_form, oracle_report,
+                         ping_pong_certify, verify_certificate)
 from .modular import (psl_order, psl_order_bruteforce, verify_presentation,
                       verify_st_kernel)
 from .quantum import build_params, gamma_at_p, twist_projective_order
@@ -179,6 +179,10 @@ def _cmd_certify_free(args) -> int:
     q = root_of_unity(args.order, 1)
     x = parse_word(PAIR_CONTEXT, args.x)
     y = parse_word(PAIR_CONTEXT, args.y)
+    if args.pingpong:
+        # every certificate the search writes must pass verify-cert's bounds
+        check_cert_letters(x, args.max_power, "--x")
+        check_cert_letters(y, args.max_power, "--y")
     witness, claim = oracle_report(x, y, q, args.max_len)
     claims = [claim]
     report = {"command": "certify-free",

@@ -8,8 +8,8 @@ only its signature depends on the chosen embedding.  For an indefinite
 form the null circle { v* J v = 0 } is a genuine round circle preserved
 by the whole group, so ping-pong runs directly on that circle: arcs are
 given by rational fractions of a turn, endpoint images are enclosed in
-balls, and each inclusion is certified by two orientation determinants
-whose signs are bounded away from zero.
+balls on one binary grid, and each inclusion is certified by two exact
+integer orientation determinants whose signs are bounded away from zero.
 
 Floating point appears only inside the certificate *search*; every
 accepted certificate is re-derived from exact data through ball
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import ComplexBall, PrecisionExhausted, embed, sqrt_lower, sqrt_upper, unit_turn
+from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
 from .burau import CycloMatrix, pair_word_eval, projective_order, squared_images
 from .cyclotomic import CyclotomicNumber, dot, root_of_unity
 from .reports import ClaimReport
@@ -175,10 +175,14 @@ _ORDER_BOUND = 120
 
 # Bounds on certificate input, checked before any arithmetic: verification
 # works at twice the stored precision and doubles it on retries, and the
-# conductor and the powers set the size of the exact matrices.
+# conductor and the letters of each word's power set the size of the exact
+# matrices and the precision their embeddings escalate to.
 MAX_CERT_PRECISION = 1024
 MAX_CERT_CONDUCTOR = 1024
 MAX_CERT_POWER = 64
+MAX_CERT_LETTERS = 4096
+# "A^-1 " spells a letter in five characters; longer text is not parsed
+_MAX_WORD_TEXT = 8 * MAX_CERT_LETTERS
 _CERT_KEYS = ("q", "embedding", "x_word", "y_word", "power_x", "power_y",
               "arcs", "margin", "precision")
 _ARC_NAMES = ("x_att", "x_rep", "y_att", "y_rep")
@@ -197,6 +201,21 @@ def _json_int(value, what: str, lo: int, hi: int) -> int:
     if not lo <= _json_typed(value, int, what) <= hi:
         raise ValueError(f"certificate {what} must lie in {lo}..{hi}")
     return value
+
+
+def check_cert_letters(w: GroupWord, power: int, what: str) -> None:
+    """Raise ValueError when w^power has more than MAX_CERT_LETTERS letters."""
+    if w.length() * power > MAX_CERT_LETTERS:
+        raise ValueError(f"{what} has {w.length()} letters; to the power {power} "
+                         f"that exceeds {MAX_CERT_LETTERS}")
+
+
+def _json_word(value, what: str, power: int) -> str:
+    text = _json_typed(value, str, what)
+    if len(text) > _MAX_WORD_TEXT:
+        raise ValueError(f"certificate {what} is longer than {_MAX_WORD_TEXT} characters")
+    check_cert_letters(parse_word(PAIR_CONTEXT, text), power, f"certificate {what}")
+    return text
 
 
 def _json_rational(value, what: str) -> Fraction:
@@ -267,8 +286,8 @@ class PingPongCertificate:
         precision = _json_int(data["precision"], "precision", 1, MAX_CERT_PRECISION)
         power_x = _json_int(data["power_x"], "power_x", 1, MAX_CERT_POWER)
         power_y = _json_int(data["power_y"], "power_y", 1, MAX_CERT_POWER)
-        x_word = _json_typed(data["x_word"], str, "x_word")
-        y_word = _json_typed(data["y_word"], str, "y_word")
+        x_word = _json_word(data["x_word"], "x_word", power_x)
+        y_word = _json_word(data["y_word"], "y_word", power_y)
         margin = _json_rational(data["margin"], "margin")
         embedding = _json_typed(data["embedding"], int, "embedding")
         q_value = CyclotomicNumber.from_coefficients(conductor, coeffs)
@@ -317,24 +336,22 @@ class _CircleBalls:
         self.bits = bits
         self.centre = embed(circle.centre, embedding, bits)
         rsq = embed(circle.radius_sq, embedding, bits)
-        lo = rsq.re - rsq.rad
-        hi = rsq.re + rsq.rad
+        lo, hi = rsq.re - rsq.rad, rsq.re + rsq.rad
         if lo <= 0:
             raise PrecisionExhausted("radius enclosure touches zero")
-        r_lo, r_hi = sqrt_lower(lo), sqrt_upper(hi)
-        self.radius = ComplexBall((r_lo + r_hi) / 2, Fraction(0), (r_hi - r_lo) / 2)
+        # sqrt(v 2^-bits) has the mantissa sqrt(v 2^bits) on the same grid
+        r_lo, r_hi = math.isqrt(lo << bits), math.isqrt(hi << bits) + 1
+        self.radius = ComplexBall((r_lo + r_hi) >> 1, 0, (r_hi - r_lo + 1) >> 1, bits)
 
     def point(self, t: Fraction) -> ComplexBall:
-        return (self.centre + self.radius * unit_turn(t, self.bits)).round_to(self.bits)
+        return self.centre + self.radius * unit_turn(t, self.bits)
 
 
-def _mobius(mat_balls, p: ComplexBall, bits: int) -> ComplexBall:
-    # dyadic rounding after each stage keeps denominators near the working
-    # precision; the enclosure property is preserved by round_to
+def _mobius(mat_balls, p: ComplexBall) -> ComplexBall:
+    # every ball operation rounds onto its operands' grid and widens the
+    # radius to match, so the image needs no rounding here
     (a, b), (c, d) = mat_balls
-    num = (a * p + b).round_to(bits)
-    den = (c * p + d).round_to(bits)
-    return (num / den).round_to(bits)
+    return (a * p + b) / (c * p + d)
 
 
 def _embed_matrix(m: CycloMatrix, embedding: int, bits: int):
@@ -345,10 +362,10 @@ def _orient_positive(p: ComplexBall, q_: ComplexBall, r: ComplexBall) -> bool | 
     # sign of the cross product (q - p) x (r - p); None when undecided
     u = q_ - p
     v = r - p
-    # real ball of u.re * v.im - u.im * v.re
+    # real ball of u.re * v.im - u.im * v.re, exact on the grid 2^-2bits
     centre = u.re * v.im - u.im * v.re
-    bound_u = sqrt_upper(u.re * u.re + u.im * u.im)
-    bound_v = sqrt_upper(v.re * v.re + v.im * v.im)
+    bound_u = math.isqrt(u.re * u.re + u.im * u.im) + 1
+    bound_v = math.isqrt(v.re * v.re + v.im * v.im) + 1
     rad = bound_u * v.rad + bound_v * u.rad + u.rad * v.rad
     if centre - rad > 0:
         return True
@@ -413,8 +430,8 @@ def _ball_inclusions(cert: PingPongCertificate, x_mat: CycloMatrix, y_mat: Cyclo
         mb = _embed_matrix(mat, cert.embedding, bits)
         # the complement of the repelling arc is the ccw arc (rep_e, rep_s);
         # its image is the ccw arc between the images of its endpoints
-        w1 = _mobius(mb, balls.point(rep_e), bits)
-        w2 = _mobius(mb, balls.point(rep_s), bits)
+        w1 = _mobius(mb, balls.point(rep_e))
+        w2 = _mobius(mb, balls.point(rep_s))
         a1 = balls.point(att_s)
         a2 = balls.point(att_e)
         first = _orient_positive(a1, w1, w2)

@@ -173,6 +173,10 @@ def _swap_attracting(data):
     (lambda data: data, 0),
 ])
 def test_verify_cert_input(capsys, tmp_path, cert_json, edit, expected):
+    _check_verify_cert(capsys, tmp_path, cert_json, edit, expected)
+
+
+def _check_verify_cert(capsys, tmp_path, cert_json, edit, expected):
     path = tmp_path / "cert.json"
     edited = edit(json.loads(cert_json))
     path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
@@ -185,10 +189,31 @@ def test_verify_cert_input(capsys, tmp_path, cert_json, edit, expected):
         assert report["overall"] == ("pass" if expected == 0 else "fail")
 
 
+_COMMUTATORS_50 = " ".join(["A B A^-1 B^-1"] * 50)
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_with(x_word="C"), 2),
+    (_with(x_word="A^4097"), 2),                     # more than MAX_CERT_LETTERS
+    (_with(y_word="B^-1025", power_y=4), 2),
+    (_with(x_word=_COMMUTATORS_50, power_x=64), 2),  # 12,800 letters
+    (_with(y_word="B" + " " * 40000), 2),            # too long to parse
+    (_with(x_word=_COMMUTATORS_50), 1),              # within bounds, fails the inclusions
+], ids=["unknown-letter", "letters", "letters-times-power", "long-word-power-64",
+        "long-text", "long-word-power-1"])
+def test_verify_cert_bounds_word_letters(capsys, tmp_path, cert_json, edit, expected):
+    # letters times power is checked before any arithmetic
+    _check_verify_cert(capsys, tmp_path, cert_json, edit, expected)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_certify_free_and_verify_cert_golden(capsys, tmp_path, monkeypatch):
+# the goldens at orders other than 14 were recorded from the program
+# before the balls held integer mantissas: a kernel that changed an
+# inclusion decision or a precision escalation would change a certificate
+@pytest.mark.parametrize("order", [7, 8, 11, 14, 20, 30])
+def test_certify_free_and_verify_cert_golden(capsys, tmp_path, monkeypatch, order):
     # stdout of the freeness path, byte for byte; the certificate files are
     # named relative to the working directory, as the reports echo them
     monkeypatch.chdir(tmp_path)
@@ -197,13 +222,13 @@ def test_certify_free_and_verify_cert_golden(capsys, tmp_path, monkeypatch):
         assert main(argv) == expected
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
-    check(["certify-free", "--order", "14", "--x", "A B A^-1 B^-1",
+    check(["certify-free", "--order", str(order), "--x", "A B A^-1 B^-1",
            "--y", "A^2 B A^-2 B^-1", "--max-len", "6", "--pingpong",
-           "--precision", "32", "--cert-out", "cert.json"], 0, "certify_free_14.json")
-    check(["verify-cert", "--file", "cert.json"], 0, "verify_cert_14.json")
+           "--precision", "32", "--cert-out", "cert.json"], 0, f"certify_free_{order}.json")
+    check(["verify-cert", "--file", "cert.json"], 0, f"verify_cert_{order}.json")
     swapped = _swap_attracting(json.loads(Path("cert.json").read_text()))
     Path("swapped.json").write_text(json.dumps(swapped))
-    check(["verify-cert", "--file", "swapped.json"], 1, "verify_cert_14_swapped.json")
+    check(["verify-cert", "--file", "swapped.json"], 1, f"verify_cert_{order}_swapped.json")
 
 
 # the second claim at orders where the form search ends early, recorded
@@ -281,6 +306,18 @@ def test_out_of_range_options_exit_2(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("words", [
+    ["--x", "A^4097"],
+    ["--x", "A^1025"],                        # times the default --max-power 4
+    ["--y", "B^65", "--max-power", "64"],
+])
+def test_certify_free_rejects_words_past_the_letter_bound(capsys, words):
+    # letters times --max-power must stay within what verify-cert accepts
+    code, report, err = run_cli(capsys, *_CERTIFY, *words)
+    assert code == 2 and report is None
+    assert err.startswith("error: ") and "4096" in err and err.count("\n") == 1
 
 
 def test_option_bounds_are_inclusive():

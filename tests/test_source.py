@@ -17,6 +17,19 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_modules_import_no_private_names_from_siblings():
+    # a module's underscore names (the ball grid and its rounding, say)
+    # stay behind its public interface
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("burauforge")):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_module_exports_resolve():
     # a deleted function must not leave its name behind in __all__
     missing, exporting = [], 0
