@@ -52,13 +52,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _int_in(lo: int, hi: int):
+# the oracle's last level has 4 * 3^(L-1) words, and its frontier holds
+# the whole level before it
+MAX_ORACLE_LEN = 10
+# psl_order factors the modulus by trial division up to its square root
+MAX_MODULUS = 10 ** 12
+
+
+def _int_in(lo: int | None, hi: int):
+    # lo None leaves the lower bound to the command, with its own message
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if not lo <= value <= hi:
+        if lo is None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}")
+        if lo is not None and not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"must lie in {lo}..{hi}")
         return value
     return parse
@@ -313,9 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kw)
 
     p = add_parser("classify", help="image type for a parameter of given order")
-    p.add_argument("--order", type=int, required=True,
-                   help="multiplicative order of q; matrices are evaluated at -q, "
-                        "and the image is finite exactly for orders 1..6")
+    # the order is the conductor of the field tables, as for certify-free
+    p.add_argument("--order", type=_int_in(1, MAX_CERT_CONDUCTOR), required=True,
+                   help=f"multiplicative order of q, 1..{MAX_CERT_CONDUCTOR}; matrices are "
+                        "evaluated at -q, and the image is finite exactly for orders 1..6")
     p.set_defaults(func=_cmd_classify)
 
     p = add_parser("verify", help="run a verification suite over a range")
@@ -324,12 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive, e.g. 4..24 (k for even/odd/oddlem, n or r otherwise)")
     p.set_defaults(func=_cmd_verify)
 
+    # a level p works in conductors up to 2p, which stays within 1024
+    level = _int_in(3, MAX_CERT_CONDUCTOR // 2)
     p = add_parser("params", help="quantum parameter record for a level")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=level, required=True)
     p.set_defaults(func=_cmd_params)
 
     p = add_parser("twist-order", help="projective order of the twist image")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=level, required=True)
     p.set_defaults(func=_cmd_twist_order)
 
     p = add_parser("certify-free",
@@ -339,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"order of the parameter root of unity, 1..{MAX_CERT_CONDUCTOR}")
     p.add_argument("--x", required=True, help="word over A, B, e.g. 'A B A^-1 B^-1'")
     p.add_argument("--y", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_in(1, MAX_ORACLE_LEN), required=True)
     p.add_argument("--pingpong", action="store_true")
     p.add_argument("--max-power", type=_int_in(1, MAX_CERT_POWER), default=4)
     # the search may double the precision once, and every certificate it
@@ -360,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_artin)
 
     p = add_parser("euler", help="Euler characteristics for the (2,3,n) data")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(None, MAX_MODULUS), required=True)
     p.set_defaults(func=_cmd_euler)
 
     p = add_parser("f", help="free-generator count bound")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(None, MAX_MODULUS), required=True)
     p.set_defaults(func=_cmd_f)
     return parser
 

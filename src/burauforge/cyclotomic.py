@@ -8,10 +8,14 @@ field are exactly the signed powers of its root; multiplicative orders,
 Galois action and equality are all decided exactly.
 
 Rationals are detected on construction and collapse to conductor 1.
-Reduction to the minimal cyclotomic subfield is performed lazily by
-``canonical()`` (and by hashing / serialisation), never in the hot
-arithmetic path; equality across conductors is an exact zero test of
-the difference, which gives the same answer.
+One integer step moves a value down a prime p of its conductor m: its
+relative trace to Q(zeta_(m/p)) divided by the degree.  Construction
+takes that step for p = 2 when m = 2 (mod 4), where the degree is 1.
+``canonical()`` (and hashing / serialisation) takes it lazily, prime
+by prime, for as long as the value equals its trace, which reaches the
+minimal cyclotomic subfield; the hot arithmetic path never does.
+Equality across conductors is an exact zero test of the difference,
+which gives the same answer.
 
 Inversion uses only these field operations.  A root of unity +-zeta^j is
 looked up in the torsion table and inverts to its complex conjugate.
@@ -243,7 +247,9 @@ class CyclotomicNumber:
         if m > 1 and not any(vec[1:]):
             return CyclotomicNumber._make(1, [vec[0]], den)
         if m % 4 == 2:
-            return CyclotomicNumber._make(*_fold_even_conductor(m, vec), den)
+            # Q(zeta_2d) = Q(zeta_d) for odd d: a trace of degree 1
+            vec, scale = _relative_trace(m, vec, 2)
+            return CyclotomicNumber._make(m // 2, vec, den * scale)
         nv, nd = _content_normalise(vec, den)
         return CyclotomicNumber(m, nv, nd)
 
@@ -409,20 +415,24 @@ class CyclotomicNumber:
     # -- canonical (minimal conductor) form -----------------------------------
 
     def canonical(self) -> "CyclotomicNumber":
+        """self stored in its minimal field Q(zeta_f), f never 2 mod 4.
+
+        A value at conductor m lies in Q(zeta_(m/p)) exactly when it
+        equals its relative trace divided by the degree, and Q(zeta_a)
+        and Q(zeta_b) meet in Q(zeta_gcd(a, b)); so stepping down one
+        prime of the conductor at a time while that holds reaches f.  The
+        result is memoised on self and on itself.
+        """
         if self._canon is not None:
             return self._canon
         x = self
-        m = x.conductor
-        for d in _divisors(m):
-            if d == m or d % 4 == 2:
-                continue
-            if _fixed_by_subfield_group(x, d):
-                x = _rewrite_in_subfield(x, d)
-                break
-        else:
-            d = m
-        if d != m:
-            x = x.canonical()
+        for p in prime_factors(x.conductor):
+            while x.conductor % p == 0:
+                vec, scale = _relative_trace(x.conductor, x.num, p)
+                y = CyclotomicNumber._make(x.conductor // p, vec, x.den * scale)
+                if y != x:
+                    break
+                x = y
         self._canon = x
         x._canon = x
         return x
@@ -497,39 +507,23 @@ class CyclotomicNumber:
 
 
 # ---------------------------------------------------------------------------
-# conductor folding, subfield rewriting, torsion
+# relative traces, torsion
 
-def _fold_even_conductor(m: int, vec: list[int]) -> tuple[int, list[int]]:
-    # m = 2d with d odd: zeta_m = -zeta_d^((d+1)/2)
-    d = m // 2
-    half = (d + 1) // 2
-    return d, _row_sum(d, (((k * half) % d, -c if k % 2 else c) for k, c in enumerate(vec)))
-
-
-def _fixed_by_subfield_group(x: CyclotomicNumber, d: int) -> bool:
-    m = x.conductor
-    for j in range(1 + d, m, d):
-        if math.gcd(j, m) == 1 and x.galois(j) != x:
-            return False
-    return True
-
-
-def _rewrite_in_subfield(x: CyclotomicNumber, d: int) -> CyclotomicNumber:
-    # Solve for coordinates of x over the power basis of Q(zeta_d);
-    # existence is guaranteed by Galois fixedness.
-    m = x.conductor
-    t = m // d
-    rows = _reduction_rows(m)
-    dm, dd = euler_phi(m), euler_phi(d)
-    cols = [rows[(t * s) % m] for s in range(dd)]
-    aug = [[Fraction(cols[c][r]) for c in range(dd)] + [Fraction(x.num[r], x.den)]
-           for r in range(dm)]
-    # the columns are independent, so a solution is a pivot in each of them
-    # and none in the right-hand side
-    rref, pivots = row_reduce(aug)
-    if pivots != list(range(dd)):
-        raise ArithmeticError("subfield rewrite failed despite Galois fixedness")
-    return CyclotomicNumber.from_coefficients(d, [row[dd] for row in rref[:dd]])
+def _relative_trace(m: int, vec, p: int) -> tuple[list[int], int]:
+    # (vec', scale): the trace of vec from Q(zeta_m) to Q(zeta_n), n = m/p,
+    # divided by its degree, is vec' / scale over the powers of
+    # zeta_n = zeta_m^p.  When p | n the p conjugates over Q(zeta_n) send
+    # zeta_m to zeta_p^s zeta_m: they fix zeta_m^(p j) = zeta_n^j and sum
+    # every other power to 0.  Otherwise zeta_m = zeta_p^b zeta_n^a with
+    # a = p^-1 mod n, b = n^-1 mod p, and the p - 1 conjugates zeta_p ->
+    # zeta_p^s send zeta_m^i to a sum of zeta_p^(b i s) zeta_n^(a i), which
+    # is (p - 1) zeta_n^(a i) when p | i and -zeta_n^(a i) when not.
+    n = m // p
+    if n % p == 0:
+        return list(vec[::p]), 1
+    a = pow(p, -1, n)
+    return _row_sum(n, (((a * i) % n, c * (p - 1) if i % p == 0 else -c)
+                        for i, c in enumerate(vec))), p - 1
 
 
 _ZERO = CyclotomicNumber.from_rational(0)

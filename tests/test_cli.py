@@ -298,6 +298,19 @@ _CERTIFY = ["certify-free", "--order", "14", "--x", "A", "--y", "B", "--max-len"
     ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "-3"],
     ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "11"],
     ["artin", "--braid", "g1^2", "--strand", "1", "--depth", "30"],
+    # the order or level sizes the field tables; a level p needs conductor 2p
+    ["classify", "--order", "0"],
+    ["classify", "--order", "1025"],
+    ["params", "--p", "2"],
+    ["params", "--p", "513"],
+    ["twist-order", "--p", "2"],
+    ["twist-order", "--p", "513"],
+    # the oracle's last level has 4 * 3^(L-1) words
+    ["certify-free", "--order", "7", "--x", "A", "--y", "B", "--max-len", "0"],
+    ["certify-free", "--order", "7", "--x", "A", "--y", "B", "--max-len", "11"],
+    # psl_order factors n by trial division
+    ["euler", "--n", str(10 ** 12 + 1)],
+    ["f", "--n", str(10 ** 12 + 1)],
 ])
 def test_out_of_range_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -338,6 +351,28 @@ def test_option_bounds_are_inclusive():
         args = build_parser().parse_args(["artin", "--braid", "g1^2", "--strand", "1",
                                           "--depth", depth])
         assert args.depth == int(depth)
+    for order in ("1", "1024"):
+        assert build_parser().parse_args(["classify", "--order", order]).order == int(order)
+    for cmd in ("params", "twist-order"):
+        for level in ("3", "512"):
+            assert build_parser().parse_args([cmd, "--p", level]).p == int(level)
+    for max_len in ("1", "10"):
+        args = build_parser().parse_args(["certify-free", "--order", "7", "--x", "A",
+                                          "--y", "B", "--max-len", max_len])
+        assert args.max_len == int(max_len)
+    for cmd in ("euler", "f"):
+        for n in ("-3", "0", str(10 ** 12)):
+            assert build_parser().parse_args([cmd, "--n", n]).n == int(n)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["euler", "--n", "6"], "error: n must be at least 7\n"),
+    (["f", "--n", "5"], "error: n must be odd and at least 7\n"),
+    (["f", "--n", "-8"], "error: n must be odd and at least 7\n"),
+])
+def test_lower_bounds_of_n_stay_with_the_command(capsys, argv, message):
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report, err) == (2, None, message)
 
 
 # stdout recorded from the program before its powering, row reduction,

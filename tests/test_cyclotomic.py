@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
-                                   euler_phi, galois_conjugates,
-                                   multiplicative_order, prime_factors,
-                                   root_of_unity, row_reduce)
+from burauforge.cyclotomic import (CyclotomicNumber, _reduction_rows,
+                                   cyclotomic_polynomial, euler_phi,
+                                   galois_conjugates, multiplicative_order,
+                                   prime_factors, root_of_unity, row_reduce)
 
 C = CyclotomicNumber
 
@@ -124,6 +124,75 @@ def test_serialisation_roundtrip():
     data = x.to_json()
     assert set(data) == {"conductor", "coeffs"}
     assert C.from_json(data) == x
+
+
+def _stored(x):
+    return x.conductor, x.num, x.den
+
+
+def reference_canonical(x):
+    # The least divisor d of the conductor m, d not 2 mod 4, whose Galois
+    # subgroup {j = 1 mod d} fixes x; then the coordinates of x over the
+    # powers of zeta_m^(m/d) by a Fraction solve.
+    m = x.conductor
+    d = next(d for d in range(1, m + 1) if m % d == 0 and d % 4 != 2 and all(
+        x.galois(j) == x for j in range(1 + d, m, d) if math.gcd(j, m) == 1))
+    if d == m:
+        return x
+    rows, dd = _reduction_rows(m), euler_phi(d)
+    aug = [[Fraction(rows[(m // d * s) % m][r]) for s in range(dd)] + [Fraction(v, x.den)]
+           for r, v in enumerate(x.num)]
+    rref, pivots = row_reduce(aug)
+    assert pivots == list(range(dd))
+    return reference_canonical(C.from_coefficients(d, [row[dd] for row in rref[:dd]]))
+
+
+def reference_fold(d, coeffs):
+    # sum c_k zeta_2d^k for odd d, with zeta_2d = -zeta_d^((d+1)/2)
+    z = -root_of_unity(d, (d + 1) // 2)
+    return sum((c * z ** k for k, c in enumerate(coeffs)), rational(0))
+
+
+def _at(m, d, coeffs):
+    # x in Q(zeta_d), d | m, and the same value stored at conductor m
+    x = C.from_coefficients(d, coeffs)
+    return x, root_of_unity(m, 1) * x * root_of_unity(m, -1)
+
+
+@st.composite
+def stored_above_minimal(draw):
+    m = draw(st.integers(min_value=1, max_value=130))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=euler_phi(d),
+                           max_size=euler_phi(d)))
+    den = draw(st.integers(min_value=1, max_value=6))
+    return _at(m, d, [Fraction(c, den) for c in coeffs])
+
+
+@given(stored_above_minimal())
+@example(_at(64, 16, [1, 0, 2, 0, 0, 0, 0, -1]))           # 2^k
+@example(_at(81, 9, [0, 1, 0, 0, 3, 0]))                    # p^k
+@example(_at(60, 20, [1, 2, 0, 0, 0, 0, 0, 1]))             # 4 * odd
+@example(_at(105, 15, [0, 1, 1, 0, 0, 0, 0, -2]))           # three primes
+@example(_at(120, 24, [1, 0, 0, 0, 0, 0, 0, 1]))
+@example(_at(126, 21, [1] + [0] * 11))
+@settings(max_examples=120, deadline=None)
+def test_canonical_agrees_with_reference(pair):
+    x, y = pair
+    assert y == x
+    c = y.canonical()
+    assert _stored(c) == _stored(reference_canonical(y))
+    assert c.conductor % 4 != 2
+    assert y.canonical() is c and c.canonical() is c
+    assert hash(y) == hash(x) == hash(c)
+
+
+@given(st.integers(min_value=0, max_value=64).map(lambda k: 2 * k + 1), st.data())
+@settings(max_examples=120, deadline=None)
+def test_even_conductor_fold_agrees_with_reference(d, data):
+    coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=euler_phi(2 * d),
+                                max_size=euler_phi(2 * d)))
+    assert _stored(C.from_coefficients(2 * d, coeffs)) == _stored(reference_fold(d, coeffs))
 
 
 def _random_element(rng, m):
