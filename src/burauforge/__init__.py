@@ -12,7 +12,7 @@ from .burau import (CycloMatrix, burau_generator, burau_eval, squared_images,
                     projective_order)
 from .triangle import (TriangleClassification, classify, primitive_roots,
                        verify_even, verify_odd, verify_odd_embedding,
-                       verify_kernel_words, euler_characteristics,
+                       verify_kernel_words, galois_orbit, euler_characteristics,
                        surface_free_bound, verify_commutator_relator)
 from .modular import (ModMatrix2, psi_generators, ab_images, eval_ab_word,
                       verify_st_kernel, verify_presentation, psl_order,

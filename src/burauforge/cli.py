@@ -26,10 +26,8 @@ from .modular import (psl_order, psl_order_bruteforce, verify_presentation,
                       verify_st_kernel)
 from .quantum import build_params, gamma_at_p, twist_projective_order
 from .reports import ClaimReport, overall_status
-from .triangle import (classify, euler_characteristics, primitive_roots,
-                       surface_free_bound, verify_commutator_relator,
-                       verify_even, verify_kernel_words, verify_odd,
-                       verify_odd_embedding)
+from .triangle import (classify, euler_characteristics, galois_orbit,
+                       surface_free_bound, verify_commutator_relator)
 from .words import parse_word
 from .artin import B3, MAX_MAGNUS_DEPTH, longitude, longitude_magnus
 
@@ -37,6 +35,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+
+
+# the relation suites grow about cubically in the order; over 2..240 the
+# slowest, oddlem (orders up to 481), takes about 50 s and 470 MB
+MAX_RANGE_END = 240
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -47,6 +50,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         a, b = int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("range endpoints must be integers") from exc
+    if b > MAX_RANGE_END:
+        raise argparse.ArgumentTypeError(f"range end must be at most {MAX_RANGE_END}")
     if a > b:
         raise argparse.ArgumentTypeError("empty range")
     return a, b
@@ -130,15 +135,11 @@ def _psl_claim(n: int) -> ClaimReport:
 # The claim functions are looked up when a suite runs, not when this table
 # is built, so that rebinding a module global (as a tracer does) reaches them.
 SUITES = {
-    "even": Suite(lambda k: [verify_even(k, q) for q in primitive_roots(2 * k)],
-                  first=2, full=(4, 24)),
-    "odd": Suite(lambda k: [verify_odd(k, q) for q in primitive_roots(2 * k + 1)],
-                 first=2, full=(3, 15)),
-    "oddlem": Suite(lambda k: [verify_odd_embedding(k, q)
-                               for q in primitive_roots(2 * k + 1)],
-                    first=2, full=(3, 15)),
-    "kernel": Suite(lambda n: [verify_kernel_words(n, q) for q in primitive_roots(n)],
-                    first=2, full=(2, 40), skip=(6,)),
+    "even": Suite(lambda k: galois_orbit("even", k), first=2, full=(4, 24)),
+    "odd": Suite(lambda k: galois_orbit("odd", k), first=2, full=(3, 15)),
+    "oddlem": Suite(lambda k: galois_orbit("oddlem", k), first=2, full=(3, 15)),
+    "kernel": Suite(lambda n: galois_orbit("kernel", n), first=2, full=(2, 40),
+                    skip=(6,)),
     "onerel": Suite(lambda r: [verify_commutator_relator(r)], first=2, full=(2, 50)),
     "psl": Suite(lambda n: [_psl_claim(n)], first=3, full=(3, 13), last=13),
     "st": Suite(lambda n: [verify_st_kernel(n)], first=7, full=(7, 31), step=2),
@@ -332,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="run a verification suite over a range")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--range", type=_parse_range, required=True,
-                   help="inclusive, e.g. 4..24 (k for even/odd/oddlem, n or r otherwise)")
+                   help="inclusive, e.g. 4..24 (k for even/odd/oddlem, n or r otherwise); "
+                        f"the end is at most {MAX_RANGE_END}")
     p.set_defaults(func=_cmd_verify)
 
     # a level p works in conductors up to 2p, which stays within 1024

@@ -406,8 +406,16 @@ class CyclotomicNumber:
         j %= m
         if math.gcd(j, m) != 1:
             raise ValueError("Galois exponent must be coprime to the conductor")
-        out = _row_sum(m, (((k * j) % m, c) for k, c in enumerate(self.num)))
-        return CyclotomicNumber._make(m, out, self.den)
+        # z^k -> z^(kj mod m) permutes the powers below m; only those at or
+        # past phi(m) are reduced
+        out = [0] * m
+        for k, c in enumerate(self.num):
+            out[k * j % m] = c
+        y = CyclotomicNumber._make(m, out, self.den)
+        if self._canon is self:
+            # conjugates share their minimal field
+            y._canon = y
+        return y
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1)
@@ -640,7 +648,11 @@ def root_of_unity(m: int, j: int) -> CyclotomicNumber:
     if n == 1:
         return CyclotomicNumber.from_rational(1)
     rows = _reduction_rows(n)
-    return CyclotomicNumber._make(n, list(rows[e]), 1)
+    x = CyclotomicNumber._make(n, list(rows[e]), 1)
+    # a primitive n-th root generates Q(zeta_n), so it is stored in its
+    # minimal field
+    x._canon = x
+    return x
 
 
 def multiplicative_order(x: CyclotomicNumber):

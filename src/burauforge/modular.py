@@ -150,14 +150,15 @@ def verify_presentation(n: int) -> ClaimReport:
     )
 
 
-def psl_order(n: int) -> int:
-    """|PSL(2, Z/nZ)| by the multiplicative closed form."""
+def psl_order(n: int, primes: list[int] | None = None) -> int:
+    """|PSL(2, Z/nZ)| by the multiplicative closed form; ``primes``, the
+    distinct primes dividing n, saves factoring n when the caller has them."""
     if n < 1:
         raise ValueError("modulus must be positive")
     if n == 1:
         return 1
     sl = n ** 3
-    for p in prime_factors(n):
+    for p in prime_factors(n) if primes is None else primes:
         sl = sl // (p * p) * (p * p - 1)
     return sl if n == 2 else sl // 2
 

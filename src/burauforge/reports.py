@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["ClaimReport", "claim_status", "overall_status"]
 
@@ -15,6 +15,11 @@ class ClaimReport:
     passed: bool
     flagged: bool = False
     note: str = ""
+    # on an evaluated claim, the exact value behind each witness's printed
+    # "value" (None where it has none), in witness order, from which the
+    # claims at the Galois-conjugate parameters are derived; not part of
+    # the report
+    scalars: tuple = field(default=(), repr=False, compare=False)
 
     def as_dict(self) -> dict:
         out = {

@@ -8,12 +8,22 @@ Throughout, q is the caller's parameter and matrices are evaluated at
 order-(2k+1) parameter gives the (2, 3, 2k+1) one.  The image is finite
 exactly when -q has multiplicative order in {1, 2, 3, 4, 6, 10}, i.e.
 when ord(q) <= 6.
+
+The relation families (``verify_even``, ``verify_odd``,
+``verify_odd_embedding``, ``verify_kernel_words``) must hold at every
+primitive n-th root of unity.  ``galois_orbit`` evaluates a family once
+per order, at zeta_n, and derives the claim at each other primitive root
+zeta_n^j by sigma_j: zeta_n -> zeta_n^j.  A and B have entries in Z[q],
+so a word at zeta_n^j is sigma_j applied entrywise to the word at zeta_n;
+scalarity and projective equality are Galois-invariant, and each scalar
+witness is the sigma_j-image of the one at zeta_n (Washington,
+*Introduction to Cyclotomic Fields*, ch. 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +37,7 @@ __all__ = [
     "FINITE_IMAGE_PARAMETER_ORDERS",
     "TriangleClassification", "classify", "primitive_roots",
     "verify_even", "verify_odd", "verify_odd_embedding", "verify_kernel_words",
+    "galois_orbit",
     "euler_characteristics", "surface_free_bound", "verify_commutator_relator",
 ]
 
@@ -82,18 +93,25 @@ def classify(q: CyclotomicNumber) -> TriangleClassification:
                                   geometry=geometry, substituted_order=sub)
 
 
+def _units(n: int) -> list[int]:
+    return [j for j in range(1, n + 1) if math.gcd(j, n) == 1]
+
+
 def primitive_roots(n: int) -> list[CyclotomicNumber]:
-    return [root_of_unity(n, j) for j in range(1, n + 1) if math.gcd(j, n) == 1]
+    return [root_of_unity(n, j) for j in _units(n)]
 
 
 # ---------------------------------------------------------------------------
 # relation suites
 
-def _witness(label: str, m: CycloMatrix) -> dict:
-    scalar = m.scalar_value()
-    return {"word": label,
-            "scalar": scalar is not None,
-            "value": str(scalar) if scalar is not None else None}
+def _witnesses(checks) -> tuple[list[dict], tuple]:
+    """A witness per (label, matrix), and the exact scalar behind each
+    (None where the matrix is not scalar)."""
+    scalars = tuple(m.scalar_value() for _, m in checks)
+    return [{"word": label,
+             "scalar": s is not None,
+             "value": str(s) if s is not None else None}
+            for (label, _), s in zip(checks, scalars)], scalars
 
 
 def _require_order(q: CyclotomicNumber, n: int):
@@ -109,12 +127,13 @@ def verify_even(k: int, q: CyclotomicNumber) -> ClaimReport:
     _require_order(q, 2 * k)
     a, b, _ = squared_images(q)
     checks = [(f"A^{k}", a ** k), (f"B^{k}", b ** k), (f"(AB)^{k}", (a * b) ** k)]
-    witnesses = [_witness(lbl, m) for lbl, m in checks]
+    witnesses, scalars = _witnesses(checks)
     return ClaimReport(
         claim="even-case presentation relations are projectively trivial",
         params={"k": k, "parameter_order": 2 * k, "q": str(q)},
         witnesses=witnesses,
         passed=all(w["scalar"] for w in witnesses),
+        scalars=scalars,
     )
 
 
@@ -135,12 +154,13 @@ def verify_odd(k: int, q: CyclotomicNumber) -> ClaimReport:
         raise ValueError("k must be at least 2")
     _require_order(q, 2 * k + 1)
     a, b, _ = squared_images(q)
-    witnesses = [_witness(lbl, m) for lbl, m in _odd_words(k, a, b)]
+    witnesses, scalars = _witnesses(_odd_words(k, a, b))
     return ClaimReport(
         claim="odd-case presentation relations are projectively trivial",
         params={"k": k, "parameter_order": 2 * k + 1, "q": str(q)},
         witnesses=witnesses,
         passed=all(w["scalar"] for w in witnesses),
+        scalars=scalars,
     )
 
 
@@ -160,12 +180,12 @@ def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
     u = a.inverse() * b ** k * a ** k
     v = a ** k * b ** k * a ** k
     alpha2 = alpha * alpha
-    witnesses = [
-        _witness(f"alpha^{n}", alpha ** n),
-        _witness("u^3", u ** 3),
-        _witness("v^2", v ** 2),
-        _witness("alpha u v", alpha * u * v),
-    ]
+    witnesses, scalars = _witnesses([
+        (f"alpha^{n}", alpha ** n),
+        ("u^3", u ** 3),
+        ("v^2", v ** 2),
+        ("alpha u v", alpha * u * v),
+    ])
     proj = [
         {"word": "alpha^2 = A (projective)",
          "scalar": _proj_equal(alpha2, a)},
@@ -180,6 +200,7 @@ def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
         params={"k": k, "parameter_order": n, "q": str(q)},
         witnesses=witnesses,
         passed=all(w["scalar"] for w in witnesses),
+        scalars=scalars + (None,) * len(proj),
     )
 
 
@@ -210,7 +231,7 @@ def verify_kernel_words(n: int, q: CyclotomicNumber) -> ClaimReport:
     else:
         k = (n - 1) // 2
         checks = _odd_words(k, a, b)
-    witnesses = [_witness(lbl, m) for lbl, m in checks]
+    witnesses, scalars = _witnesses(checks)
     ok = all(w["scalar"] for w in witnesses)
     flagged = n == 2
     return ClaimReport(
@@ -220,7 +241,46 @@ def verify_kernel_words(n: int, q: CyclotomicNumber) -> ClaimReport:
         passed=ok or flagged,
         flagged=flagged,
         note="degenerate order-2 parameter: squared generators act trivially" if flagged else "",
+        scalars=scalars,
     )
+
+
+def galois_orbit(family: str, x: int) -> list[ClaimReport]:
+    """The claims of a relation family at parameter x, one per primitive
+    root of its order n, in the order of ``primitive_roots(n)``: the same
+    reports as ``[verify(x, q) for q in primitive_roots(n)]``.
+
+    ``family`` is "even", "odd", "oddlem" or "kernel".  The family is
+    evaluated once, at zeta_n; every other claim is derived from that one
+    by sigma_j (see the module docstring).
+    """
+    # looked up when called, so that rebinding a routine (as a tracer
+    # does) reaches this path
+    verify, n = {"even": (verify_even, 2 * x),
+                 "odd": (verify_odd, 2 * x + 1),
+                 "oddlem": (verify_odd_embedding, 2 * x + 1),
+                 "kernel": (verify_kernel_words, x)}[family]
+    base = verify(x, root_of_unity(n, 1))
+    return [base if j == 1 else _conjugate_claim(base, n, j) for j in _units(n)]
+
+
+def _conjugate_claim(claim: ClaimReport, n: int, j: int) -> ClaimReport:
+    """claim, made at q = zeta_n, carried to q = zeta_n^j by sigma_j."""
+    if len(claim.scalars) != len(claim.witnesses):
+        raise ValueError("claim carries no exact witnesses to conjugate")
+    # in its minimal field, whose conjugates are minimal too
+    base = [None if s is None else s.canonical() for s in claim.scalars]
+    for s in base:
+        # sigma_j acts on Q(zeta_m) as zeta_m -> zeta_m^j only when m | n
+        if s is not None and n % s.conductor:
+            raise ValueError(f"witness {s} lies in conductor {s.conductor}, "
+                             f"which does not divide {n}")
+    witnesses = [dict(w) if s is None else {**w, "value": str(s.galois(j))}
+                 for w, s in zip(claim.witnesses, base)]
+    # the derived claim keeps only the printed values: a long sweep holds
+    # every claim until it is reported
+    return replace(claim, params={**claim.params, "q": str(root_of_unity(n, j))},
+                   witnesses=witnesses, scalars=())
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +298,9 @@ def surface_free_bound(n: int) -> Fraction:
     """|PSL(2, Z/nZ)| (n-6)/(6n); equals the prime closed form for prime n."""
     if n < 7 or n % 2 == 0:
         raise ValueError("n must be odd and at least 7")
-    value = Fraction(psl_order(n) * (n - 6), 6 * n)
-    if prime_factors(n) == [n]:
+    primes = prime_factors(n)
+    value = Fraction(psl_order(n, primes) * (n - 6), 6 * n)
+    if primes == [n]:
         closed = Fraction((n + 1) * (n - 1) * (n - 6), 12)
         if value != closed:
             raise AssertionError("general and prime formulas disagree")

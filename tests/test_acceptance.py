@@ -14,6 +14,7 @@ from fractions import Fraction
 from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
                               magnus_depth, magnus_expansion)
 from burauforge.burau import CycloMatrix, burau_generator, squared_images
+from burauforge.cli import main
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.hyperbolic import (PAIR_CONTEXT, PingPongCertificate,
                                    invariant_form, ping_pong_certify,
@@ -234,3 +235,15 @@ def test_criterion_12_artin_magnus():
                 continue
             assert magnus_depth(eta_embed(w), 2 * d - 1) is None
             checked += 1
+
+
+def test_criterion_13_kernel_sweep_to_order_200(capsys):
+    # one evaluation per order; every other primitive root's claim is
+    # derived by the Galois action
+    with _Timer("13. kernel normal generators n in 3..200, all primitive roots",
+                budget=10.0):
+        assert main(["verify", "--suite", "kernel", "--range", "3..200"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.endswith("overall: pass\n")
+    assert captured.err.count("[pass   ]") == sum(
+        len(primitive_roots(n)) for n in range(3, 201) if n != 6)

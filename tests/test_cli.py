@@ -311,6 +311,10 @@ _CERTIFY = ["certify-free", "--order", "14", "--x", "A", "--y", "B", "--max-len"
     # psl_order factors n by trial division
     ["euler", "--n", str(10 ** 12 + 1)],
     ["f", "--n", str(10 ** 12 + 1)],
+    # the relation suites grow about cubically in the order
+    ["verify", "--suite", "oddlem", "--range", "2..241"],
+    ["verify", "--suite", "st", "--range", "241..301"],
+    ["verify", "--suite", "kernel", "--range", f"2..{10 ** 9}"],
 ])
 def test_out_of_range_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -363,6 +367,9 @@ def test_option_bounds_are_inclusive():
     for cmd in ("euler", "f"):
         for n in ("-3", "0", str(10 ** 12)):
             assert build_parser().parse_args([cmd, "--n", n]).n == int(n)
+    for text, bounds in (("240..240", (240, 240)), ("0..240", (0, 240))):
+        args = build_parser().parse_args(["verify", "--suite", "st", "--range", text])
+        assert args.range == bounds
 
 
 @pytest.mark.parametrize("argv, message", [

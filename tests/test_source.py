@@ -81,3 +81,25 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     monkeypatch.setattr(artin, "artin_action", counting)
     longitude(braid, 1)
     assert calls == [braid]
+
+
+def test_relation_suites_reach_the_triangle_routines(monkeypatch):
+    # the traced run's triangle.claim span wraps the triangle module
+    # globals, so every relation suite must evaluate through them, once
+    # per order
+    from burauforge import cli, triangle
+    names = {"even": "verify_even", "odd": "verify_odd",
+             "oddlem": "verify_odd_embedding", "kernel": "verify_kernel_words"}
+    calls = []
+    for suite, name in names.items():
+        original = getattr(triangle, name)
+
+        def counting(x, q, suite=suite, original=original):
+            calls.append((suite, x))
+            return original(x, q)
+
+        monkeypatch.setattr(triangle, name, counting)
+    for suite in names:
+        cli.SUITES[suite].run(2, 9)
+    assert calls == [(suite, x) for suite in names for x in range(2, 10)
+                     if (suite, x) != ("kernel", 6)]

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from burauforge import modular, triangle
 from burauforge.burau import CycloMatrix, squared_images
-from burauforge.cyclotomic import CyclotomicNumber as C, root_of_unity
-from burauforge.triangle import (_proj_equal, classify, euler_characteristics,
-                                 primitive_roots, surface_free_bound,
+from burauforge.cli import SUITES
+from burauforge.cyclotomic import CyclotomicNumber as C, prime_factors, root_of_unity
+from burauforge.reports import ClaimReport
+from burauforge.triangle import (_conjugate_claim, _proj_equal, classify,
+                                 euler_characteristics, primitive_roots,
+                                 surface_free_bound,
                                  verify_commutator_relator, verify_even,
                                  verify_kernel_words, verify_odd,
                                  verify_odd_embedding)
@@ -170,3 +174,75 @@ def test_proj_equal_odd_embedding_relations():
             alpha2 = alpha * alpha
             assert _proj_equal(alpha2, a) and _proj_equal(v * alpha2 * v, b)
             assert not _proj_equal(alpha2 * a, a) and not _proj_equal(v * alpha2 * v, b * a)
+
+
+# ---------------------------------------------------------------------------
+# claims derived by the Galois action against the direct per-root reports
+
+# family -> (direct routine, the order of q at parameter x, the parameters
+# whose order is at most 40; n = 6 has no kernel claims)
+_FAMILIES = {
+    "even": (verify_even, lambda k: 2 * k, range(2, 21)),
+    "odd": (verify_odd, lambda k: 2 * k + 1, range(2, 20)),
+    "oddlem": (verify_odd_embedding, lambda k: 2 * k + 1, range(2, 20)),
+    "kernel": (verify_kernel_words, lambda n: n, [n for n in range(2, 41) if n != 6]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_derived_claims_equal_direct_reports(family):
+    verify, order, params = _FAMILIES[family]
+    for x in params:
+        derived = [c.as_dict() for c in SUITES[family].run(x, x)]
+        direct = [verify(x, q).as_dict() for q in primitive_roots(order(x))]
+        assert derived == direct, (family, x)
+    # the degenerate order-2 kernel claim is flagged, not failed
+    if family == "kernel":
+        (claim,) = SUITES["kernel"].run(2, 2)
+        assert claim.flagged and claim.passed
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_suites_build_the_images_once_per_order(family, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return squared_images(q)
+
+    monkeypatch.setattr(triangle, "squared_images", counting)
+    _, order, params = _FAMILIES[family]
+    lo, hi = params[0], params[-1]
+    claims = SUITES[family].run(lo, hi)
+    assert calls == [root_of_unity(order(x), 1) for x in params]
+    assert len(claims) == sum(len(primitive_roots(order(x))) for x in params)
+
+
+def test_conjugation_refuses_a_witness_outside_the_order_field():
+    # z7 is no value of a word at an order-5 parameter, so sigma_2 of
+    # Q(zeta_5) says nothing about it
+    z7 = root_of_unity(7, 1)
+    claim = ClaimReport(claim="c", params={"q": "z5"},
+                        witnesses=[{"word": "w", "scalar": True, "value": str(z7)}],
+                        passed=True, scalars=(z7,))
+    with pytest.raises(ValueError, match="does not divide 5"):
+        _conjugate_claim(claim, 5, 2)
+    bare = ClaimReport(claim="c", params={"q": "z5"},
+                       witnesses=[{"word": "w", "scalar": True, "value": "1"}], passed=True)
+    with pytest.raises(ValueError, match="no exact witnesses"):
+        _conjugate_claim(bare, 5, 2)
+
+
+@pytest.mark.parametrize("n", [7, 9, 15, 49, 1001, 999999999989])
+def test_surface_free_bound_factors_n_once(n, monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return prime_factors(m)
+
+    monkeypatch.setattr(triangle, "prime_factors", counting)
+    monkeypatch.setattr(modular, "prime_factors", counting)
+    value = surface_free_bound(n)
+    assert calls == [n]
+    assert value == Fraction(modular.psl_order(n) * (n - 6), 6 * n)
