@@ -58,7 +58,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 # the oracle's last level has 4 * 3^(L-1) words, and its frontier holds
-# the whole level before it
+# the whole level before it: at order 7 a CLI run takes 0.16 s and 19 MB
+# at length 8, 0.24 s and 23 MB at 9, 0.35 s and 35 MB at 10
 MAX_ORACLE_LEN = 10
 # psl_order factors the modulus by trial division up to its square root
 MAX_MODULUS = 10 ** 12

@@ -46,6 +46,7 @@ __all__ = [
     "CyclotomicNumber",
     "root_of_unity",
     "multiplicative_order",
+    "root_power_sum",
     "galois_conjugates",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -657,6 +658,23 @@ def root_of_unity(m: int, j: int) -> CyclotomicNumber:
 
 def multiplicative_order(x: CyclotomicNumber):
     return x.multiplicative_order()
+
+
+def root_power_sum(x: CyclotomicNumber, coeffs: Iterable[int]) -> CyclotomicNumber:
+    """sum_k coeffs[k] x^k for a root of unity x, with integer coefficients.
+
+    x is +-zeta_m^j in its field, so x^k is (+-1)^k zeta_m^(jk mod m):
+    the sum is one integer vector over the reduction rows of Phi_m, with
+    no field product formed.  Raises ValueError when x is not a root of
+    unity.
+    """
+    m = x.conductor
+    hit = _torsion_table(m).get(x.num) if x.den == 1 else None
+    if hit is None:
+        raise ValueError("not a root of unity")
+    negated, j = hit
+    return CyclotomicNumber._make(m, _row_sum(m, (
+        (j * k % m, -c if negated and k % 2 else c) for k, c in enumerate(coeffs))), 1)
 
 
 def galois_conjugates(x: CyclotomicNumber) -> list[CyclotomicNumber]:

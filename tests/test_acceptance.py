@@ -247,3 +247,13 @@ def test_criterion_13_kernel_sweep_to_order_200(capsys):
     assert captured.err.endswith("overall: pass\n")
     assert captured.err.count("[pass   ]") == sum(
         len(primitive_roots(n)) for n in range(3, 201) if n != 6)
+
+
+def test_criterion_14_oracle_at_the_longest_length_bound(capsys):
+    # the search runs on residues modulo a split prime: 4 * 3^9 words on
+    # the last level, with exact products only for candidate relations
+    with _Timer("14. relation oracle at order 7, words up to the length bound 10",
+                budget=2.0):
+        assert main(["certify-free", "--order", "7", "--x", X_WORD_TEXT,
+                     "--y", Y_WORD_TEXT, "--max-len", "10"]) == 0
+    assert capsys.readouterr().err.endswith("overall: pass\n")

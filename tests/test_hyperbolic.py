@@ -1,8 +1,10 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burauforge import hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
@@ -243,6 +245,128 @@ def test_oracle_agrees_with_full_product_reference(order):
             got = short_relation_oracle(x, y, q, max_len)
             want = reference_oracle(x, y, q, max_len)
             assert str(got) == str(want)
+
+
+# nontrivial reduced words of at most six letters in A and B
+pair_words = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
+                      min_size=1, max_size=6).map(
+    lambda sylls: word(PAIR_CONTEXT, sylls)).filter(lambda w: not w.is_identity)
+
+
+@given(st.integers(min_value=2, max_value=40), pair_words, pair_words,
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_oracle_agrees_with_reference_on_random_pairs(order, x, y, max_len):
+    q = root_of_unity(order, 1)
+    assert str(short_relation_oracle(x, y, q, max_len)) == str(
+        reference_oracle(x, y, q, max_len))
+
+
+def test_oracle_agrees_with_reference_at_a_norm_one_parameter_of_infinite_order():
+    # (3+4i)/5 puts powers of 5 in the denominators of the letter matrices
+    q = CyclotomicNumber.from_rational(Fraction(3, 5)) + root_of_unity(4, 1) * Fraction(4, 5)
+    for max_len in range(1, 5):
+        for x, y in [(X_WORD, Y_WORD), (parse_word(PAIR_CONTEXT, "A"),
+                                        parse_word(PAIR_CONTEXT, "A^2"))]:
+            assert str(short_relation_oracle(x, y, q, max_len)) == str(
+                reference_oracle(x, y, q, max_len))
+
+
+def _least_split_prime(m, avoid):
+    p = m + 1
+    while not hyperbolic._is_prime(p):
+        p += m
+    return p
+
+
+def test_oracle_confirms_candidates_of_a_small_modulus(monkeypatch):
+    # modulo the least prime p = 1 (mod m) many products that are not
+    # scalar read as scalar; each is confirmed exactly and passed over
+    monkeypatch.setattr(hyperbolic, "_split_prime", _least_split_prime)
+    confirmations = []
+    is_scalar = CycloMatrix.is_scalar
+
+    def recorded(self):
+        confirmations.append(is_scalar(self))
+        return confirmations[-1]
+
+    pairs = [(X_WORD, Y_WORD), (parse_word(PAIR_CONTEXT, "A"), parse_word(PAIR_CONTEXT, "A^2"))]
+    for order in (3, 5, 6, 7, 8, 14):
+        q = root_of_unity(order, 1)
+        for max_len in range(1, 6):
+            for x, y in pairs:
+                monkeypatch.setattr(CycloMatrix, "is_scalar", recorded)
+                got = short_relation_oracle(x, y, q, max_len)
+                monkeypatch.setattr(CycloMatrix, "is_scalar", is_scalar)
+                assert str(got) == str(reference_oracle(x, y, q, max_len)), (order, max_len)
+    assert False in confirmations
+
+
+def test_residue_map_is_a_ring_map_across_subfields():
+    p = hyperbolic._split_prime(7, 1)
+    r = hyperbolic._split_root(7, p)
+    assert pow(r, 7, p) == 1 and r != 1
+    residue = hyperbolic._residue_map(7, p, r)
+    assert residue(root_of_unity(7, 2) + 3) == (r * r + 3) % p
+    # values of the subfields Q(zeta_3) and Q(i) meet in Q(zeta_12)
+    p = hyperbolic._split_prime(12, 1)
+    residue = hyperbolic._residue_map(12, p, hyperbolic._split_root(12, p))
+    u = root_of_unity(3, 1) * Fraction(2, 7) + 1
+    v = root_of_unity(4, 1) - Fraction(1, 3)
+    assert residue(u * v) == residue(u) * residue(v) % p
+    assert residue(u + v) == (residue(u) + residue(v)) % p
+
+
+def test_residue_map_refuses_a_wrong_root_and_a_shared_denominator():
+    p = hyperbolic._split_prime(7, 1)
+    r = hyperbolic._split_root(7, p)
+    for wrong in (1, 2, r * r % p + 1):
+        with pytest.raises(ArithmeticError, match="not a root"):
+            hyperbolic._residue_map(7, p, wrong)
+    # Phi_4(2) = 5, but 5 divides the denominator of (3+4i)/5
+    residue = hyperbolic._residue_map(4, 5, 2)
+    q = CyclotomicNumber.from_rational(Fraction(3, 5)) + root_of_unity(4, 1) * Fraction(4, 5)
+    with pytest.raises(ArithmeticError, match="not invertible"):
+        residue(q)
+
+
+def test_oracle_exact_products_do_not_grow_with_the_length_bound(monkeypatch):
+    # order 14 has no relation up to length 8, so past the exact pair
+    # evaluation there is no candidate to confirm at any length
+    counts = []
+    mul = CycloMatrix.__mul__
+
+    def counted(self, other):
+        counts[-1] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloMatrix, "__mul__", counted)
+    for max_len in (4, 8):
+        counts.append(0)
+        assert short_relation_oracle(X_WORD, Y_WORD, Q14, max_len) is None
+    assert counts[0] == counts[1] > 0
+
+
+def test_closed_form_inverse_equals_the_field_inverse():
+    # (zeta - 1)^-1 mapped by the Galois action is (q - 1)^-1 at every
+    # primitive root q = zeta^k
+    for n in range(2, 121):
+        inv = (root_of_unity(n, 1) - 1).inverse()
+        for k in range(1, n):
+            if math.gcd(k, n) == 1:
+                got = hyperbolic._inverse_of_q_minus_one(root_of_unity(n, k))
+                want = inv.galois(k)
+                assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
+    q = CyclotomicNumber.from_rational(Fraction(3, 5)) + root_of_unity(4, 1) * Fraction(4, 5)
+    assert hyperbolic._inverse_of_q_minus_one(q) == (q - 1).inverse()
+    assert hyperbolic._inverse_of_q_minus_one(CyclotomicNumber.from_rational(2)) is None
+
+
+def test_invariant_form_at_a_large_conductor_is_fast():
+    start = time.perf_counter()
+    form = invariant_form(root_of_unity(1021, 1), 1)
+    assert time.perf_counter() - start < 5.0
+    assert form is not None and form.signature == "indefinite"
 
 
 @pytest.fixture(scope="module")
