@@ -13,7 +13,7 @@ checks them against these closed forms before returning.
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicNumber, dot, matmul, row_reduce
+from .cyclotomic import CyclotomicNumber, dot, matmul
 from .words import GroupWord, evaluate_word, power
 
 __all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
@@ -64,17 +64,13 @@ class CycloMatrix:
         return dot((a, b), (d, -c))
 
     def inverse(self) -> "CycloMatrix":
-        n = self.size
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            dinv = self.det2().inverse()
-            return CycloMatrix([[d * dinv, -b * dinv], [-c * dinv, a * dinv]])
-        # general case: row reduce [M | I] to [I | M^-1]
-        rref, pivots = row_reduce([list(r) + [(_ONE if i == j else _ZERO) for j in range(n)]
-                                   for i, r in enumerate(self.rows)])
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return CycloMatrix([r[n:] for r in rref])
+        """The inverse of a 2x2 matrix, by its adjugate; 2x2 only, other sizes
+        raise ValueError (``burau_eval`` inverts generators in closed form)."""
+        if self.size != 2:
+            raise ValueError("only 2x2 matrices are inverted")
+        (a, b), (c, d) = self.rows
+        dinv = self.det2().inverse()
+        return CycloMatrix([[d * dinv, -b * dinv], [-c * dinv, a * dinv]])
 
     def is_scalar(self) -> bool:
         n = self.size
@@ -108,40 +104,44 @@ class CycloMatrix:
 
 # ---------------------------------------------------------------------------
 
+def _elementary(size: int, r: int, left, mid, right) -> CycloMatrix:
+    # the identity with row r reading (left, mid, right) in the columns
+    # r - 1, r, r + 1, those outside the matrix left out
+    rows = [[_ONE if i == c else _ZERO for c in range(size)] for i in range(size)]
+    for c, v in ((r - 1, left), (r, mid), (r + 1, right)):
+        if 0 <= c < size:
+            rows[r][c] = v
+    return CycloMatrix(rows)
+
+
 def burau_generator(n: int, j: int, q: CyclotomicNumber) -> CycloMatrix:
-    """Image of the j-th standard generator of B_n, an (n-1)x(n-1) matrix."""
+    """Image of the j-th standard generator of B_n, an (n-1)x(n-1) matrix:
+    the identity with row j reading (q, -q, 1) around the diagonal."""
     if n < 2:
         raise ValueError("need at least two strands")
     if not 1 <= j <= n - 1:
         raise ValueError("generator index out of range")
     if q.is_zero:
         raise ValueError("parameter must be nonzero")
-    size = n - 1
-    rows = [[_ONE if r == c else _ZERO for c in range(size)] for r in range(size)]
-    if size == 1:
-        rows[0][0] = -q
-        return CycloMatrix(rows)
-    if j == 1:
-        rows[0][0] = -q
-        rows[0][1] = _ONE
-    elif j == n - 1:
-        rows[size - 1][size - 2] = q
-        rows[size - 1][size - 1] = -q
-    else:
-        rows[j - 1][j - 2] = q
-        rows[j - 1][j - 1] = -q
-        rows[j - 1][j] = _ONE
-    return CycloMatrix(rows)
+    return _elementary(n - 1, j - 1, q, -q, _ONE)
 
 
 def burau_eval(w: GroupWord, q: CyclotomicNumber) -> CycloMatrix:
-    """Product of generator images along a braid word, at parameter q."""
+    """Product of generator images along a braid word, at parameter q; a
+    negative syllable is a power of the closed-form inverse generator, whose
+    row j reads (1, -1/q, 1/q) around the diagonal."""
     n = w.context.strands
     if n is None:
         raise ValueError("word does not live in a braid group")
-    images = {name: burau_generator(n, i + 1, q)
-              for i, name in enumerate(w.context.names)}
-    return evaluate_word(w, images, CycloMatrix.identity(n - 1))
+    images = [burau_generator(n, j, q) for j in range(1, n)]
+    qi = q.inverse()
+    inverses = [_elementary(n - 1, j, _ONE, -qi, qi) for j in range(n - 1)]
+    one = CycloMatrix.identity(n - 1)
+    result = None
+    for g, e in w.syllables:
+        acc = power(images[g], e, one) if e > 0 else power(inverses[g], -e, one)
+        result = acc if result is None else result * acc
+    return one if result is None else result
 
 
 def squared_images(q: CyclotomicNumber) -> tuple[CycloMatrix, CycloMatrix, CycloMatrix]:

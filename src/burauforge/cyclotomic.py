@@ -23,14 +23,15 @@ Any other x inverts as the product of its Galois conjugates other than
 x, divided by the rational norm N(x), which is the product of all of
 them (Cohen, *A Course in Computational Algebraic Number Theory*, 4.2).
 
-Matrix products and the other sums of products go through one kernel,
-``matmul``.  It takes the conductor m of the product as the lcm of the
-conductors of all entries, lifts every nonzero entry once into Q(zeta_m)
-as a sparse list of (index, integer coefficient) over its matrix's
-common denominator, and accumulates each output entry sum_k a_ik b_kj as
-one unreduced integer vector of length 2 phi(m) - 1.  That vector is
-reduced mod Phi_m once and normalised once, so no intermediate product
-or partial sum is ever built as a field element.
+Every product goes through ``_polymul_into``: it adds the product of two
+polynomials, given by their nonzero (index, coefficient) pairs, into an
+unreduced integer vector, term by term or, past 12 term products per
+digit, by Kronecker substitution with a byte-slice decode linear in the
+digits.  ``CyclotomicNumber.__mul__`` calls it once per product; ``matmul``,
+the kernel for matrix products and other sums of products, lifts every
+entry once into Q(zeta_m), m the lcm of all conductors, and adds all
+entry pairs of an output entry into one vector, reduced mod Phi_m (by
+sparse rows of z^e) and normalised once.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
     "prime_factors",
-    "row_reduce",
     "matmul",
     "dot",
 ]
@@ -127,62 +127,81 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    # z^e reduced mod Phi_m, for e up to what products and Galois
-    # substitutions can reach.
+def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # z^e reduced mod Phi_m as its nonzero (index, coefficient) pairs, for
+    # e up to what products and Galois substitutions can reach
     d = euler_phi(m)
     phi = cyclotomic_polynomial(m)
-    n_rows = max(m, 2 * d - 1)
     rows = []
-    cur = [0] * d
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(1, n_rows):
+    cur = [1] + [0] * (d - 1)
+    for _ in range(max(m, 2 * d - 1)):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
         top = cur[-1]
-        nxt = [0] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for i in range(d):
-                nxt[i] -= top * phi[i]
-        cur = nxt
-        rows.append(tuple(cur))
+                cur[i] -= top * phi[i]
     return tuple(rows)
 
 
-def _polymul(a: list[int], b: list[int]) -> list[int]:
-    na = [i for i, v in enumerate(a) if v]
-    nb = [i for i, v in enumerate(b) if v]
-    if not na or not nb:
-        return [0]
-    if len(na) * len(nb) <= 192:
-        out = [0] * (len(a) + len(b) - 1)
-        for i in na:
-            ai = a[i]
-            for j in nb:
-                out[i + j] += ai * b[j]
-        return out
-    # Kronecker substitution: one big-int multiply, balanced-digit decode
-    ma = max(abs(a[i]) for i in na)
-    mb = max(abs(b[j]) for j in nb)
-    bits = (ma * mb * min(len(na), len(nb))).bit_length() + 2
-    pa = 0
-    for i in reversed(range(len(a))):
-        pa = (pa << bits) + a[i]
-    pb = 0
-    for j in reversed(range(len(b))):
-        pb = (pb << bits) + b[j]
-    prod = pa * pb
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        r = prod & mask
-        if r >= half:
-            r -= 1 << bits
-        out.append(r)
-        prod = (prod - r) >> bits
-    if prod:
-        raise AssertionError("Kronecker decode left a remainder; digit width too small")
-    return out
+# Term products per digit of the product past which Kronecker substitution
+# is the cheaper product (packing or decoding a digit costs about five)
+_TERMS_PER_DIGIT = 12
+
+
+def _polymul_into(vec: list, x, y) -> None:
+    """Add x * y into vec, for x and y nonzero (exponent, coefficient)
+    pairs ascending in the exponent; vec must reach every exponent.
+
+    Past _TERMS_PER_DIGIT term products per digit of the product, x and y
+    are packed at z = 2^w, w whole bytes with every coefficient of the
+    product below 2^(w-1) in absolute value, and the digits of the one
+    integer product are decoded from its bytes (Harvey, JSC 2009).
+    """
+    if not x or not y:
+        return
+    lo_x, lo_y = x[0][0], y[0][0]
+    count = x[-1][0] - lo_x + y[-1][0] - lo_y + 1
+    if len(x) * len(y) <= _TERMS_PER_DIGIT * count:
+        for i, c in x:
+            for j, e in y:
+                vec[i + j] += c * e
+        return
+    bound = (min(len(x), len(y)) * max(abs(c) for _, c in x)
+             * max(abs(e) for _, e in y))
+    width = bound.bit_length() // 8 + 1
+    _unpack_into(vec, lo_x + lo_y, _pack(x, lo_x, width) * _pack(y, lo_y, width),
+                 count, width)
+
+
+def _pack(pairs, lo: int, width: int) -> int:
+    # sum c 2^(8 width (i - lo)) over the pairs (i, c), |c| < 2^(8 width - 1),
+    # with the positive and the negative terms each one byte string
+    size = (pairs[-1][0] - lo + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for i, c in pairs:
+        at = (i - lo) * width
+        if c > 0:
+            pos[at:at + width] = c.to_bytes(width, "little")
+        else:
+            neg[at:at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack_into(vec: list, lo: int, value: int, count: int, width: int) -> None:
+    # add the digits v_k, |v_k| < 2^(8 width - 1), of value = sum v_k 2^(8 width k)
+    # into vec[lo + k] for k < count: biased by 2^(8 width - 1) each, the
+    # digits are nonnegative byte slices of one conversion
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    try:
+        raw = (value + bias).to_bytes(count * width, "little")
+    except OverflowError:
+        raise ArithmeticError("Kronecker product exceeds its digit width") from None
+    for k in range(count):
+        v = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+        if v:
+            vec[lo + k] += v
 
 
 def _row_sum(m: int, terms, out: list | None = None) -> list:
@@ -193,9 +212,8 @@ def _row_sum(m: int, terms, out: list | None = None) -> list:
         out = [0] * euler_phi(m)
     for e, c in terms:
         if c:
-            for i, r in enumerate(rows[e]):
-                if r:
-                    out[i] += c * r
+            for i, r in rows[e]:
+                out[i] += c * r
     return out
 
 
@@ -350,7 +368,9 @@ class CyclotomicNumber:
             return CyclotomicNumber._make(
                 self.conductor, [c * v for v in self.num], d * self.den)
         m, a, b = CyclotomicNumber._common(self, other)
-        vec = _polymul(list(a), list(b))
+        vec = [0] * (2 * len(a) - 1)
+        _polymul_into(vec, [(i, c) for i, c in enumerate(a) if c],
+                      [(i, c) for i, c in enumerate(b) if c])
         return CyclotomicNumber._make(m, vec, self.den * other.den)
 
     __rmul__ = __mul__
@@ -579,9 +599,7 @@ def matmul(left, right) -> list[list[CyclotomicNumber]]:
         for col in cols:
             vec = [0] * width
             for x, y in zip(row, col):
-                for i, c in x:
-                    for j, e in y:
-                        vec[i + j] += c * e
+                _polymul_into(vec, x, y)
             new.append(CyclotomicNumber._make(m, vec, den) if any(vec) else _ZERO)
         out.append(new)
     return out
@@ -592,45 +610,12 @@ def dot(u, v) -> CyclotomicNumber:
     return matmul([u], [[y] for y in v])[0][0]
 
 
-def row_reduce(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of a matrix over Q or a cyclotomic field.
-
-    Entries are Fractions or CyclotomicNumbers: anything with exact
-    ``+ - * /`` whose truth value means "nonzero".  ``rows`` is left
-    unchanged.  Columns are taken left to right; the pivot of a column is
-    its first nonzero entry at or below the next free row, that row is
-    swapped up and scaled by ``1 / pivot`` (one inversion per pivot), and
-    the column is cleared in every other row.  Returns ``(rref, pivots)``:
-    the reduced rows, and the pivot column of rref[i] for each leading
-    row i, ascending; rows from len(pivots) on are zero.
-    """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        if r == len(m):
-            break
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
 @lru_cache(maxsize=None)
 def _torsion_table(m: int) -> dict[tuple[int, ...], tuple[bool, int]]:
     # every root of unity in Q(zeta_m) is +-zeta_m^j
-    rows = _reduction_rows(m)
     table: dict[tuple[int, ...], tuple[bool, int]] = {}
     for j in range(m):
-        row = rows[j]
+        row = tuple(_row_sum(m, [(j, 1)]))
         table.setdefault(row, (False, j))
         table.setdefault(tuple(-v for v in row), (True, j))
     return table
@@ -648,8 +633,7 @@ def root_of_unity(m: int, j: int) -> CyclotomicNumber:
     n, e = m // g, j // g
     if n == 1:
         return CyclotomicNumber.from_rational(1)
-    rows = _reduction_rows(n)
-    x = CyclotomicNumber._make(n, list(rows[e]), 1)
+    x = CyclotomicNumber._make(n, _row_sum(n, [(e, 1)]), 1)
     # a primitive n-th root generates Q(zeta_n), so it is stored in its
     # minimal field
     x._canon = x

@@ -257,3 +257,13 @@ def test_criterion_14_oracle_at_the_longest_length_bound(capsys):
         assert main(["certify-free", "--order", "7", "--x", X_WORD_TEXT,
                      "--y", Y_WORD_TEXT, "--max-len", "10"]) == 0
     assert capsys.readouterr().err.endswith("overall: pass\n")
+
+
+def test_criterion_15_dichotomy_pair_at_conductor_1021(capsys):
+    # products at conductor 1021 go through one routine, by Kronecker
+    # substitution for dense factors, and reduce through sparse rows
+    with _Timer("15. certify-free with a certificate at order 1021", budget=5.0):
+        assert main(["certify-free", "--order", "1021", "--x", X_WORD_TEXT,
+                     "--y", Y_WORD_TEXT, "--max-len", "4", "--pingpong",
+                     "--precision", "32"]) == 0
+    assert capsys.readouterr().err.endswith("overall: pass\n")

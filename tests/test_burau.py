@@ -121,21 +121,34 @@ def test_matrix_power_makes_no_spare_products(monkeypatch):
     assert result == expected
 
 
-@pytest.mark.parametrize("text", ["g1", "g2^-1 g3", "g1 g2 g3 g1^-2", "g3^3 g2 g1^-1 g2"])
-def test_inverse_3x3_on_b4_words(text):
-    m = burau_eval(parse_word(B4, text), root_of_unity(9, 2))
-    identity = CycloMatrix.identity(3)
-    assert m * m.inverse() == identity
-    assert m.inverse() * m == identity
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_form_generator_inverses(n):
+    q = root_of_unity(9, 2)
+    identity = CycloMatrix.identity(n - 1)
+    context = braid_group(n)
+    for j in range(1, n):
+        inv = burau_eval(word(context, [(j - 1, -1)]), q)
+        assert burau_generator(n, j, q) * inv == identity
+        assert inv * burau_generator(n, j, q) == identity
 
 
-def test_inverse_3x3_singular_raises():
+@pytest.mark.parametrize("text", ["g1", "g2^-1 g3", "g1 g2 g3 g1^-2", "g3^3 g2 g1^-1 g2",
+                                  "g4^-2 g1 g3^-1 g2^3", "g2 g4 g1^-3 g3 g4^-1"])
+def test_word_times_its_inverse_is_the_identity(text):
+    context = B4 if "g4" not in text else braid_group(5)
+    w = parse_word(context, text)
+    identity = CycloMatrix.identity(context.strands - 1)
+    for q in (root_of_unity(9, 2), C.from_rational(Fraction(2, 3)) + root_of_unity(5, 1)):
+        assert burau_eval(w, q) * burau_eval(w.inverse(), q) == identity
+        assert burau_eval(w.inverse(), q) * burau_eval(w, q) == identity
+
+
+def test_inverse_is_two_by_two_only():
     q = root_of_unity(5, 1)
-    one, zero = C.from_rational(1), C.from_rational(0)
-    top, middle = [q, q * q, one], [one, q, zero]
-    m = CycloMatrix([top, middle, [u + v for u, v in zip(top, middle)]])
+    with pytest.raises(ValueError):
+        burau_generator(4, 2, q).inverse()
     with pytest.raises(ZeroDivisionError):
-        m.inverse()
+        CycloMatrix([[q, q * q], [C.from_rational(1), q]]).inverse()
 
 
 def test_matrices_of_different_sizes_are_unequal():

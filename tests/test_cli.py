@@ -337,6 +337,21 @@ def test_certify_free_rejects_words_past_the_letter_bound(capsys, words):
     assert err.startswith("error: ") and "4096" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("words, code", [
+    (["--x", "A^4097"], 2),
+    (["--y", " ".join(["A B^-1"] * 2049)], 2),
+    (["--x", "A^4096"], 0),                  # --max-power applies only with --pingpong
+])
+def test_certify_free_bounds_word_letters_without_pingpong(capsys, words, code):
+    # the relation oracle evaluates each word exactly, so the bound holds
+    # at power 1 on that path too
+    argv = ["certify-free", "--order", "14", "--x", "A B", "--y", "B A^-1", "--max-len", "1"]
+    got, report, err = run_cli(capsys, *argv, *words)
+    assert got == code
+    if code == 2:
+        assert report is None and err.startswith("error: ") and "4096" in err
+
+
 def test_option_bounds_are_inclusive():
     # --precision may be doubled once by the search and still be accepted
     # by verify-cert, whose bound is 1024

@@ -1,14 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from burauforge.cyclotomic import (CyclotomicNumber, _reduction_rows,
+from burauforge.cyclotomic import (CyclotomicNumber, _polymul_into,
+                                   _reduction_rows, _unpack_into,
                                    cyclotomic_polynomial, euler_phi,
-                                   galois_conjugates, multiplicative_order,
-                                   prime_factors, root_of_unity, row_reduce)
+                                   galois_conjugates, matmul,
+                                   multiplicative_order, prime_factors,
+                                   root_of_unity)
 
 C = CyclotomicNumber
 
@@ -139,12 +142,33 @@ def reference_canonical(x):
         x.galois(j) == x for j in range(1 + d, m, d) if math.gcd(j, m) == 1))
     if d == m:
         return x
-    rows, dd = _reduction_rows(m), euler_phi(d)
+    rows, dd = reference_reduction_rows(m), euler_phi(d)
     aug = [[Fraction(rows[(m // d * s) % m][r]) for s in range(dd)] + [Fraction(v, x.den)]
            for r, v in enumerate(x.num)]
     rref, pivots = row_reduce(aug)
     assert pivots == list(range(dd))
     return reference_canonical(C.from_coefficients(d, [row[dd] for row in rref[:dd]]))
+
+
+@lru_cache(maxsize=8)
+def reference_reduction_rows(m):
+    # z^e reduced mod Phi_m as dense coefficient tuples, for e below
+    # max(m, 2 phi(m) - 1): the dense reference for _reduction_rows
+    d = euler_phi(m)
+    phi = cyclotomic_polynomial(m)
+    rows = []
+    cur = [0] * d
+    cur[0] = 1
+    rows.append(tuple(cur))
+    for _ in range(1, max(m, 2 * d - 1)):
+        top = cur[-1]
+        nxt = [0] + cur[:-1]
+        if top:
+            for i in range(d):
+                nxt[i] -= top * phi[i]
+        cur = nxt
+        rows.append(tuple(cur))
+    return rows
 
 
 def reference_fold(d, coeffs):
@@ -292,8 +316,170 @@ def test_dense_non_unit_inverse_at_conductor_59():
 
 
 # ---------------------------------------------------------------------------
-# row reduction against the two elimination loops it replaced, kept here as
-# reference paths
+# products: the one product routine against the term-by-term loop and the
+# dense reduction table, kept here as the reference
+
+def reference_polymul(x, y, width):
+    vec = [0] * width
+    for i, c in x:
+        for j, e in y:
+            vec[i + j] += c * e
+    return vec
+
+
+def reference_product(x, y):
+    # x * y: both lifted, multiplied term by term and reduced through the
+    # dense table
+    m = math.lcm(x.conductor, y.conductor)
+    rows, d = reference_reduction_rows(m), euler_phi(m)
+
+    def reduced(terms):
+        out = [0] * d
+        for e, c in terms:
+            if c:
+                for i, r in enumerate(rows[e]):
+                    out[i] += c * r
+        return out
+
+    def lifted(v):
+        t = m // v.conductor
+        vec = reduced((k * t, c) for k, c in enumerate(v.num))
+        return [(i, c) for i, c in enumerate(vec) if c]
+
+    vec = reference_polymul(lifted(x), lifted(y), 2 * d - 1)
+    return C.from_coefficients(m, [Fraction(c, x.den * y.den)
+                                   for c in reduced(enumerate(vec))])
+
+
+def _signed(rng, bits):
+    return rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+
+
+@st.composite
+def coefficient_pairs(draw, d, most=None):
+    # ascending nonzero (index, coefficient) pairs below d: all d of them,
+    # or a sparse sample; coefficients up to 2^700 in absolute value
+    rng = draw(st.randoms(use_true_random=False))
+    bits = draw(st.sampled_from([1, 7, 8, 63, 64, 65, 200, 700]))
+    if draw(st.booleans()) and (most is None or d <= most):
+        indices = range(d)
+    else:
+        indices = sorted(rng.sample(range(d), rng.randint(0, min(d, 40))))
+    return [(i, _signed(rng, bits)) for i in indices]
+
+
+@st.composite
+def polynomial_factors(draw):
+    m = draw(st.integers(min_value=1, max_value=1024))
+    d = euler_phi(m)
+    return 2 * d - 1, draw(coefficient_pairs(d)), draw(coefficient_pairs(d))
+
+
+_RNG = random.Random(1021)
+
+
+@given(polynomial_factors())
+@example((59, [(i, 1) for i in range(24)], [(i, -3) for i in range(23)]))   # 12 per digit
+@example((59, [(i, 1) for i in range(24)], [(i, -3) for i in range(24)]))   # past 12
+@example((255, [(i, 1) for i in range(128)], [(i, 1) for i in range(128)]))  # digit 2^7
+@example((401, [(7, 2 ** 64 - 1)], [(i, -2 ** 63) for i in range(5, 198, 1)]))
+@example((59, [(i, -2 ** 64) for i in range(3, 30)], [(i, 2 ** 64 - 1) for i in range(8)]))
+@example((2039, [(i, _signed(_RNG, 700)) for i in range(1020)],
+          [(i, _signed(_RNG, 700)) for i in range(1020)]))                      # conductor 1021
+@settings(max_examples=60, deadline=None)
+def test_product_routine_agrees_with_the_term_loop(factors):
+    width, x, y = factors
+    start = [(-1) ** i * i for i in range(width)]
+    vec = list(start)
+    _polymul_into(vec, x, y)
+    assert vec == [s + v for s, v in zip(start, reference_polymul(x, y, width))]
+
+
+def test_kronecker_decode_raises_past_its_digits():
+    vec = [0, 0, 0]
+    _unpack_into(vec, 0, -1 + (5 << 8) - (3 << 16), 3, 1)
+    assert vec == [-1, 5, -3]
+    for value in (1 << 24, -(1 << 24), 128 << 16):
+        with pytest.raises(ArithmeticError):
+            _unpack_into(vec, 0, value, 3, 1)
+
+
+@st.composite
+def field_elements(draw, m, most=None):
+    # an element of Q(zeta_c) for a divisor c of m
+    c = draw(st.sampled_from([c for c in range(1, m + 1) if m % c == 0]))
+    vec = [0] * euler_phi(c)
+    for i, v in draw(coefficient_pairs(euler_phi(c), most)):
+        vec[i] = v
+    return C.from_coefficients(c, [Fraction(v, draw(st.integers(1, 9))) for v in vec])
+
+
+@given(st.integers(min_value=1, max_value=1024).flatmap(
+    lambda m: st.tuples(field_elements(m), field_elements(m))))
+@settings(max_examples=40, deadline=None)
+def test_field_product_agrees_with_reference(pair):
+    x, y = pair
+    assert _stored(x * y) == _stored(reference_product(x, y))
+
+
+@given(st.integers(min_value=2, max_value=3), st.integers(min_value=1, max_value=1024),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_matmul_agrees_with_reference(n, m, data):
+    left, right = ([[data.draw(field_elements(m, most=96)) for _ in range(n)]
+                    for _ in range(n)] for _ in range(2))
+    got = matmul(left, right)
+    for i in range(n):
+        for j in range(n):
+            want = sum((reference_product(left[i][k], right[k][j]) for k in range(n)),
+                       rational(0))
+            assert _stored(got[i][j].canonical()) == _stored(want.canonical())
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 12, 60, 105, 128, 255, 509, 720, 1021, 1024])
+def test_reduction_rows_are_the_dense_table_sparsely(m):
+    dense = reference_reduction_rows(m)
+    assert len(_reduction_rows(m)) == len(dense)
+    for sparse, row in zip(_reduction_rows(m), dense):
+        assert sparse == tuple((i, c) for i, c in enumerate(row) if c)
+
+
+# ---------------------------------------------------------------------------
+# row reduction, the reference solve of reference_canonical and of the
+# invariant-form solve in test_hyperbolic, checked against two independent
+# elimination loops
+
+def row_reduce(rows):
+    """Reduced row echelon form of a matrix over Q or a cyclotomic field.
+
+    Entries are Fractions or CyclotomicNumbers: anything with exact
+    ``+ - * /`` whose truth value means "nonzero".  ``rows`` is left
+    unchanged.  Columns are taken left to right; the pivot of a column is
+    its first nonzero entry at or below the next free row, that row is
+    swapped up and scaled by ``1 / pivot``, and the column is cleared in
+    every other row.  Returns ``(rref, pivots)``: the reduced rows, and
+    the pivot column of rref[i] for each leading row i, ascending; rows
+    from len(pivots) on are zero.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
 
 def reference_solve_rational(matrix, rhs):
     # Gaussian elimination; returns one exact solution or None
@@ -387,7 +573,7 @@ def test_row_reduce_agrees_with_reference_solve(system):
 @settings(max_examples=120, deadline=None)
 def test_row_reduce_over_the_field_agrees_with_reference(system, twist):
     # rational entries, or the same entries times powers of zeta_5: row
-    # reduction over the field, as CycloMatrix.inverse uses it for n > 2
+    # reduction over the field, as the reference solves use it
     matrix, _ = system
     z = root_of_unity(5, 1)
     rows = [[C.from_rational(v) * z ** ((twist * (i + j)) % 5)

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from burauforge import hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
 from burauforge.cli import main
-from burauforge.cyclotomic import CyclotomicNumber, root_of_unity, row_reduce
+from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.hyperbolic import (PAIR_CONTEXT, HermitianForm2, PingPongCertificate,
                                    PrecisionExhausted, invariant_form, ping_pong_certify,
                                    short_relation_oracle, verify_certificate)
 from burauforge.words import free_group, parse_word, word
+from test_cyclotomic import row_reduce
 
 Q14 = root_of_unity(14, 1)
 X_WORD = parse_word(PAIR_CONTEXT, "A B A^-1 B^-1")
