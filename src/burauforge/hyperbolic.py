@@ -122,16 +122,24 @@ def _check_invariance(j_mat: CycloMatrix, mats) -> None:
             raise AssertionError("form is not invariant; implementation bug")
 
 
+def _interval_sign(centre: int, rad: int) -> int:
+    """1 or -1 when the integer interval centre +- rad excludes zero, else 0."""
+    if centre - rad > 0:
+        return 1
+    if centre + rad < 0:
+        return -1
+    return 0
+
+
 def _real_sign_certified(x: CyclotomicNumber, embedding: int) -> int:
     if x.conjugate() != x:
         raise AssertionError("expected an exactly-real field element")
     bits = 32
     for _ in range(10):
         ball = embed(x, embedding, bits)
-        if ball.re - ball.rad > 0:
-            return 1
-        if ball.re + ball.rad < 0:
-            return -1
+        sign = _interval_sign(ball.re, ball.rad)
+        if sign:
+            return sign
         bits *= 2
     raise PrecisionExhausted("sign of the form determinant undecided")
 
@@ -485,20 +493,15 @@ def _embed_matrix(m: CycloMatrix, embedding: int, bits: int):
     return tuple(tuple(embed(v, embedding, bits) for v in row) for row in m.rows)
 
 
-def _orient_positive(p: ComplexBall, q_: ComplexBall, r: ComplexBall) -> bool | None:
-    # sign of the cross product (q - p) x (r - p); None when undecided
+def _orientation(p: ComplexBall, q_: ComplexBall, r: ComplexBall) -> int:
+    # sign of the cross product (q - p) x (r - p); 0 when undecided
     u = q_ - p
     v = r - p
     # real ball of u.re * v.im - u.im * v.re, exact on the grid 2^-2bits
     centre = u.re * v.im - u.im * v.re
     bound_u = math.isqrt(u.re * u.re + u.im * u.im) + 1
     bound_v = math.isqrt(v.re * v.re + v.im * v.im) + 1
-    rad = bound_u * v.rad + bound_v * u.rad + u.rad * v.rad
-    if centre - rad > 0:
-        return True
-    if centre + rad < 0:
-        return False
-    return None
+    return _interval_sign(centre, bound_u * v.rad + bound_v * u.rad + u.rad * v.rad)
 
 
 def _arcs_disjoint_margin(arcs: dict) -> Fraction | None:
@@ -536,7 +539,7 @@ def _exact_pair(cert: PingPongCertificate) -> tuple[CycloMatrix, CycloMatrix, _C
 
 
 def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
-    """Re-derive the four mapping-table inclusions from the certificate
+    """Re-derive the two mapping-table inclusions from the certificate
     alone, at one precision; False when the form is not indefinite."""
     pair = _exact_pair(cert)
     return pair is not None and _ball_inclusions(cert, *pair, bits)
@@ -544,28 +547,29 @@ def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
 
 def _ball_inclusions(cert: PingPongCertificate, x_mat: CycloMatrix, y_mat: CycloMatrix,
                      circle: _Circle, bits: int) -> bool:
-    """Re-derive the four mapping-table inclusions with ball arithmetic,
-    for the exact data of ``_exact_pair``."""
+    """Certify x(C - x_rep) in x_att and y(C - y_rep) in y_att with balls,
+    for the exact data of ``_exact_pair``: the whole mapping table.
+
+    A bijection g of the circle C maps C - R onto C - g(R), so g(C - R)
+    lies in A exactly when g^-1(C - A) lies in R (Tits, J. Algebra 1972;
+    de la Harpe, *Topics in Geometric Group Theory*, II.B).  x and y are
+    such bijections, preserving the disk and so the circle's orientation,
+    since ``invariant_form`` proves the circle's form J exactly invariant
+    under both generators; the inverse inclusions need no check.
+    """
     balls = _CircleBalls(circle, cert.embedding, bits)
-    checks = [
-        (x_mat, cert.arcs["x_rep"], cert.arcs["x_att"]),
-        (x_mat.inverse(), cert.arcs["x_att"], cert.arcs["x_rep"]),
-        (y_mat, cert.arcs["y_rep"], cert.arcs["y_att"]),
-        (y_mat.inverse(), cert.arcs["y_att"], cert.arcs["y_rep"]),
-    ]
-    for mat, (rep_s, rep_e), (att_s, att_e) in checks:
+    for mat, name in ((x_mat, "x"), (y_mat, "y")):
+        (rep_s, rep_e), (att_s, att_e) = cert.arcs[f"{name}_rep"], cert.arcs[f"{name}_att"]
         mb = _embed_matrix(mat, cert.embedding, bits)
         # the complement of the repelling arc is the ccw arc (rep_e, rep_s);
         # its image is the ccw arc between the images of its endpoints
         w1 = _mobius(mb, balls.point(rep_e))
         w2 = _mobius(mb, balls.point(rep_s))
         a1 = balls.point(att_s)
-        a2 = balls.point(att_e)
-        first = _orient_positive(a1, w1, w2)
-        second = _orient_positive(a1, w2, a2)
-        if first is None or second is None:
+        signs = (_orientation(a1, w1, w2), _orientation(a1, w2, balls.point(att_e)))
+        if 0 in signs:
             raise PrecisionExhausted("inclusion sign undecided")
-        if not (first and second):
+        if signs != (1, 1):
             return False
     return True
 
@@ -671,7 +675,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
             if fx is None or fy is None:
                 continue
             for shrink, pad in _SHRINK_LADDER:
-                arcs = _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n, radius_n, shrink, pad)
+                arcs = _adaptive_arcs(xa_n[0], yb_n[0], fx, fy, centre_n, radius_n, shrink, pad)
                 if arcs is None:
                     continue
                 margin = _arcs_disjoint_margin(arcs)
@@ -703,9 +707,9 @@ def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
                    shrink: Fraction, pad: Fraction) -> dict | None:
     """Propose arcs from float geometry: repelling arcs around the repelling
     points, attracting arcs around the measured image arcs, endpoints
-    rounded outward onto a dyadic grid.  ``xa_n`` and ``yb_n`` are the
-    (entries, determinant) pairs of ``_numeric_matrix``.  Soundness comes
-    from the exact checks afterwards, not from this construction."""
+    rounded outward onto a dyadic grid.  ``xa_n`` and ``yb_n`` are float
+    entries from ``_numeric_matrix``.  Soundness comes from the exact
+    checks afterwards, not from this construction."""
 
     def point(t: float) -> complex:
         return centre_n + radius_n * cmath.exp(2j * math.pi * t)
@@ -731,34 +735,17 @@ def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
         return start, end
 
     arcs = {}
-    for name, (mat, det), (att, rep) in (("x", xa_n, fx), ("y", yb_n, fy)):
+    for name, mat, (att, rep) in (("x", xa_n, fx), ("y", yb_n, fy)):
         rep_lo, rep_hi = rep - dr, rep + dr
         w1 = turn(mob(mat, point(rep_hi)))
         w2 = turn(mob(mat, point(rep_lo)))
         # ccw arc w1 -> w2 is the image of the complement; it must straddle att
         width = (w2 - w1) % 1.0
-        if width > 0.45 or not _ccw_contains(w1, width, att):
+        if width > 0.45 or (att - w1) % 1.0 > width:
             return None
         arcs[f"{name}_rep"] = outward(rep_lo, rep_hi)
         arcs[f"{name}_att"] = outward(w1 - padf, w1 + width + padf)
-        # numeric pre-check of the inverse inclusion
-        inv = _invert2(mat, det)
-        v1 = turn(mob(inv, point(w1 + width + padf)))
-        v2 = turn(mob(inv, point(w1 - padf)))
-        vwidth = (v2 - v1) % 1.0
-        if not (_ccw_contains(rep_lo % 1.0, 2 * dr, v1) and vwidth < 2 * dr
-                and _ccw_contains(rep_lo % 1.0, 2 * dr, (v1 + vwidth) % 1.0)):
-            return None
     return arcs
-
-
-def _ccw_contains(start: float, width: float, t: float) -> bool:
-    return (t - start) % 1.0 <= width
-
-
-def _invert2(mat, det: complex):
-    (a, b), (c, d) = mat
-    return ((d / det, -b / det), (-c / det, a / det))
 
 
 def verify_certificate(cert: PingPongCertificate) -> bool:

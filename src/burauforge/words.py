@@ -237,10 +237,13 @@ def evaluate_word(w: GroupWord, images: Mapping[str, object], one):
     """Fold a word through generator images.
 
     Images must support ``*`` and ``.inverse()``; each syllable is raised
-    by ``power``, and ``one`` is returned only for the empty word.
+    by ``power``, a negative one as its generator's inverse, taken once
+    per call.  ``one`` is returned only for the empty word.
     """
+    names = w.context.names
+    inverses = {g: images[names[g]].inverse() for g in {g for g, e in w.syllables if e < 0}}
     result = None
     for g, e in w.syllables:
-        acc = power(images[w.context.names[g]], e, one)
+        acc = power(inverses[g] if e < 0 else images[names[g]], abs(e), one)
         result = acc if result is None else result * acc
     return one if result is None else result

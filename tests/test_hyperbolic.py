@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 import time
@@ -11,9 +13,9 @@ from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squa
 from burauforge.cli import main
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.hyperbolic import (PAIR_CONTEXT, HermitianForm2, PingPongCertificate,
-                                   PrecisionExhausted, invariant_form, ping_pong_certify,
-                                   short_relation_oracle, verify_certificate)
-from burauforge.words import free_group, parse_word, word
+                                   PingPongConfig, PrecisionExhausted, invariant_form,
+                                   ping_pong_certify, short_relation_oracle, verify_certificate)
+from burauforge.words import free_group, generator, iterated_bracket, parse_word, word
 from test_cyclotomic import row_reduce
 
 Q14 = root_of_unity(14, 1)
@@ -420,6 +422,120 @@ def test_certificates_at_other_orders(order, embedding):
     cert = ping_pong_certify(X_WORD, Y_WORD, q, embedding)
     assert cert is not None and cert.margin > 0
     assert verify_certificate(cert)
+
+
+def test_interval_sign_excludes_zero_strictly():
+    cases = [(5, 4), (5, 5), (-5, 4), (-5, 5), (0, 0), (0, 1)]
+    assert [hyperbolic._interval_sign(c, r) for c, r in cases] == [1, 0, -1, 0, 0, 0]
+
+
+def test_deep_johnson_pair_certifies_at_order_14():
+    # weight-5 brackets, whose fixed points lie 0.0035-0.053 turn apart: a
+    # float pre-check of the inverse inclusions rejected every candidate
+    a, b = generator(PAIR_CONTEXT, "A"), generator(PAIR_CONTEXT, "B")
+    cert = ping_pong_certify(iterated_bracket(a, b, 5), iterated_bracket(b, a, 5), Q14, 1,
+                             PingPongConfig(max_power=2, precision=96))
+    assert cert is not None
+    assert verify_certificate(cert)
+
+
+def reference_ball_inclusions(cert, x_mat, y_mat, circle, bits):
+    """The mapping table checked both ways: each generator's inclusion and
+    its inverse's, the inverse taken exactly.  The library checks only the
+    first of each pair, which is equivalent for a bijection of the circle."""
+    balls = hyperbolic._CircleBalls(circle, cert.embedding, bits)
+    checks = [
+        (x_mat, cert.arcs["x_rep"], cert.arcs["x_att"]),
+        (x_mat.inverse(), cert.arcs["x_att"], cert.arcs["x_rep"]),
+        (y_mat, cert.arcs["y_rep"], cert.arcs["y_att"]),
+        (y_mat.inverse(), cert.arcs["y_att"], cert.arcs["y_rep"]),
+    ]
+    for mat, (rep_s, rep_e), (att_s, att_e) in checks:
+        mb = hyperbolic._embed_matrix(mat, cert.embedding, bits)
+        w1 = hyperbolic._mobius(mb, balls.point(rep_e))
+        w2 = hyperbolic._mobius(mb, balls.point(rep_s))
+        a1 = balls.point(att_s)
+        first = hyperbolic._orientation(a1, w1, w2)
+        second = hyperbolic._orientation(a1, w2, balls.point(att_e))
+        if not (first and second):
+            raise PrecisionExhausted("inclusion sign undecided")
+        if first < 0 or second < 0:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_certificate(order):
+    cert = ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), 1)
+    assert cert is not None
+    return cert, hyperbolic._exact_pair(cert)
+
+
+def _decided(check, cert, pair, bits):
+    try:
+        return check(cert, *pair, bits)
+    except PrecisionExhausted:
+        return None
+
+
+def _tampered(cert, swap, name, shift, grow_start, grow_end):
+    # steps on the grid that the search rounds arc endpoints onto
+    step = Fraction(1, hyperbolic._ARC_DENOM)
+    arcs = dict(cert.arcs)
+    if swap:
+        arcs["x_att"], arcs["y_att"] = arcs["y_att"], arcs["x_att"]
+    s, e = arcs[name]
+    arcs[name] = ((s + (shift - grow_start) * step) % 1, (e + (shift + grow_end) * step) % 1)
+    return dataclasses.replace(cert, arcs=arcs)
+
+
+def test_found_certificates_pass_both_ways_and_swapped_copies_fail():
+    for order in range(7, 41):
+        cert, pair = _pair_certificate(order)
+        bits = 2 * cert.precision
+        assert reference_ball_inclusions(cert, *pair, bits)
+        assert hyperbolic._ball_inclusions(cert, *pair, bits)
+        bad = _tampered(cert, True, "x_att", 0, 0, 0)
+        assert not reference_ball_inclusions(bad, *pair, bits)
+        assert not hyperbolic._ball_inclusions(bad, *pair, bits)
+
+
+@given(st.integers(7, 40), st.booleans(), st.sampled_from(hyperbolic._ARC_NAMES),
+       st.one_of(st.integers(-64, 64), st.integers(-1 << 16, 1 << 16)),
+       st.integers(-256, 256), st.integers(-256, 256), st.sampled_from((16, 32, 96, 192)))
+@settings(max_examples=300, deadline=None)
+def test_two_inclusions_agree_with_the_four_inclusion_reference(
+        order, swap, name, shift, grow_start, grow_end, bits):
+    cert, pair = _pair_certificate(order)
+    cert = _tampered(cert, swap, name, shift, grow_start, grow_end)
+    want = _decided(reference_ball_inclusions, cert, pair, bits)
+    got = _decided(hyperbolic._ball_inclusions, cert, pair, bits)
+    if want is not None:
+        # the library's checks are the reference's first and third, which
+        # imply the other two; only where the reference refuses may the
+        # library stop undecided at a check the reference never reached
+        assert got is want or (want is False and got is None)
+    if got:
+        # a certified inclusion holds, so no precision refutes it
+        assert _decided(reference_ball_inclusions, cert, pair, 4 * bits) is not False
+
+
+# reduced words of up to 80 letters in A and B, the identity included
+long_pair_words = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
+                           max_size=80).map(lambda sylls: word(PAIR_CONTEXT, sylls))
+
+
+@given(long_pair_words, long_pair_words, st.integers(1, 8), st.integers(7, 40),
+       st.sampled_from((32, 96)))
+@settings(max_examples=40, deadline=None)
+def test_search_returns_a_verified_certificate_or_a_documented_refusal(
+        x, y, max_power, order, precision):
+    config = PingPongConfig(max_power=max_power, precision=precision)
+    try:
+        cert = ping_pong_certify(x, y, root_of_unity(order, 1), 1, config)
+    except (ValueError, PrecisionExhausted):
+        return
+    assert cert is None or verify_certificate(cert)
 
 
 def test_certify_rejects_trivial_generator():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from burauforge.burau import CycloMatrix, burau_eval, squared_images
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.modular import ModMatrix2, ab_images
-from burauforge.words import (FREE_PRODUCT, _reduce, braid_group, commutator, format_word, free_group,
-                              free_product, generator, iterated_bracket,
+from burauforge.words import (FREE_PRODUCT, _reduce, braid_group, commutator, evaluate_word,
+                              format_word, free_group, free_product, generator, iterated_bracket,
                               parse_word, power, st_words, word)
 
 FREE = free_group(("a", "b"))
@@ -219,3 +219,21 @@ def test_power_zero_returns_one_untouched():
     one = CycloMatrix.identity(2)
     a, _, _ = squared_images(root_of_unity(5, 1))
     assert power(a, 0, one) is one
+
+
+def test_evaluate_word_inverts_each_generator_once(monkeypatch):
+    a, b, _ = squared_images(root_of_unity(7, 1))
+    one = CycloMatrix.identity(2)
+    w = parse_word(FREE, "a^-2 b^-1 a^3 b^-3 a^-1 b^2 a^-4 b^-1")
+    expected = one
+    for g, e in w.syllables:
+        expected = expected * _repeated((a, b)[g], e, one)
+    inverted = []
+    original = CycloMatrix.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return original(self)
+    monkeypatch.setattr(CycloMatrix, "inverse", counted)
+    assert evaluate_word(w, {"a": a, "b": b}, one) == expected
+    assert sorted(map(id, inverted)) == sorted((id(a), id(b)))
