@@ -355,13 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_int_in(1, MAX_CERT_CONDUCTOR), required=True,
                    help=f"order of the parameter root of unity, 1..{MAX_CERT_CONDUCTOR}")
     p.add_argument("--x", required=True, help="word over A, B, e.g. 'A B A^-1 B^-1'")
-    p.add_argument("--y", required=True)
+    p.add_argument("--y", required=True, help="the second word over A, B")
     p.add_argument("--max-len", type=_int_in(1, MAX_ORACLE_LEN), required=True)
     p.add_argument("--pingpong", action="store_true")
-    p.add_argument("--max-power", type=_int_in(1, MAX_CERT_POWER), default=4)
+    defaults = PingPongConfig()
+    p.add_argument("--max-power", type=_int_in(1, MAX_CERT_POWER), default=defaults.max_power,
+                   help=f"largest power of x and y that the search tries, 1..{MAX_CERT_POWER} "
+                        "(default %(default)s)")
     # the search may double the precision once, and every certificate it
     # writes must stay within what verify-cert accepts
-    p.add_argument("--precision", type=_int_in(1, MAX_CERT_PRECISION // 2), default=96)
+    p.add_argument("--precision", type=_int_in(1, MAX_CERT_PRECISION // 2),
+                   default=defaults.precision,
+                   help=f"ball precision of the search in bits, 1..{MAX_CERT_PRECISION // 2} "
+                        "(default %(default)s); the search may double it once")
     p.add_argument("--cert-out", help="write the certificate JSON to this path")
     p.set_defaults(func=_cmd_certify_free)
 

@@ -306,6 +306,8 @@ _SHRINK_LADDER = (
 )
 # a generator whose projective order is at most this is rejected as torsion
 _ORDER_BOUND = 120
+# float search data is scaled to entries below 2^_FLOAT_BITS
+_FLOAT_BITS = 256
 
 
 # Bounds on certificate input, checked before any arithmetic: verification
@@ -574,45 +576,44 @@ def _ball_inclusions(cert: PingPongCertificate, x_mat: CycloMatrix, y_mat: Cyclo
     return True
 
 
-def _numeric_value(v: CyclotomicNumber, embedding: int) -> complex:
+def _numeric_value(v: CyclotomicNumber, embedding: int, shift: int = 0) -> complex:
+    # v / 2^shift at the embedding; int / int rounds correctly, as float() does
     root = cmath.exp(2j * cmath.pi * embedding / v.conductor)
+    den = v.den << shift
     acc = 0j
-    for c in reversed(v.coefficients()):
-        acc = acc * root + float(c)
+    for c in reversed(v.num):
+        acc = acc * root + c / den
     return acc
 
 
-def _numeric_matrix(m: CycloMatrix, embedding: int):
-    """Float entries of m and of its exact determinant: the entries of a
-    deep word can be so large that a*d - b*c cancels to zero in floats."""
-    return ([[_numeric_value(v, embedding) for v in row] for row in m.rows],
-            _numeric_value(m.det2(), embedding))
-
-
-def _fixed_turns(mat, det: complex, circle_centre: complex,
-                 circle_radius: float) -> tuple[float, float] | None:
-    # attracting and repelling fixed points as fractions of a turn
-    (a, b), (c, d) = mat
+def _fixed_turns(m: CycloMatrix, embedding: int, centre: complex,
+                 radius: float) -> tuple[float, float, complex] | None:
+    """Attracting and repelling fixed turns of m on the circle and its
+    multiplier k = det / lambda_1^2; None when m is not hyperbolic there.
+    The one place where a search matrix's floats are made.  The entries
+    are scaled by 2^-shift, and the exact determinant (a*d - b*c of large
+    entries cancels in floats) by 2^-2shift, which moves neither the fixed
+    points nor k and keeps deep words from overflowing; shift is 0 for
+    entries below 2^_FLOAT_BITS."""
+    top = max(abs(c).bit_length() - v.den.bit_length() for r in m.rows for v in r for c in v.num)
+    shift = max(0, top - _FLOAT_BITS)
+    (a, b), (c, d) = ([_numeric_value(v, embedding, shift) for v in row] for row in m.rows)
+    det = _numeric_value(m.det2(), embedding, 2 * shift)
     tr = a + d
     disc = cmath.sqrt(tr * tr - 4 * det)
-    lams = [(tr + disc) / 2, (tr - disc) / 2]
-    lams.sort(key=abs, reverse=True)
+    lams = sorted(((tr + disc) / 2, (tr - disc) / 2), key=abs, reverse=True)
     if abs(abs(lams[0]) - abs(lams[1])) < 1e-9:
         return None  # not hyperbolic at this embedding
     pts = []
     for lam in lams:
-        if abs(b) > 1e-12 or abs(lam - a) > 1e-12:
-            v = (b, lam - a) if abs(b) > 1e-12 else (lam - d, c)
-        else:
-            v = (lam - d, c)
+        v = (b, lam - a) if abs(b) > 1e-12 else (lam - d, c)
         if abs(v[1]) < 1e-13:
             return None
         z = v[0] / v[1]
-        turn = cmath.phase(z - circle_centre) / (2 * math.pi) % 1.0
-        if abs(abs(z - circle_centre) - circle_radius) > 1e-6 * max(1.0, circle_radius):
+        if abs(abs(z - centre) - radius) > 1e-6 * max(1.0, radius):
             return None
-        pts.append(turn)
-    return pts[0], pts[1]  # attracting first
+        pts.append(cmath.phase(z - centre) / (2 * math.pi) % 1.0)
+    return pts[0], pts[1], det / (lams[0] * lams[0])  # attracting first
 
 
 def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
@@ -668,14 +669,12 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
                        if max(i, j) == power]:
             xa = x_mat ** ax
             yb = y_mat ** by
-            xa_n = _numeric_matrix(xa, embedding)
-            yb_n = _numeric_matrix(yb, embedding)
-            fx = _fixed_turns(*xa_n, centre_n, radius_n)
-            fy = _fixed_turns(*yb_n, centre_n, radius_n)
+            fx = _fixed_turns(xa, embedding, centre_n, radius_n)
+            fy = _fixed_turns(yb, embedding, centre_n, radius_n)
             if fx is None or fy is None:
                 continue
             for shrink, pad in _SHRINK_LADDER:
-                arcs = _adaptive_arcs(xa_n[0], yb_n[0], fx, fy, centre_n, radius_n, shrink, pad)
+                arcs = _adaptive_arcs(fx, fy, centre_n, radius_n, shrink, pad)
                 if arcs is None:
                     continue
                 margin = _arcs_disjoint_margin(arcs)
@@ -703,26 +702,27 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
 _ARC_DENOM = 1 << 16
 
 
-def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
+def _image_offset(fixed, centre_n: complex, radius_n: float, t: float) -> float:
+    """The signed turn from g's attracting point to the image of the circle
+    point at turn t, from ``fixed = _fixed_turns(g, ...)`` alone.  With
+    attracting point a, repelling point r and multiplier k, g satisfies
+    (g z - a) / (g z - r) = k (z - a) / (z - r) (Beardon, *The Geometry of
+    Discrete Groups*, ch. 4), so g z - a = w (a - r) / (1 - w) with
+    w = k (z - a) / (z - r): an image however close to a keeps its sign."""
+    att, rep, k = fixed
+    a, r, z = (centre_n + radius_n * cmath.exp(2j * math.pi * s) for s in (att, rep, t))
+    w = k * (z - a) / (z - r)
+    return cmath.phase(1 + w * (a - r) / ((1 - w) * (a - centre_n))) / (2 * math.pi)
+
+
+def _adaptive_arcs(fx, fy, centre_n: complex, radius_n: float,
                    shrink: Fraction, pad: Fraction) -> dict | None:
-    """Propose arcs from float geometry: repelling arcs around the repelling
-    points, attracting arcs around the measured image arcs, endpoints
-    rounded outward onto a dyadic grid.  ``xa_n`` and ``yb_n`` are float
-    entries from ``_numeric_matrix``.  Soundness comes from the exact
-    checks afterwards, not from this construction."""
-
-    def point(t: float) -> complex:
-        return centre_n + radius_n * cmath.exp(2j * math.pi * t)
-
-    def turn(z: complex) -> float:
-        return (cmath.phase(z - centre_n) / (2 * math.pi)) % 1.0
-
-    def mob(mat, z: complex) -> complex:
-        (a, b), (c, d) = mat
-        return (a * z + b) / (c * z + d)
-
-    pts = [fx[0] % 1, fx[1] % 1, fy[0] % 1, fy[1] % 1]
-    spts = sorted(pts)
+    """Propose arcs from the fixed points and multipliers of ``_fixed_turns``:
+    repelling arcs around the repelling points, attracting arcs around the
+    images of their complements, endpoints rounded outward onto a dyadic
+    grid.  Soundness comes from the ball checks afterwards, not from this
+    construction."""
+    spts = sorted([fx[0] % 1, fx[1] % 1, fy[0] % 1, fy[1] % 1])
     gap = min((b - a) % 1.0 for a, b in zip(spts, spts[1:] + [spts[0] + 1.0]))
     if gap < 1e-5:
         return None
@@ -735,16 +735,16 @@ def _adaptive_arcs(xa_n, yb_n, fx, fy, centre_n: complex, radius_n: float,
         return start, end
 
     arcs = {}
-    for name, mat, (att, rep) in (("x", xa_n, fx), ("y", yb_n, fy)):
+    for name, fixed in (("x", fx), ("y", fy)):
+        att, rep, _ = fixed
         rep_lo, rep_hi = rep - dr, rep + dr
-        w1 = turn(mob(mat, point(rep_hi)))
-        w2 = turn(mob(mat, point(rep_lo)))
-        # ccw arc w1 -> w2 is the image of the complement; it must straddle att
-        width = (w2 - w1) % 1.0
-        if width > 0.45 or (att - w1) % 1.0 > width:
+        # the complement of the repelling arc maps onto the ccw arc lo -> hi;
+        # a negative width is an image wider than half the circle, wrapped
+        lo, hi = (_image_offset(fixed, centre_n, radius_n, t) for t in (rep_hi, rep_lo))
+        if not 0 <= hi - lo <= 0.45:
             return None
         arcs[f"{name}_rep"] = outward(rep_lo, rep_hi)
-        arcs[f"{name}_att"] = outward(w1 - padf, w1 + width + padf)
+        arcs[f"{name}_att"] = outward(att + lo - padf, att + hi + padf)
     return arcs
 
 

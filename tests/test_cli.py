@@ -268,6 +268,19 @@ def test_certify_free_deep_pair_has_no_traceback(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("copies", [300, 600])
+def test_certify_free_long_word_does_not_overflow_the_float_search(capsys, copies):
+    # entries of x past 2^1024 overflowed the float conversion (600 copies)
+    # or turned the float data to NaN (300 copies); the search scales them
+    code, report, err = run_cli(capsys, "certify-free", "--order", "7",
+                                "--x", " ".join(["A B A^-1 B^-1"] * copies),
+                                "--y", "A^2 B A^-2 B^-1", "--max-len", "1", "--pingpong",
+                                "--max-power", "1", "--precision", "32")
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err and "NaN" not in err
+    assert report is None or "NaN" not in json.dumps(report)
+
+
 def test_artin_command(capsys):
     code, report, _ = run_cli(capsys, "artin", "--braid", "g1^2 g2^2 g1^-2 g2^-2",
                               "--strand", "1", "--depth", "1")

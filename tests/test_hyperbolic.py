@@ -1,12 +1,14 @@
+import cmath
 import dataclasses
 import functools
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from burauforge import hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
@@ -429,14 +431,66 @@ def test_interval_sign_excludes_zero_strictly():
     assert [hyperbolic._interval_sign(c, r) for c, r in cases] == [1, 0, -1, 0, 0, 0]
 
 
-def test_deep_johnson_pair_certifies_at_order_14():
-    # weight-5 brackets, whose fixed points lie 0.0035-0.053 turn apart: a
-    # float pre-check of the inverse inclusions rejected every candidate
+# (k, order) for the pairs x_k, y_k of weight-k brackets, whose fixed
+# points lie 0.0035-0.053 turn apart and whose multipliers reach 10^-68.
+# At order 14 a float pre-check of the inverse inclusions rejected every
+# candidate for k = 5; at the others, attracting arcs measured from float
+# matrix entries were narrower than a float turn at every shrink level.
+DEEP_JOHNSON_CASES = [(5, n) for n in (11, 12, 14, 20, 21, 23, 26)] + [
+    (6, n) for n in (9, 10, 11, 13, 14, 16, 19, 20, 22, 27, 29, 30)]
+
+
+@pytest.mark.parametrize("k,order", DEEP_JOHNSON_CASES)
+def test_deep_johnson_pair_certifies(k, order):
     a, b = generator(PAIR_CONTEXT, "A"), generator(PAIR_CONTEXT, "B")
-    cert = ping_pong_certify(iterated_bracket(a, b, 5), iterated_bracket(b, a, 5), Q14, 1,
+    cert = ping_pong_certify(iterated_bracket(a, b, k), iterated_bracket(b, a, k),
+                             root_of_unity(order, 1), 1,
                              PingPongConfig(max_power=2, precision=96))
     assert cert is not None
     assert verify_certificate(cert)
+
+
+def test_scaled_float_data_proposes_a_certificate_for_a_long_word():
+    # x has coefficients of 637 bits, so tr^2 overflowed a float and the
+    # search's float data became NaN; scaled by 2^-381 it proposes arcs that
+    # the balls certify once the precision covers the entries
+    x = parse_word(PAIR_CONTEXT, " ".join(["A B A^-1 B^-1"] * 300))
+    cert = ping_pong_certify(x, Y_WORD, root_of_unity(7, 1), 1,
+                             PingPongConfig(max_power=1, precision=2048))
+    assert cert is not None
+    assert verify_certificate(cert)
+
+
+def reference_image(mat, embedding, centre_n, radius_n, t):
+    """The turn of the image of the circle point at turn t, through m's
+    float entries: the search's construction before it used fixed points
+    and multipliers only."""
+    (a, b), (c, d) = ([hyperbolic._numeric_value(v, embedding) for v in row]
+                      for row in mat.rows)
+    z = centre_n + radius_n * cmath.exp(2j * math.pi * t)
+    return cmath.phase((a * z + b) / (c * z + d) - centre_n) / (2 * math.pi) % 1.0
+
+
+def _float_circle(q, embedding):
+    circle = hyperbolic._invariant_circle(invariant_form(q, embedding))
+    return (hyperbolic._numeric_value(circle.centre, embedding),
+            math.sqrt(hyperbolic._numeric_value(circle.radius_sq, embedding).real))
+
+
+@given(pair_words, st.integers(7, 40), st.floats(0, 1, exclude_max=True),
+       st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_image_agrees_with_the_matrix_entry_reference(w, order, t, power):
+    q = root_of_unity(order, 1)
+    a, b, _ = squared_images(q)
+    mat = pair_word_eval(w, a, b) ** power
+    centre_n, radius_n = _float_circle(q, 1)
+    fixed = hyperbolic._fixed_turns(mat, 1, centre_n, radius_n)
+    # near the repelling point the image moves faster than floats resolve
+    assume(fixed is not None and abs((t - fixed[1] + 0.5) % 1 - 0.5) > 0.01)
+    got = fixed[0] + hyperbolic._image_offset(fixed, centre_n, radius_n, t)
+    want = reference_image(mat, 1, centre_n, radius_n, t)
+    assert abs((got - want + 0.5) % 1 - 0.5) < 1e-9
 
 
 def reference_ball_inclusions(cert, x_mat, y_mat, circle, bits):
@@ -520,6 +574,13 @@ def test_two_inclusions_agree_with_the_four_inclusion_reference(
         assert _decided(reference_ball_inclusions, cert, pair, 4 * bits) is not False
 
 
+# the reasons for which ping_pong_certify refuses a pair
+SEARCH_REFUSALS = re.compile(
+    r"generator [xy] (is projectively trivial|has finite projective order)"
+    r"|no indefinite invariant form at this embedding"
+    r"|invariant circle has nonpositive radius at this embedding")
+
+
 # reduced words of up to 80 letters in A and B, the identity included
 long_pair_words = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
                            max_size=80).map(lambda sylls: word(PAIR_CONTEXT, sylls))
@@ -533,7 +594,10 @@ def test_search_returns_a_verified_certificate_or_a_documented_refusal(
     config = PingPongConfig(max_power=max_power, precision=precision)
     try:
         cert = ping_pong_certify(x, y, root_of_unity(order, 1), 1, config)
-    except (ValueError, PrecisionExhausted):
+    except PrecisionExhausted:
+        return
+    except ValueError as exc:
+        assert SEARCH_REFUSALS.fullmatch(str(exc)), exc
         return
     assert cert is None or verify_certificate(cert)
 
