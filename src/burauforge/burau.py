@@ -9,15 +9,25 @@ parameter -q, so that with a caller-supplied q
 
 ``squared_images`` computes the products from the generator matrices and
 checks them against these closed forms before returning.
+
+``first_scalar_word`` is the one search for a scalar product of 2x2
+matrices, run by the relation oracle over x, x^-1, y, y^-1 and by
+``projective_order`` over one letter, on residues modulo a p = 1 (mod m)
+below 2^61 that passes a base-2 Fermat test and is prime to every
+denominator by gcd; p need not be prime.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicNumber, dot, matmul
+import functools
+import math
+import operator
+
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, dot, matmul
 from .words import GroupWord, evaluate_word, power
 
 __all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
-           "projective_order"]
+           "first_scalar_word", "projective_order"]
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
@@ -178,13 +188,120 @@ def pair_word_eval(w: GroupWord, a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
     return evaluate_word(w, {names[0]: a, names[1]: b}, CycloMatrix.identity(a.size))
 
 
-def projective_order(m: CycloMatrix, bound: int):
-    """Least n <= bound with m^n scalar, or None when the bound is exceeded."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    power = m
-    for n in range(1, bound + 1):
-        if power.is_scalar():
-            return n
-        power = power * m
+# ---------------------------------------------------------------------------
+# the scalar search runs modulo an integer p = 1 (mod m) just below 2^61
+_RESIDUE_BITS = 61
+# bases a tried for a root a^((p - 1) / m) of Phi_m modulo one p
+_ROOT_TRIES = 64
+
+
+def _poly_at(coeffs, r: int, p: int) -> int:
+    # the integer polynomial with these coefficients, constant first, at r
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % p
+    return acc
+
+
+@functools.lru_cache(maxsize=64)
+def _split_root(m: int, avoid: int) -> tuple[int, int]:
+    """(p, r) with p = 1 (mod m) coprime to avoid and Phi_m(r) = 0 (mod p).
+
+    p walks down the integers 1 (mod m) below 2^61, skipping those that
+    fail a base-2 Fermat test or share a factor with avoid, and r is the
+    first a^((p - 1) / m), a = 2, 3, ..., that is a root of Phi_m; past
+    _ROOT_TRIES bases the walk moves on.  A prime p = 1 (mod m) splits
+    completely in Q(zeta_m) (Washington, *Introduction to Cyclotomic
+    Fields*, Thm 2.13), so a root turns up within a few bases."""
+    phi = cyclotomic_polynomial(m)
+    p = ((1 << _RESIDUE_BITS) - 2) // m * m + 1
+    while True:
+        if pow(2, p - 1, p) == 1 and math.gcd(p, avoid) == 1:
+            for a in range(2, 2 + _ROOT_TRIES):
+                r = pow(a, (p - 1) // m, p)
+                if not _poly_at(phi, r, p):
+                    return p, r
+        p -= m
+
+
+def _residue_map(m: int, p: int, r: int):
+    """The ring map zeta_m -> r from Z[zeta_m] into Z/p, on values whose
+    conductor c divides m, each a polynomial in zeta_m^(m/c) mapped
+    through r^(m/c).
+
+    Z[zeta_m] is Z[x] / Phi_m, so this is a ring map exactly when
+    Phi_m(r) = 0 (mod p), on denominators invertible mod p; both are
+    checked, raising ArithmeticError, so nothing rests on p being prime.
+    """
+    if _poly_at(cyclotomic_polynomial(m), r, p):
+        raise ArithmeticError(f"{r} is not a root of Phi_{m} modulo {p}")
+
+    def residue(v: CyclotomicNumber) -> int:
+        if math.gcd(v.den, p) != 1:
+            raise ArithmeticError(f"denominator {v.den} is not invertible modulo {p}")
+        return _poly_at(v.num, pow(r, m // v.conductor, p), p) * pow(v.den, -1, p) % p
+
+    return residue
+
+
+def first_scalar_word(letters: dict, max_len: int):
+    """Syllables of the first reduced word of length <= max_len whose
+    product of 2x2 letter matrices is scalar, or None when there is none.
+
+    ``letters`` maps syllables (generator, 1 or -1) to matrices; words are
+    enumerated breadth-first in the letters' order, and a letter never
+    follows its inverse.  The letters are mapped once into Z/p by
+    ``_residue_map``, m the lcm of their conductors.  An exactly scalar
+    product has a scalar residue matrix, so only a word whose residue
+    product is scalar gets its exact product checked; the last level is
+    decided by entry (0, 1) first.
+    """
+    if max_len < 1:
+        raise ValueError("length bound must be positive")
+    if any(mat.size != 2 for mat in letters.values()):
+        raise ValueError("only 2x2 matrices are searched")
+    entries = [v for mat in letters.values() for row in mat.rows for v in row]
+    m = math.lcm(*(v.conductor for v in entries))
+    p, r = _split_root(m, math.lcm(*(v.den for v in entries)))
+    residue = _residue_map(m, p, r)
+    images = {k: [residue(v) for row in mat.rows for v in row] for k, mat in letters.items()}
+    # the letters that may follow a word's last letter: all but its
+    # inverse, and all of them after the empty word
+    after = {(g, e): [(k, im) for k, im in images.items() if k != (g, -e)] for g, e in images}
+    after[None] = list(images.items())
+    # a node's word is the pair (word before, last letter), never copied
+    frontier = [((), None, 1, 0, 0, 1)]
+    for level in range(1, max_len + 1):
+        final = level == max_len
+        new_frontier = []
+        for path, last, m00, m01, m10, m11 in frontier:
+            for key, (l00, l01, l10, l11) in after[last]:
+                n01 = (m00 * l01 + m01 * l11) % p
+                if n01 and final:
+                    continue
+                n10 = (m10 * l00 + m11 * l10) % p
+                n00 = (m00 * l00 + m01 * l10) % p
+                n11 = (m10 * l01 + m11 * l11) % p
+                if not (n01 or n10) and n00 == n11:
+                    sylls = _syllables((path, key))
+                    if functools.reduce(operator.mul, (letters[s] for s in sylls)).is_scalar():
+                        return sylls
+                new_frontier.append(((path, key), key, n00, n01, n10, n11))
+        frontier = new_frontier
     return None
+
+
+def _syllables(path) -> tuple:
+    # the letters of a word kept as nested pairs (word before, last letter)
+    sylls = []
+    while path:
+        path, key = path
+        sylls.append(key)
+    return tuple(reversed(sylls))
+
+
+def projective_order(m: CycloMatrix, bound: int) -> int | None:
+    """Least n <= bound with m^n scalar, or None when the bound is exceeded:
+    the one-letter scalar search, so 2x2 only."""
+    sylls = first_scalar_word({(0, 1): m}, bound)
+    return None if sylls is None else len(sylls)

@@ -11,13 +11,14 @@ given by rational fractions of a turn, endpoint images are enclosed in
 balls on one binary grid, and each inclusion is certified by two exact
 integer orientation determinants whose signs are bounded away from zero.
 
-The short-relation oracle searches modulo a prime.  A prime p = 1 (mod m)
-splits completely in Q(zeta_m), so zeta_m -> r with Phi_m(r) = 0 (mod p)
-is a ring map from Z[zeta_m] into Z/p; it is checked at run time, with
-every denominator invertible mod p, so it is a ring map whether or not p
-is prime.  A scalar matrix maps to a scalar residue matrix, so a word
-whose residue product is not scalar is not a relation, and each word
-whose residue product is scalar is confirmed by its exact product.
+The short-relation oracle and the torsion guard of the certificate
+search are one scalar search, ``burau.first_scalar_word``, on residues
+over the letters x, x^-1, y, y^-1 and over each generator alone.
+
+At q = zeta_n the Squier form is indefinite at an embedding sigma exactly
+when |sigma(q) - 1| < 1; embedding 1 sends zeta_n to e^(2 pi i / n), the
+primitive n-th root nearest 1, so it is indefinite whenever any embedding
+is (at q = -1 the form is fixed and indefinite), and the CLI tries only it.
 
 Floating point appears only inside the certificate *search*; every
 accepted certificate is re-derived from exact data through ball
@@ -28,18 +29,16 @@ doubled precision.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
-from .burau import CycloMatrix, pair_word_eval, projective_order, squared_images
-from .cyclotomic import (CyclotomicNumber, cyclotomic_polynomial, root_of_unity,
-                         root_power_sum)
+from .burau import (CycloMatrix, first_scalar_word, pair_word_eval, projective_order,
+                    squared_images)
+from .cyclotomic import CyclotomicNumber, root_of_unity, root_power_sum
 from .reports import ClaimReport
 from .words import GroupWord, free_group, parse_word, word
 
@@ -147,145 +146,22 @@ def _real_sign_certified(x: CyclotomicNumber, embedding: int) -> int:
 # ---------------------------------------------------------------------------
 # exact short-relation oracle
 
-# the search runs modulo a prime just below 2^61
-_RESIDUE_BITS = 61
-# Miller-Rabin with these bases decides primality below 3.3 * 10^24
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# bases a tried for a root a^((p - 1) / m) of Phi_m modulo p
-_ROOT_TRIES = 10000
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for b in _PRIME_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _PRIME_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _split_prime(m: int, avoid: int) -> int:
-    """The largest prime p = 1 (mod m) below 2^61 that does not divide avoid.
-
-    Such a prime splits completely in Q(zeta_m) (Washington, *Introduction
-    to Cyclotomic Fields*, Thm 2.13), so Phi_m has a root modulo p."""
-    p = ((1 << _RESIDUE_BITS) - 2) // m * m + 1
-    while not (_is_prime(p) and avoid % p):
-        p -= m
-    return p
-
-
-def _poly_at(coeffs, r: int, p: int) -> int:
-    # the integer polynomial with these coefficients, constant term first,
-    # at r modulo p
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * r + c) % p
-    return acc
-
-
-def _split_root(m: int, p: int) -> int:
-    """The first a^((p - 1) / m), a = 2, 3, ..., that is a root of Phi_m
-    modulo p; ArithmeticError when no base a below 2 + _ROOT_TRIES gives
-    one."""
-    phi = cyclotomic_polynomial(m)
-    for a in range(2, 2 + _ROOT_TRIES):
-        r = pow(a, (p - 1) // m, p)
-        if not _poly_at(phi, r, p):
-            return r
-    raise ArithmeticError(f"no root of Phi_{m} found modulo {p}")
-
-
-def _residue_map(m: int, p: int, r: int):
-    """The ring map zeta_m -> r from Z[zeta_m] into Z/p, on field elements
-    whose conductor divides m and whose denominator is invertible mod p.
-
-    It is a ring map exactly when Phi_m(r) = 0 (mod p), since Z[zeta_m] is
-    Z[x] / Phi_m; both conditions are checked here, so nothing rests on p
-    being prime.  A value of conductor c is a polynomial in
-    zeta_c = zeta_m^(m/c), and maps through r^(m/c).  Raises
-    ArithmeticError when either check fails.
-    """
-    if _poly_at(cyclotomic_polynomial(m), r, p):
-        raise ArithmeticError(f"{r} is not a root of Phi_{m} modulo {p}")
-
-    def residue(v: CyclotomicNumber) -> int:
-        if math.gcd(v.den, p) != 1:
-            raise ArithmeticError(f"denominator {v.den} is not invertible modulo {p}")
-        return _poly_at(v.num, pow(r, m // v.conductor, p), p) * pow(v.den, -1, p) % p
-
-    return residue
-
-
 def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
                           q: CyclotomicNumber, max_len: int) -> GroupWord | None:
     """First projectively trivial reduced word in x, y of length <= max_len.
 
     Enumeration is breadth-first, letters ordered x, x^-1, y, y^-1, so the
     reported witness is deterministic; returns None if no relation exists
-    at this length.
-
-    The search runs on residues.  The four letter matrices are evaluated
-    exactly once, then mapped into Z/p by ``_residue_map`` for a prime
-    p = 1 (mod m), m the lcm of their entries' conductors, and each node
-    keeps its word and the four residues of its product.  The map is a
-    ring map, so an exactly scalar product has a scalar residue matrix:
-    only a node whose residue matrix is scalar gets the exact product of
-    its word and ``is_scalar()``, and the first exact hit is returned,
-    which is the first relation in enumeration order.  Nodes of the last
-    level are never extended, so each is decided from the residue of
-    entry (0, 1) first.
+    at this length.  The four letter matrices are evaluated exactly once
+    and searched by ``burau.first_scalar_word``, on residues with each
+    candidate confirmed by its exact product.
     """
-    if max_len < 1:
-        raise ValueError("length bound must be positive")
     a, b, _ = squared_images(q)
     x_mat = pair_word_eval(x_word, a, b)
     y_mat = pair_word_eval(y_word, a, b)
-    letters = {(0, 1): x_mat, (0, -1): x_mat.inverse(),
-               (1, 1): y_mat, (1, -1): y_mat.inverse()}
-    entries = [v for mat in letters.values() for row in mat.rows for v in row]
-    m = math.lcm(*(v.conductor for v in entries))
-    p = _split_prime(m, math.lcm(*(v.den for v in entries)))
-    residue = _residue_map(m, p, _split_root(m, p))
-    images = [(letter, [residue(v) for row in mat.rows for v in row])
-              for letter, mat in letters.items()]
-    frontier = [((), (1, 0, 0, 1))]
-    for level in range(1, max_len + 1):
-        final = level == max_len
-        new_frontier = []
-        for sylls, (m00, m01, m10, m11) in frontier:
-            last = sylls[-1] if sylls else None
-            for (gen, sign), (l00, l01, l10, l11) in images:
-                if last is not None and last[0] == gen and last[1] == -sign:
-                    continue
-                n01 = (m00 * l01 + m01 * l11) % p
-                if n01 and final:
-                    continue
-                n10 = (m10 * l00 + m11 * l10) % p
-                n00 = (m00 * l00 + m01 * l10) % p
-                n11 = (m10 * l01 + m11 * l11) % p
-                nxt_sylls = sylls + ((gen, sign),)
-                if not (n01 or n10) and n00 == n11:
-                    exact = functools.reduce(operator.mul, (letters[s] for s in nxt_sylls))
-                    if exact.is_scalar():
-                        return word(_ORACLE_CONTEXT, nxt_sylls)
-                new_frontier.append((nxt_sylls, (n00, n01, n10, n11)))
-        frontier = new_frontier
-    return None
+    sylls = first_scalar_word({(0, 1): x_mat, (0, -1): x_mat.inverse(),
+                               (1, 1): y_mat, (1, -1): y_mat.inverse()}, max_len)
+    return None if sylls is None else word(_ORACLE_CONTEXT, sylls)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +499,11 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
 
     Returns the first certificate found over powers (a, b) up to
     config.max_power and the aperture ladder, or None when the
-    search space is exhausted.  Raises PrecisionExhausted only when an
-    inclusion could not be decided at any tried precision.
+    search space is exhausted.  Raises ValueError with the first reason
+    the pair is ineligible (no indefinite form; x trivial or of finite
+    order; the same for y; a nonpositive radius), and PrecisionExhausted
+    on a degenerate circle chart or an inclusion undecided at any tried
+    precision.
     """
     form = invariant_form(q, embedding)
     if form is None or form.signature != "indefinite":
@@ -635,31 +514,17 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     a_mat, b_mat, _ = squared_images(q)
     x_mat = pair_word_eval(x_word, a_mat, b_mat)
     y_mat = pair_word_eval(y_word, a_mat, b_mat)
-
-    def reject_torsion(*named):
-        for name, mat in named:
-            if projective_order(mat, _ORDER_BOUND) is not None:
-                raise ValueError(f"generator {name} has finite projective order")
-
-    # A certificate proves that both generators have infinite order, and a
-    # generator of finite order has no fixed points on the circle, so the
-    # costly torsion test runs only when no certificate is found.  Where a
-    # check below fails before the search, the torsion tests that used to
-    # precede it run first, so the reported reason stays the same.
-    if x_mat.is_scalar():
-        raise ValueError("generator x is projectively trivial")
-    if y_mat.is_scalar():
-        reject_torsion(("x", x_mat))
-        raise ValueError("generator y is projectively trivial")
-    try:
-        circle = _invariant_circle(form)
-    except PrecisionExhausted:  # a degenerate chart, after the torsion tests
-        reject_torsion(("x", x_mat), ("y", y_mat))
-        raise
+    # eligibility, checked in this order before any search: the torsion
+    # test is the one-letter scalar search, on residues
+    for name, mat in (("x", x_mat), ("y", y_mat)):
+        if mat.is_scalar():
+            raise ValueError(f"generator {name} is projectively trivial")
+        if projective_order(mat, _ORDER_BOUND) is not None:
+            raise ValueError(f"generator {name} has finite projective order")
+    circle = _invariant_circle(form)
     centre_n = _numeric_value(circle.centre, embedding)
     rsq_n = _numeric_value(circle.radius_sq, embedding).real
     if rsq_n <= 0:
-        reject_torsion(("x", x_mat), ("y", y_mat))
         raise ValueError("invariant circle has nonpositive radius at this embedding")
     radius_n = math.sqrt(rsq_n)
 
@@ -693,7 +558,6 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
                         break  # decided negative: try the next shrink level
                     except PrecisionExhausted:
                         undecided = True
-    reject_torsion(("x", x_mat), ("y", y_mat))
     if undecided:
         raise PrecisionExhausted("inclusions undecided at the configured precision")
     return None

@@ -41,7 +41,7 @@ class _Timer:
     def __exit__(self, exc_type, *rest):
         elapsed = time.perf_counter() - self.start
         status = "PASS" if exc_type is None else "FAIL"
-        budget = f" (budget {self.budget:.0f}s)" if self.budget else ""
+        budget = f" (budget {self.budget:g}s)" if self.budget else ""
         print(f"ACCEPTANCE {status} [{elapsed:6.2f}s{budget}] {self.label}")
         if exc_type is None and self.budget is not None:
             assert elapsed < self.budget, f"{self.label}: {elapsed:.2f}s over budget"
@@ -267,3 +267,16 @@ def test_criterion_15_dichotomy_pair_at_conductor_1021(capsys):
                      "--y", Y_WORD_TEXT, "--max-len", "4", "--pingpong",
                      "--precision", "32"]) == 0
     assert capsys.readouterr().err.endswith("overall: pass\n")
+
+
+def test_criterion_16_ineligible_search_fails_fast_on_a_long_word(capsys):
+    # the torsion guard is the one-letter scalar search on residues, so a
+    # 2400-letter generator costs no exact powers before the search
+    long_x = " ".join([X_WORD_TEXT] * 600)
+    with _Timer("16. certify-free on a 2400-letter x exits 3 quickly", budget=1.5):
+        assert main(["certify-free", "--order", "7", "--x", long_x, "--y", Y_WORD_TEXT,
+                     "--max-len", "1", "--pingpong", "--max-power", "1",
+                     "--precision", "32"]) == 3
+        captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precision exhausted: inclusions undecided at the configured precision\n"

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burauforge.burau import (CycloMatrix, burau_eval, burau_generator,
+from burauforge import burau
+from burauforge.burau import (CycloMatrix, burau_eval, burau_generator, pair_word_eval,
                               projective_order, squared_images)
-from burauforge.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
-from burauforge.words import braid_group, parse_word, word
+from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
+                                   root_of_unity)
+from burauforge.words import braid_group, free_group, parse_word, word
 
 C = CyclotomicNumber
 B3 = braid_group(3)
@@ -101,6 +103,95 @@ def test_projective_order_examples():
     a10, _, _ = squared_images(root_of_unity(10, 1))
     assert projective_order(a10, 10) == 5
 
+
+
+def reference_projective_order(m, bound):
+    """Least n <= bound with m^n scalar, by exact powers one at a time."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    power = m
+    for n in range(1, bound + 1):
+        if power.is_scalar():
+            return n
+        power = power * m
+    return None
+
+
+PAIR = free_group(("A", "B"))
+TORSION_WORDS = [parse_word(PAIR, text) for text in ("A", "B", "A B")]
+# nontrivial reduced words of at most eight letters in A and B, and the
+# words of finite order A, B and A B
+pair_words = st.one_of(
+    st.sampled_from(TORSION_WORDS),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
+             min_size=1, max_size=8).map(lambda sylls: word(PAIR, sylls))
+    .filter(lambda w: not w.is_identity))
+
+
+@given(st.integers(2, 60), pair_words, st.integers(1, 130))
+@settings(max_examples=80, deadline=None)
+def test_projective_order_agrees_with_exact_powers(order, w, bound):
+    a, b, _ = squared_images(root_of_unity(order, 1))
+    m = pair_word_eval(w, a, b)
+    assert projective_order(m, bound) == reference_projective_order(m, bound)
+
+
+@pytest.mark.parametrize("q", [
+    # (3+4i)/5 has norm one and infinite order; 2/3 + zeta_5 has neither
+    C.from_rational(Fraction(3, 5)) + root_of_unity(4, 1) * Fraction(4, 5),
+    C.from_rational(Fraction(2, 3)) + root_of_unity(5, 1),
+])
+def test_projective_order_agrees_with_exact_powers_off_the_unit_roots(q):
+    a, b, _ = squared_images(q)
+    for w in TORSION_WORDS + [parse_word(PAIR, "A B^-1"), parse_word(PAIR, "A^2 B A^-1")]:
+        m = pair_word_eval(w, a, b)
+        for bound in (1, 2, 7, 30):
+            assert projective_order(m, bound) == reference_projective_order(m, bound)
+
+
+def test_projective_order_is_two_by_two_only():
+    with pytest.raises(ValueError, match="2x2"):
+        projective_order(CycloMatrix.identity(3), 5)
+    with pytest.raises(ValueError, match="positive"):
+        projective_order(CycloMatrix.identity(2), 0)
+
+
+@given(st.integers(1, 1021), st.integers(1, 10 ** 40))
+@settings(max_examples=60, deadline=None)
+def test_split_root_is_a_root_of_the_cyclotomic_polynomial(m, avoid):
+    p, r = burau._split_root(m, avoid)
+    assert p % m == 1 % m and p < 1 << 61 and math.gcd(p, avoid) == 1
+    assert burau._poly_at(cyclotomic_polynomial(m), r, p) == 0
+    # a modulus shared with avoid is skipped for the next one down
+    p2, r2 = burau._split_root(m, avoid * p)
+    assert p2 < p and p2 % m == 1 % m and math.gcd(p2, avoid * p) == 1
+    assert burau._poly_at(cyclotomic_polynomial(m), r2, p2) == 0
+
+
+def test_residue_map_is_a_ring_map_across_subfields():
+    p, r = burau._split_root(7, 1)
+    assert pow(r, 7, p) == 1 and r != 1
+    residue = burau._residue_map(7, p, r)
+    assert residue(root_of_unity(7, 2) + 3) == (r * r + 3) % p
+    # values of the subfields Q(zeta_3) and Q(i) meet in Q(zeta_12)
+    p, r = burau._split_root(12, 1)
+    residue = burau._residue_map(12, p, r)
+    u = root_of_unity(3, 1) * Fraction(2, 7) + 1
+    v = root_of_unity(4, 1) - Fraction(1, 3)
+    assert residue(u * v) == residue(u) * residue(v) % p
+    assert residue(u + v) == (residue(u) + residue(v)) % p
+
+
+def test_residue_map_refuses_a_wrong_root_and_a_shared_denominator():
+    p, r = burau._split_root(7, 1)
+    for wrong in (1, 2, r * r % p + 1):
+        with pytest.raises(ArithmeticError, match="not a root"):
+            burau._residue_map(7, p, wrong)
+    # Phi_4(2) = 5, but 5 divides the denominator of (3+4i)/5
+    residue = burau._residue_map(4, 5, 2)
+    q = C.from_rational(Fraction(3, 5)) + root_of_unity(4, 1) * Fraction(4, 5)
+    with pytest.raises(ArithmeticError, match="not invertible"):
+        residue(q)
 
 
 def test_matrix_power_makes_no_spare_products(monkeypatch):

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from burauforge.cli import build_parser, main
+from burauforge.cli import SUITES, build_parser, main
 from burauforge.cyclotomic import root_of_unity
 from burauforge.hyperbolic import PAIR_CONTEXT, PingPongConfig, ping_pong_certify
 from burauforge.words import iterated_bracket, parse_word
@@ -328,6 +331,10 @@ _CERTIFY = ["certify-free", "--order", "14", "--x", "A", "--y", "B", "--max-len"
     ["verify", "--suite", "oddlem", "--range", "2..241"],
     ["verify", "--suite", "st", "--range", "241..301"],
     ["verify", "--suite", "kernel", "--range", f"2..{10 ** 9}"],
+    # argparse before Python 3.13 reads "=--" as an empty list
+    ["classify", "--order=--"],
+    ["verify", "--suite=--", "--range=2..3"],
+    ["certify-free", "--order", "7", "--x", "A", "--y=--", "--max-len", "1"],
 ])
 def test_out_of_range_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -463,3 +470,107 @@ def test_deterministic_output(capsys):
 def test_timestamps_flag(capsys):
     code, report, _ = run_cli(capsys, "f", "--n", "7", "--timestamps")
     assert code == 0 and "timestamp" in report
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argv drawn from each subcommand's grammar, with malformed values
+# mixed in; every command is kept cheap (orders <= 60, short words)
+
+_MALFORMED = st.sampled_from(["", "x", "-1", "0", "1.5", "1e3", str(10 ** 13), "..", "3..",
+                              "5..3", "-5..3", "A^", "C", "g4", "g1^", "--", "nan", "A B^x"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _spelled(names, exponents, max_size):
+    return st.lists(st.tuples(st.sampled_from(names), st.sampled_from(exponents)),
+                    max_size=max_size).map(
+        lambda sylls: " ".join(f"{g}^{e}" if e != 1 else g for g, e in sylls) or "1")
+
+
+_PAIR_WORD = _spelled(["A", "B"], [1, -1], 6)
+
+
+def _grammar(root):
+    # (flag, values) of each subcommand's required options, then the
+    # optional ones after a switch that enables them; the files are those
+    # of the fuzz_files fixture, and certificates are written apart
+    files = st.sampled_from([str(root / name) for name in _FUZZ_FILES] +
+                            [str(root / "missing.json"), str(root)])
+    outs = st.sampled_from([str(root / "out.json"), str(root / "no" / "out.json"), str(root)])
+    return {
+        "classify": [("--order", _ints(1, 60))],
+        "verify": [("--suite", st.sampled_from(sorted(SUITES))),
+                   ("--range", st.tuples(st.integers(2, 20), st.integers(2, 20)).map(
+                       lambda ab: f"{min(ab)}..{max(ab)}"))],
+        "params": [("--p", _ints(3, 20))],
+        "twist-order": [("--p", _ints(3, 20))],
+        "certify-free": [("--order", _ints(1, 60)), ("--x", _PAIR_WORD), ("--y", _PAIR_WORD),
+                         ("--max-len", _ints(1, 4)), ("--pingpong", None),
+                         ("--max-power", _ints(1, 2)), ("--precision", _ints(8, 64)),
+                         ("--cert-out", outs)],
+        "verify-cert": [("--file", files)],
+        "artin": [("--braid", _spelled(["g1", "g2"], [1, -1, 2, -2, 3, -3, 4, -4], 6)),
+                  ("--strand", _ints(1, 3)), ("--depth", _ints(1, 4))],
+        "euler": [("--n", _ints(-20, 10 ** 6))],
+        "f": [("--n", _ints(-20, 10 ** 6))],
+    }
+
+
+@st.composite
+def _argvs(draw, root):
+    command, grammar = draw(st.sampled_from(sorted(_grammar(root).items())))
+    argv = draw(st.sampled_from([[], ["--strict"], ["--timestamps"]])) + [command]
+    # now and then one option is dropped or takes a malformed value; values
+    # go after "=" so that one starting with "-" is read as a value
+    spoilt = draw(st.sampled_from([None, None, None, *range(len(grammar))]))
+    dropped = draw(st.booleans())
+    optional = False
+    for i, (flag, values) in enumerate(grammar):
+        if values is None:  # a switch; the options after it are optional
+            if not draw(st.booleans()):
+                break
+            argv.append(flag)
+            optional = True
+        elif i == spoilt:
+            if not dropped:
+                argv.append(f"{flag}={draw(_MALFORMED)}")
+        elif not optional or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+_CERT_7 = json.loads((GOLDEN / "certify_free_7.json").read_text())["certificate"]
+_FUZZ_FILES = {
+    "cert.json": json.dumps(_CERT_7),
+    "tampered.json": json.dumps({**_CERT_7, "margin": "1/3"}),
+    "short.json": json.dumps({k: v for k, v in _CERT_7.items() if k != "arcs"}),
+    "list.json": "[1, 2]",
+    "text.json": "not json",
+    "deep.json": "[" * 100000,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FUZZ_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files):
+    @given(_argvs(fuzz_files))
+    @settings(max_examples=300, deadline=None)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+    check()

@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from burauforge import hyperbolic
+from burauforge import burau, hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
 from burauforge.cli import main
-from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
+from burauforge.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, root_of_unity
 from burauforge.hyperbolic import (PAIR_CONTEXT, HermitianForm2, PingPongCertificate,
                                    PingPongConfig, PrecisionExhausted, invariant_form,
                                    ping_pong_certify, short_relation_oracle, verify_certificate)
@@ -63,6 +63,27 @@ def test_order4_definite_everywhere():
     for j in (1, 3):
         form = invariant_form(q, j)
         assert form is not None and form.signature == "definite"
+
+
+def _indefinite(q, embedding):
+    form = invariant_form(q, embedding)
+    return form is not None and form.signature == "indefinite"
+
+
+def test_first_embedding_is_indefinite_exactly_from_order_seven():
+    # certify-free tries embedding 1 only
+    for n in range(2, 201):
+        assert _indefinite(root_of_unity(n, 1), 1) == (n == 2 or n >= 7), n
+
+
+def test_indefinite_embeddings_are_those_near_one():
+    # |sigma_j(q) - 1| = 2 sin(pi j / n) is below 1 exactly when j / n
+    # lies within a sixth of a turn of 0, and it is least at j = 1
+    for n in range(3, 41):
+        q = root_of_unity(n, 1)
+        for j in range(1, n):
+            if math.gcd(j, n) == 1:
+                assert _indefinite(q, j) == (6 * min(j, n - j) < n), (n, j)
 
 
 def test_parabolic_parameter_gets_scaled_symplectic_form():
@@ -277,17 +298,24 @@ def test_oracle_agrees_with_reference_at_a_norm_one_parameter_of_infinite_order(
                 reference_oracle(x, y, q, max_len))
 
 
-def _least_split_prime(m, avoid):
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _least_split_root(m, avoid):
+    # the least prime p = 1 (mod m) prime to avoid, and the least root of
+    # Phi_m modulo p
     p = m + 1
-    while not hyperbolic._is_prime(p):
+    while not (_is_prime(p) and math.gcd(p, avoid) == 1):
         p += m
-    return p
+    phi = cyclotomic_polynomial(m)
+    return p, next(r for r in range(p) if sum(c * r ** k for k, c in enumerate(phi)) % p == 0)
 
 
 def test_oracle_confirms_candidates_of_a_small_modulus(monkeypatch):
     # modulo the least prime p = 1 (mod m) many products that are not
     # scalar read as scalar; each is confirmed exactly and passed over
-    monkeypatch.setattr(hyperbolic, "_split_prime", _least_split_prime)
+    monkeypatch.setattr(burau, "_split_root", _least_split_root)
     confirmations = []
     is_scalar = CycloMatrix.is_scalar
 
@@ -305,34 +333,6 @@ def test_oracle_confirms_candidates_of_a_small_modulus(monkeypatch):
                 monkeypatch.setattr(CycloMatrix, "is_scalar", is_scalar)
                 assert str(got) == str(reference_oracle(x, y, q, max_len)), (order, max_len)
     assert False in confirmations
-
-
-def test_residue_map_is_a_ring_map_across_subfields():
-    p = hyperbolic._split_prime(7, 1)
-    r = hyperbolic._split_root(7, p)
-    assert pow(r, 7, p) == 1 and r != 1
-    residue = hyperbolic._residue_map(7, p, r)
-    assert residue(root_of_unity(7, 2) + 3) == (r * r + 3) % p
-    # values of the subfields Q(zeta_3) and Q(i) meet in Q(zeta_12)
-    p = hyperbolic._split_prime(12, 1)
-    residue = hyperbolic._residue_map(12, p, hyperbolic._split_root(12, p))
-    u = root_of_unity(3, 1) * Fraction(2, 7) + 1
-    v = root_of_unity(4, 1) - Fraction(1, 3)
-    assert residue(u * v) == residue(u) * residue(v) % p
-    assert residue(u + v) == (residue(u) + residue(v)) % p
-
-
-def test_residue_map_refuses_a_wrong_root_and_a_shared_denominator():
-    p = hyperbolic._split_prime(7, 1)
-    r = hyperbolic._split_root(7, p)
-    for wrong in (1, 2, r * r % p + 1):
-        with pytest.raises(ArithmeticError, match="not a root"):
-            hyperbolic._residue_map(7, p, wrong)
-    # Phi_4(2) = 5, but 5 divides the denominator of (3+4i)/5
-    residue = hyperbolic._residue_map(4, 5, 2)
-    q = CyclotomicNumber.from_rational(Fraction(3, 5)) + root_of_unity(4, 1) * Fraction(4, 5)
-    with pytest.raises(ArithmeticError, match="not invertible"):
-        residue(q)
 
 
 def test_oracle_exact_products_do_not_grow_with_the_length_bound(monkeypatch):
@@ -619,8 +619,7 @@ def test_certify_rejects_finite_order_generator():
         ping_pong_certify(a, Y_WORD, Q14, 1)
 
 
-# (x, y, reason): the torsion test runs after the search, but a pair that
-# fails several checks still reports the reason the checks gave in order
+# (x, y, reason): a pair that fails several checks reports the first of
 # x trivial, x torsion, y trivial, y torsion
 GUARD_CASES = [
     ("A", "A^2 B A^-2 B^-1", "generator x has finite projective order"),
@@ -651,10 +650,24 @@ def _counting_orders(monkeypatch):
     return calls
 
 
-def test_certifying_pair_runs_no_torsion_test(monkeypatch, certificate):
+def test_torsion_guard_makes_no_exact_product(monkeypatch, certificate):
+    # the guard is the one-letter scalar search on residues: for the
+    # dichotomy pair it finds no candidate, so no exact product is made
+    a, b, _ = squared_images(Q14)
+    mats = [pair_word_eval(w, a, b) for w in (X_WORD, Y_WORD)]
+    products = []
+    mul = CycloMatrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(CycloMatrix, "__mul__", counted)
+    assert [projective_order(m, hyperbolic._ORDER_BOUND) for m in mats] == [None, None]
+    assert products == []
+    monkeypatch.setattr(CycloMatrix, "__mul__", mul)
     calls = _counting_orders(monkeypatch)
     assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1) == certificate
-    assert calls == []
+    assert calls == [hyperbolic._ORDER_BOUND] * 2
 
 
 def test_torsion_test_runs_when_the_search_fails(monkeypatch):
