@@ -102,9 +102,6 @@ class CycloMatrix:
         return CycloMatrix([[self.rows[j][i].conjugate() for j in range(n)]
                             for i in range(n)])
 
-    def to_json(self):
-        return [[v.to_json() for v in r] for r in self.rows]
-
     def __str__(self):
         return "[" + "; ".join(", ".join(str(v) for v in r) for r in self.rows) + "]"
 

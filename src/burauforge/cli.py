@@ -38,7 +38,7 @@ EXIT_PRECISION = 3
 
 
 # the relation suites grow about cubically in the order; over 2..240 the
-# slowest, oddlem (orders up to 481), takes about 28 s and 410 MB
+# slowest, oddlem (orders up to 481), takes 15-24 s and 164 MB
 MAX_RANGE_END = 240
 
 

@@ -18,7 +18,9 @@ Equality across conductors is an exact zero test of the difference,
 which gives the same answer.
 
 Inversion uses only these field operations.  A root of unity +-zeta^j is
-looked up in the torsion table and inverts to its complex conjugate.
+found among the first m reduction rows, z^j mod Phi_m for j < m, which
+are the only stored form of the powers of zeta_m; it inverts to its
+complex conjugate.
 Any other x inverts as the product of its Galois conjugates other than
 x, divided by the rational norm N(x), which is the product of all of
 them (Cohen, *A Course in Computational Algebraic Number Theory*, 4.2).
@@ -129,19 +131,38 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # z^e reduced mod Phi_m as its nonzero (index, coefficient) pairs, for
-    # e up to what products and Galois substitutions can reach
+    # e up to what products and Galois substitutions can reach: row e, for
+    # e < m, is the only stored form of zeta_m^e, and since z^m = 1 the rows
+    # past m are the same objects as the rows m below them
     d = euler_phi(m)
     phi = cyclotomic_polynomial(m)
-    rows = []
-    cur = [1] + [0] * (d - 1)
-    for _ in range(max(m, 2 * d - 1)):
+    rows = [((i, 1),) for i in range(d)]
+    cur = [-c for c in phi[:d]]
+    for _ in range(d, m):
         rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
             for i in range(d):
                 cur[i] -= top * phi[i]
-    return tuple(rows)
+    return tuple(rows + rows[:max(0, 2 * d - 1 - m)])
+
+
+def _root_exponent(x) -> tuple[bool, int] | None:
+    # (negated, j) with x = zeta_m^j or -zeta_m^j, m the conductor of x and
+    # j < m, or None when x is no root of unity.  A negated hit occurs only
+    # for odd m: for 4 | m, -zeta_m^j is zeta_m^(j + m/2)
+    if x.den != 1:
+        return None
+    m = x.conductor
+    row = tuple((i, c) for i, c in enumerate(x.num) if c)
+    rows = _reduction_rows(m)
+    for negated, target in ((False, row), (True, tuple((i, -c) for i, c in row))):
+        try:
+            return negated, rows.index(target, 0, m)
+        except ValueError:
+            pass
+    return None
 
 
 # Term products per digit of the product past which Kronecker substitution
@@ -381,7 +402,7 @@ class CyclotomicNumber:
         m = self.conductor
         if m == 1:
             return CyclotomicNumber._make(1, [self.den], self.num[0])
-        if self.den == 1 and self.num in _torsion_table(m):
+        if _root_exponent(self) is not None:
             return self.conjugate()
         # x times the product of its other Galois conjugates is the norm
         rest = math.prod(self.galois(j) for j in range(2, m) if math.gcd(j, m) == 1)
@@ -472,26 +493,14 @@ class CyclotomicNumber:
         """Order of self in the unit group, or None when not a root of unity."""
         if self.is_zero:
             raise ValueError("zero has no multiplicative order")
-        m = self.conductor
-        if m == 1:
-            v = self.rational_value()
-            if v == 1:
-                return 1
-            if v == -1:
-                return 2
-            return None
-        if self.den != 1:
-            return None
-        hit = _torsion_table(m).get(self.num)
+        hit = _root_exponent(self)
         if hit is None:
             return None
         negated, j = hit
-        if not negated:
-            return m // math.gcd(m, j)
-        if m % 2 == 0:
-            j = (j + m // 2) % m
-            return m // math.gcd(m, j)
-        return 2 * (m // math.gcd(m, j))
+        m = self.conductor
+        order = m // math.gcd(m, j)
+        # an odd order doubles under negation
+        return 2 * order if negated else order
 
     # -- serialisation and display --------------------------------------------
 
@@ -610,17 +619,6 @@ def dot(u, v) -> CyclotomicNumber:
     return matmul([u], [[y] for y in v])[0][0]
 
 
-@lru_cache(maxsize=None)
-def _torsion_table(m: int) -> dict[tuple[int, ...], tuple[bool, int]]:
-    # every root of unity in Q(zeta_m) is +-zeta_m^j
-    table: dict[tuple[int, ...], tuple[bool, int]] = {}
-    for j in range(m):
-        row = tuple(_row_sum(m, [(j, 1)]))
-        table.setdefault(row, (False, j))
-        table.setdefault(tuple(-v for v in row), (True, j))
-    return table
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -652,11 +650,11 @@ def root_power_sum(x: CyclotomicNumber, coeffs: Iterable[int]) -> CyclotomicNumb
     no field product formed.  Raises ValueError when x is not a root of
     unity.
     """
-    m = x.conductor
-    hit = _torsion_table(m).get(x.num) if x.den == 1 else None
+    hit = _root_exponent(x)
     if hit is None:
         raise ValueError("not a root of unity")
     negated, j = hit
+    m = x.conductor
     return CyclotomicNumber._make(m, _row_sum(m, (
         (j * k % m, -c if negated and k % 2 else c) for k, c in enumerate(coeffs))), 1)
 

@@ -66,14 +66,12 @@ def build_params(p: int) -> QuantumParams:
     ord(parameter) = 2 * half_order are asserted on construction.
     """
     _validate_p(p)
-    if p % 4 == 0:
-        a = -root_of_unity(p, 1)
-        expected_a_order = p
-        q = -(a ** (-4))
-    else:
-        a = -root_of_unity(2 * p, p + 1)
-        expected_a_order = 2 * p
-        q = -(a ** (-4)) if p == 5 else -(a ** (-8))
+    # -a = zeta_n^t, so a, the parameter and every twist are powers of zeta_n
+    n, t = (p, 1) if p % 4 == 0 else (2 * p, p + 1)
+    s = t + n // 2  # a = zeta_n^s
+    a = root_of_unity(n, s)
+    k = 4 if p % 4 == 0 or p == 5 else 8
+    q = root_of_unity(n, n // 2 - k * s)  # -a^-k
 
     if p % 2 == 1:
         half = Fraction(p)
@@ -84,7 +82,7 @@ def build_params(p: int) -> QuantumParams:
     else:  # p = 8 mod 16
         half = Fraction(p, 16)
 
-    if a.multiplicative_order() != expected_a_order:
+    if a.multiplicative_order() != n:
         raise AssertionError("defining root has the wrong order")
     if q.multiplicative_order() != 2 * half:
         raise AssertionError("parameter order disagrees with the half-order table")
@@ -93,8 +91,7 @@ def build_params(p: int) -> QuantumParams:
         colors = tuple(range(0, p // 2 - 1))
     else:
         colors = tuple(range(0, p - 2, 2))
-    minus_a = -a
-    twists = tuple(minus_a ** (l * (l + 2)) for l in colors)
+    twists = tuple(root_of_unity(n, t * l * (l + 2)) for l in colors)
     return QuantumParams(p=p, a_root=a, colors=colors, twists=twists,
                          burau_parameter=q, half_order=half)
 

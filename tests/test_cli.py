@@ -443,6 +443,10 @@ def test_lower_bounds_of_n_stay_with_the_command(capsys, argv, message):
     # expansion instead of the longitude word
     (["artin", "--braid", "g1^2 g2^2 g1^-2 g2^-2", "--strand", "1", "--depth", "10"],
      "artin_commutator_depth10.json"),
+    # recorded from the program before twists and the parameter were read
+    # from root_of_unity by exponent arithmetic; they reach conductor 1018
+    (["params", "--p", "512"], "params_512.json"),
+    (["twist-order", "--p", "509"], "twist_order_509.json"),
 ])
 def test_reports_golden(capsys, argv, golden):
     text = (GOLDEN / golden).read_text()

@@ -1,17 +1,19 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from burauforge import cyclotomic
 from burauforge.cyclotomic import (CyclotomicNumber, _polymul_into,
                                    _reduction_rows, _unpack_into,
                                    cyclotomic_polynomial, euler_phi,
                                    galois_conjugates, matmul,
                                    multiplicative_order, prime_factors,
-                                   root_of_unity)
+                                   root_of_unity, root_power_sum)
 
 C = CyclotomicNumber
 
@@ -442,6 +444,121 @@ def test_reduction_rows_are_the_dense_table_sparsely(m):
     assert len(_reduction_rows(m)) == len(dense)
     for sparse, row in zip(_reduction_rows(m), dense):
         assert sparse == tuple((i, c) for i, c in enumerate(row) if c)
+
+
+# ---------------------------------------------------------------------------
+# torsion: the dense table the library replaced by a search of its first m
+# reduction rows, kept as the reference for orders, inverses and power sums
+
+@lru_cache(maxsize=4)
+def reference_torsion_table(m):
+    # every root of unity in Q(zeta_m) is +-zeta_m^j
+    table = {}
+    for j in range(m):
+        row = reference_reduction_rows(m)[j]
+        table.setdefault(row, (False, j))
+        table.setdefault(tuple(-v for v in row), (True, j))
+    return table
+
+
+def reference_root(x):
+    # (negated, j) from the reference table, or None
+    return reference_torsion_table(x.conductor).get(x.num) if x.den == 1 else None
+
+
+def reference_order(x):
+    m = x.conductor
+    if m == 1:
+        return {1: 1, -1: 2}.get(x.rational_value())
+    hit = reference_root(x)
+    if hit is None:
+        return None
+    negated, j = hit
+    if not negated:
+        return m // math.gcd(m, j)
+    if m % 2 == 0:
+        return m // math.gcd(m, (j + m // 2) % m)
+    return 2 * (m // math.gcd(m, j))
+
+
+def reference_signed_power(m, negated, e):
+    # -zeta_m^e when negated, else zeta_m^e, at conductor m from the dense rows
+    row = reference_reduction_rows(m)[e % m]
+    return C.from_coefficients(m, [-v for v in row] if negated else row)
+
+
+_CONDUCTORS = [m for m in range(1, 1025) if m % 4 != 2]
+
+
+@given(st.sampled_from(_CONDUCTORS), st.integers(min_value=0, max_value=1023),
+       st.booleans(), st.lists(st.integers(-9, 9), max_size=12))
+@example(1021, 1, False, [0, 1, 2, 3])
+@example(1024, 512, False, [1, 1])       # -1 at an even conductor
+@example(1024, 0, True, [1, 1])
+@example(1021, 7, True, [2, -1, 5])
+@example(1, 0, True, [1, 2, 3])
+@example(60, 15, True, [1, 0, -1])
+@settings(max_examples=80, deadline=None)
+def test_root_lookups_agree_with_the_reference_table(m, j, negated, coeffs):
+    x = reference_signed_power(m, negated, j)
+    # the reference reads the value as stored, a rational at conductor 1
+    hit = reference_root(x)
+    assert hit is not None
+    sign, k = hit
+    n = x.conductor
+    assert multiplicative_order(x) == reference_order(x)
+    inv = x.inverse()
+    assert _stored(inv) == _stored(reference_signed_power(n, sign, -k))
+    assert x * inv == 1
+    want = sum((c * reference_signed_power(n, sign and i % 2, k * i)
+                for i, c in enumerate(coeffs)), rational(0))
+    assert _stored(root_power_sum(x, coeffs)) == _stored(want)
+
+
+@given(st.sampled_from(_CONDUCTORS), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=1023))
+@example(1021, 0, 1)
+@example(3, 0, 1)                        # 1 + zeta_3 = -zeta_3^2 is a root
+@example(3, 2, 1)                        # so is zeta_3 + zeta_3^2 = -1
+@settings(max_examples=80, deadline=None)
+def test_non_roots_have_no_order(m, kind, j):
+    z = root_of_unity(m, j % m)
+    x = [1 + z, 2 * z, z + z * z, z / 2][kind]
+    assume(not x.is_zero)
+    if reference_root(x) is not None:
+        assert multiplicative_order(x) == reference_order(x)
+        return
+    assert multiplicative_order(x) is None
+    assert x * x.inverse() == 1
+    with pytest.raises(ValueError):
+        root_power_sum(x, [1, 1])
+
+
+@given(st.sampled_from(_CONDUCTORS))
+@example(1021)
+@example(1024)
+@settings(max_examples=40, deadline=None)
+def test_rows_past_the_conductor_are_shared(m):
+    rows = _reduction_rows(m)
+    assert len(rows) == max(m, 2 * euler_phi(m) - 1)
+    for e in range(m, len(rows)):
+        assert rows[e] is rows[e - m]
+
+
+def test_first_root_lookup_at_1021_holds_little_memory():
+    # start from no per-conductor table at all
+    for table in vars(cyclotomic).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+    x = C.from_coefficients(1021, [0, 1] + [0] * 1018)
+    tracemalloc.start()
+    try:
+        assert multiplicative_order(x) == 1021
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense table held 16 MB here
+    assert held < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from burauforge.cyclotomic import root_of_unity
 from burauforge.quantum import build_params, gamma_at_p, twist_projective_order
 
 
@@ -77,3 +78,33 @@ def test_params_json_shape():
     assert data["burau_parameter_order"] == 6
     assert data["half_order"] == "3"
     assert set(data["twists"]) == {"0", "1", "2", "3", "4"}
+
+
+def reference_params(p):
+    # the powering construction that build_params replaced: (a_root, q, twists)
+    if p % 4 == 0:
+        a = -root_of_unity(p, 1)
+        q = -(a ** (-4))
+    else:
+        a = -root_of_unity(2 * p, p + 1)
+        q = -(a ** (-4)) if p == 5 else -(a ** (-8))
+    colors = range(0, p // 2 - 1) if p % 2 == 0 else range(0, p - 2, 2)
+    return a, q, tuple((-a) ** (l * (l + 2)) for l in colors)
+
+
+def _canonical(x):
+    c = x.canonical()
+    return c.conductor, c.num, c.den
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 129) if p % 4 != 2])
+def test_exponent_arithmetic_matches_the_powering_reference(p):
+    # root_of_unity stores a power at its minimal conductor, where the
+    # powering kept the conductor of a; the canonical forms must agree
+    params = build_params(p)
+    a, q, twists = reference_params(p)
+    assert len(params.twists) == len(twists)
+    for got, want in zip((params.a_root, params.burau_parameter, *params.twists),
+                         (a, q, *twists)):
+        assert got == want
+        assert _canonical(got) == _canonical(want)
