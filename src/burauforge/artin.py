@@ -93,9 +93,6 @@ class FreeAutomorphism:
     def __hash__(self):
         return hash(self.images)
 
-    def is_identity_on_generators(self) -> bool:
-        return all(w.syllables == ((i, 1),) for i, w in enumerate(self.images))
-
 
 def substitute(w: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     """The word w with each generator g replaced by images[g], reduced."""

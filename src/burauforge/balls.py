@@ -8,7 +8,8 @@ most one grid step, is added to the propagated radius, so every result
 encloses the true image (mid-rad ball arithmetic as in van der Hoeven,
 "Ball arithmetic", 2009).  The grid and its rounding rule live in this
 module only; ``to(bits)`` moves a ball to another grid.  Pi and the roots
-of unity come from integer series with explicit remainder bounds.
+of unity come from integer series with explicit remainder bounds, and
+``embed`` evaluates a cyclotomic number as one integer dot product.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, euler_phi
 
 __all__ = ["ComplexBall", "embed", "unit_turn", "PrecisionExhausted"]
 
@@ -86,9 +87,6 @@ class ComplexBall:
         return ComplexBall(_round_div((a * c + b * d) << bits, norm),
                            _round_div((b * c - a * d) << bits, norm),
                            -(-rad // (low * (low - other.rad))) + 1, bits)
-
-    def inverse(self) -> "ComplexBall":
-        return ComplexBall(1 << self.bits, 0, 0, self.bits) / self
 
     def to(self, bits: int) -> "ComplexBall":
         """The same enclosure on the grid 2^-bits: exact when refining."""
@@ -173,26 +171,31 @@ def _unit_turn(t: Fraction, bits: int) -> ComplexBall:
 
 def embed(x: CyclotomicNumber, j: int, precision: int) -> ComplexBall:
     """Ball around x under zeta_m -> exp(2 pi i j / m), on the grid of
-    ``precision`` (2^-precision) with radius at most 2^(1 - precision)."""
+    ``precision`` (2^-precision) with radius at most 2^(1 - precision).
+
+    x = sum_k c_k zeta_m^k / den is one exact integer dot product of the c_k
+    with balls about exp(2 pi i jk / m), of radius sum_k |c_k| rad_k with
+    each rad_k <= 4, divided once by den.  The first working grid of
+    (precision + 8) 2^i bits with 2^(bits - precision) >= 4 sum_k |c_k| / den + 2
+    meets the bound, so this never retries or raises PrecisionExhausted.
+    """
     m = x.conductor
-    if math.gcd(j % m if m > 1 else 1, m) != 1:
+    if math.gcd(j, m) != 1:
         raise ValueError("embedding exponent must be coprime to the conductor")
+    weight = 4 * sum(map(abs, x.num)) + 2 * x.den
     bits = precision + 8
-    for _ in range(12):
-        ball = _embed_at(x, j, bits)
-        if ball.rad <= 1 << (bits - precision):
-            return ball.to(precision)
+    while x.den << (bits - precision) < weight:
         bits *= 2
-    raise PrecisionExhausted("embedding did not reach the requested radius")
+    re = im = rad = 0
+    for c, t in zip(x.num, _turns(j % m, m, bits)):
+        re, im, rad = re + c * t.re, im + c * t.im, rad + abs(c) * t.rad
+    if x.den > 1:
+        re, im, rad = _round_div(re, x.den), _round_div(im, x.den), -(-rad // x.den) + 1
+    return ComplexBall(re, im, rad, bits).to(precision)
 
 
-def _embed_at(x: CyclotomicNumber, j: int, bits: int) -> ComplexBall:
-    # Horner over the integer numerator, then one division by the denominator
-    acc = ComplexBall(x.num[-1] << bits, 0, 0, bits)
-    if len(x.num) > 1:
-        root = unit_turn(Fraction(j, x.conductor), bits)
-        for c in reversed(x.num[:-1]):
-            acc = acc * root + ComplexBall(c << bits, 0, 0, bits)
-    if x.den == 1:
-        return acc
-    return acc / ComplexBall(x.den << bits, 0, 0, bits)
+@lru_cache(maxsize=64)
+def _turns(j: int, m: int, bits: int) -> tuple[ComplexBall, ...]:
+    # zeta_m^(jk) for k < phi(m): the exact 1, then unit_turn's memoised balls
+    return (ComplexBall(1 << bits, 0, 0, bits),
+            *(unit_turn(Fraction(j * k, m), bits) for k in range(1, euler_phi(m))))

@@ -195,9 +195,8 @@ def _cmd_certify_free(args) -> int:
               "parameters": {"order": args.order, "x": args.x, "y": args.y,
                              "max_len": args.max_len, "pingpong": args.pingpong}}
     if args.pingpong:
-        # embedding 1 gives an indefinite form whenever any embedding does
-        # (see hyperbolic), and order 1 tries none
-        form = invariant_form(q, 1) if args.order > 1 else None
+        # embedding 1 is indefinite whenever any embedding is (see hyperbolic)
+        form = invariant_form(q, 1)
         if form is None or form.signature != "indefinite":
             claims.append(ClaimReport(
                 claim="an indefinite invariant form exists at some embedding",

@@ -18,12 +18,12 @@ over the letters x, x^-1, y, y^-1 and over each generator alone.
 At q = zeta_n the Squier form is indefinite at an embedding sigma exactly
 when |sigma(q) - 1| < 1; embedding 1 sends zeta_n to e^(2 pi i / n), the
 primitive n-th root nearest 1, so it is indefinite whenever any embedding
-is (at q = -1 the form is fixed and indefinite), and the CLI tries only it.
+is (the fixed forms at q = 1 and -1 are indefinite); the CLI tries only it.
 
-Floating point appears only inside the certificate *search*; every
-accepted certificate is re-derived from exact data through ball
-arithmetic, and ``verify_certificate`` repeats that from scratch at
-doubled precision.
+Floating point appears only inside the certificate *search*, whose floats
+are read off the centres of ``balls.embed`` enclosures; every accepted
+certificate is re-derived from exact data through ball arithmetic, and
+``verify_certificate`` repeats that from scratch at doubled precision.
 """
 
 from __future__ import annotations
@@ -182,8 +182,10 @@ _SHRINK_LADDER = (
 )
 # a generator whose projective order is at most this is rejected as torsion
 _ORDER_BOUND = 120
-# float search data is scaled to entries below 2^_FLOAT_BITS
+# float search data is scaled to entries below 2^_FLOAT_BITS and read
+# off ball centres on the grid 2^-_FLOAT_PRECISION
 _FLOAT_BITS = 256
+_FLOAT_PRECISION = 64
 
 
 # Bounds on certificate input, checked before any arithmetic: verification
@@ -336,7 +338,7 @@ def _invariant_circle(form: HermitianForm2) -> _Circle:
     j = form.matrix
     alpha = j[0, 0]
     if alpha.is_zero:
-        raise PrecisionExhausted("circle chart degenerate: J11 = 0")
+        raise ValueError("circle chart degenerate: J11 = 0")
     centre = -(j[0, 1]) / alpha
     radius_sq = -(j.det2()) / (alpha * alpha)
     return _Circle(centre, radius_sq)
@@ -406,12 +408,12 @@ def _arcs_disjoint_margin(arcs: dict) -> Fraction | None:
 
 def _exact_pair(cert: PingPongCertificate) -> tuple[CycloMatrix, CycloMatrix, _Circle] | None:
     """The certificate's x^power_x, y^power_y and invariant circle, exactly;
-    None when the invariant form at its embedding is not indefinite."""
+    None when the form at its embedding is not indefinite or has J11 = 0."""
     a, b, _ = squared_images(cert.q)
     x_mat = pair_word_eval(parse_word(PAIR_CONTEXT, cert.x_word), a, b) ** cert.power_x
     y_mat = pair_word_eval(parse_word(PAIR_CONTEXT, cert.y_word), a, b) ** cert.power_y
     form = invariant_form(cert.q, cert.embedding)
-    if form is None or form.signature != "indefinite":
+    if form is None or form.signature != "indefinite" or form.matrix[0, 0].is_zero:
         return None
     return x_mat, y_mat, _invariant_circle(form)
 
@@ -453,13 +455,11 @@ def _ball_inclusions(cert: PingPongCertificate, x_mat: CycloMatrix, y_mat: Cyclo
 
 
 def _numeric_value(v: CyclotomicNumber, embedding: int, shift: int = 0) -> complex:
-    # v / 2^shift at the embedding; int / int rounds correctly, as float() does
-    root = cmath.exp(2j * cmath.pi * embedding / v.conductor)
-    den = v.den << shift
-    acc = 0j
-    for c in reversed(v.num):
-        acc = acc * root + c / den
-    return acc
+    # v / 2^shift at the embedding, read off the centre of its ball; int / int
+    # rounds correctly, as float() does, and does not overflow on the way
+    ball = embed(v, embedding, _FLOAT_PRECISION)
+    scale = 1 << (ball.bits + shift)
+    return complex(ball.re / scale, ball.im / scale)
 
 
 def _fixed_turns(m: CycloMatrix, embedding: int, centre: complex,
@@ -501,9 +501,9 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     config.max_power and the aperture ladder, or None when the
     search space is exhausted.  Raises ValueError with the first reason
     the pair is ineligible (no indefinite form; x trivial or of finite
-    order; the same for y; a nonpositive radius), and PrecisionExhausted
-    on a degenerate circle chart or an inclusion undecided at any tried
-    precision.
+    order; the same for y; a degenerate circle chart, J11 = 0, as at
+    q = 1 and q = -1; a nonpositive radius), and PrecisionExhausted on an
+    inclusion undecided at any tried precision.
     """
     form = invariant_form(q, embedding)
     if form is None or form.signature != "indefinite":

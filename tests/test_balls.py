@@ -1,13 +1,14 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from burauforge import balls
 from burauforge.balls import ComplexBall, PrecisionExhausted, embed, pi_bounds, unit_turn
-from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
+from burauforge.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
 
 PI_REF = Fraction("3.14159265358979323846264338327950288419716939937510582097")
 
@@ -86,6 +87,29 @@ def reference_unit_turn(t, bits: int) -> tuple[Fraction, Fraction, Fraction]:
             Fraction(math.ceil(rad * scale) + 1, scale))
 
 
+def _horner_at(x: CyclotomicNumber, j: int, bits: int) -> ComplexBall:
+    # Horner over the integer numerator, then one division by the denominator
+    acc = ComplexBall(x.num[-1] << bits, 0, 0, bits)
+    if len(x.num) > 1:
+        root = unit_turn(Fraction(j, x.conductor), bits)
+        for c in reversed(x.num[:-1]):
+            acc = acc * root + ComplexBall(c << bits, 0, 0, bits)
+    if x.den == 1:
+        return acc
+    return acc / ComplexBall(x.den << bits, 0, 0, bits)
+
+
+def reference_embed(x: CyclotomicNumber, j: int, precision: int) -> ComplexBall:
+    """The embedding that one dot product replaced: Horner in ball products
+    on the grids (precision + 8) 2^i, until the radius meets the bound."""
+    bits = precision + 8
+    while True:
+        ball = _horner_at(x, j, bits)
+        if ball.rad <= 1 << (bits - precision):
+            return ball.to(precision)
+        bits *= 2
+
+
 # ---------------------------------------------------------------------------
 
 def _contains(ball: ComplexBall, re: Fraction, im: Fraction) -> bool:
@@ -138,6 +162,55 @@ def test_embedded_roots_have_modulus_one():
         assert b.bits == 40 and b.rad <= 2
         norm = b.re * b.re + b.im * b.im
         assert (math.isqrt(norm) - b.rad) ** 2 <= 1 << 80 <= (math.isqrt(norm) + 1 + b.rad) ** 2
+
+
+def _meet(x: ComplexBall, y: ComplexBall) -> bool:
+    # do the two closed discs intersect?  Compared on the finer grid, where
+    # moving the coarser ball is exact
+    bits = max(x.bits, y.bits)
+    x, y = x.to(bits), y.to(bits)
+    return (x.re - y.re) ** 2 + (x.im - y.im) ** 2 <= (x.rad + y.rad) ** 2
+
+
+def _random_number(m: int, size: int, seed: int, den: int, j: int):
+    # phi(m) integers of up to `size` bits, a third of them zero, over den,
+    # and the first exponent from j on coprime to the reduced conductor
+    rng = random.Random(seed)
+    coeffs = [rng.choice((0, 1, 1)) * rng.randint(-(1 << size), 1 << size)
+              for _ in range(euler_phi(m))]
+    x = CyclotomicNumber.from_coefficients(m, [Fraction(c, den) for c in coeffs])
+    while math.gcd(j, x.conductor) != 1:
+        j += 1
+    return x, j
+
+
+_CYCLOTOMIC_NUMBERS = st.builds(
+    _random_number, st.integers(min_value=1, max_value=1024),
+    st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=1 << 32),
+    st.integers(min_value=1, max_value=1 << 64), st.integers(min_value=1, max_value=1024))
+
+
+@given(_CYCLOTOMIC_NUMBERS, st.integers(min_value=16, max_value=512))
+@example(_random_number(1021, 64, 1, 3, 1), 32)
+@example(_random_number(1024, 200, 2, 1, 511), 512)
+@settings(max_examples=25, deadline=None)
+def test_embed_agrees_with_horner(xj, precision):
+    x, j = xj
+    ball = embed(x, j, precision)
+    assert ball.bits == precision and ball.rad <= 2
+    assert _meet(ball, reference_embed(x, j, precision))
+    # the point the reference encloses at more than twice the bits, up to
+    # its own radius of at most 2^(-1 - 2 precision)
+    fine = reference_embed(x, j, 2 * precision + 2)
+    assert _meet(ball, fine)
+
+
+def test_embedding_roots_are_the_unit_turn_memo():
+    # the cached roots of a dot product share the unit_turn memo's balls,
+    # after an exact 1
+    turns = balls._turns(3, 20, 72)
+    assert len(turns) == 8 and turns[0] == ComplexBall(1 << 72, 0, 0, 72)
+    assert all(t is unit_turn(Fraction(3 * k, 20), 72) for k, t in enumerate(turns) if k)
 
 
 @given(st.fractions(min_value=0, max_value=1), st.integers(min_value=20, max_value=60))
@@ -233,8 +306,9 @@ def test_rounding_preserves_enclosure(ball_point, bits):
     ComplexBall(3 << 20, 4 << 20, 5 << 20, 20),
 ])
 def test_inverse_of_a_ball_around_zero_raises(ball):
+    one = ComplexBall(1 << ball.bits, 0, 0, ball.bits)
     with pytest.raises(PrecisionExhausted):
-        ball.inverse()
+        one / ball
 
 
 def test_operations_refuse_mixed_grids():

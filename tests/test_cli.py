@@ -234,21 +234,32 @@ def test_certify_free_and_verify_cert_golden(capsys, tmp_path, monkeypatch, orde
     check(["verify-cert", "--file", "swapped.json"], 1, f"verify_cert_{order}_swapped.json")
 
 
+# recorded from the program before a cyclotomic number's embedding was one
+# integer dot product; conductors 509 and 1021 have the most terms per entry
+@pytest.mark.parametrize("order", [509, 1021])
+def test_certify_free_golden_at_large_conductors(capsys, order):
+    assert main(["certify-free", "--order", str(order), "--x", "A B A^-1 B^-1",
+                 "--y", "A^2 B A^-2 B^-1", "--max-len", "2", "--pingpong",
+                 "--precision", "32"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"certify_free_{order}.json").read_text()
+
+
 # the second claim at orders where the form search ends early, recorded
 # from the program before the invariant form was given in closed form:
-# orders 1 and 6 have no indefinite form at any embedding, and at order 2
-# (q = -1, where A = B = I) the form at embedding 1 is indefinite but x is
-# projectively trivial
+# order 6 has no indefinite form at any embedding, and at order 2 (q = -1,
+# where A = B = I) the form at embedding 1 is indefinite but x is
+# projectively trivial.  At order 1 (q = 1) the form is indefinite too, and
+# the pair is ineligible because the form's circle has no chart
 _NO_FORM = {"claim": "an indefinite invariant form exists at some embedding",
             "witnesses": [], "pass": False, "status": "fail"}
+_NO_TABLE_TENNIS = {"claim": "table-tennis certificate found and independently re-verified",
+                    "params": {"embedding": 1, "max_power": 4, "precision": 96},
+                    "pass": False, "status": "fail"}
 
 
 @pytest.mark.parametrize("order, second", [
-    (1, {**_NO_FORM, "params": {"order": 1}}),
-    (2, {"claim": "table-tennis certificate found and independently re-verified",
-         "params": {"embedding": 1, "max_power": 4, "precision": 96},
-         "witnesses": [{"reason": "generator x is projectively trivial"}],
-         "pass": False, "status": "fail"}),
+    (1, {**_NO_TABLE_TENNIS, "witnesses": [{"reason": "circle chart degenerate: J11 = 0"}]}),
+    (2, {**_NO_TABLE_TENNIS, "witnesses": [{"reason": "generator x is projectively trivial"}]}),
     (6, {**_NO_FORM, "params": {"order": 6}}),
 ])
 def test_certify_free_degenerate_orders(capsys, order, second):

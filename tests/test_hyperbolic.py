@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -13,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from burauforge import burau, hyperbolic
 from burauforge.burau import CycloMatrix, pair_word_eval, projective_order, squared_images
 from burauforge.cli import main
-from burauforge.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, root_of_unity
+from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
+                                   root_of_unity)
 from burauforge.hyperbolic import (PAIR_CONTEXT, HermitianForm2, PingPongCertificate,
                                    PingPongConfig, PrecisionExhausted, invariant_form,
                                    ping_pong_certify, short_relation_oracle, verify_certificate)
@@ -95,6 +97,17 @@ def test_parabolic_parameter_gets_scaled_symplectic_form():
     a, b, _ = squared_images(CyclotomicNumber.from_rational(1))
     assert dagger(a) * form.matrix * a == form.matrix
     assert dagger(b) * form.matrix * b == form.matrix
+
+
+def test_a_form_without_a_circle_chart_makes_the_pair_ineligible(certificate):
+    # J11 = 0 at q = 1 is exact, not a precision failure: the search refuses
+    # the pair, and a certificate moved to q = 1 fails verification
+    q = CyclotomicNumber.from_rational(1)
+    with pytest.raises(ValueError, match="circle chart degenerate"):
+        ping_pong_certify(X_WORD, Y_WORD, q, 1)
+    moved = dataclasses.replace(certificate, q=q)
+    assert hyperbolic._exact_pair(moved) is None
+    assert not verify_certificate(moved)
 
 
 def reference_invariant_form(q, embedding):
@@ -477,6 +490,31 @@ def _float_circle(q, embedding):
             math.sqrt(hyperbolic._numeric_value(circle.radius_sq, embedding).real))
 
 
+def reference_numeric_value(v, embedding, shift=0):
+    """v / 2^shift at the embedding by Horner in floats: the search's
+    evaluation before its floats were read off ball centres."""
+    root = cmath.exp(2j * cmath.pi * embedding / v.conductor)
+    den = v.den << shift
+    acc = 0j
+    for c in reversed(v.num):
+        acc = acc * root + c / den
+    return acc
+
+
+@given(st.integers(1, 1024), st.integers(1, 60), st.integers(0, 1 << 32),
+       st.integers(1, 1 << 20), st.integers(1, 1024), st.integers(0, 300))
+@settings(max_examples=50, deadline=None)
+def test_numeric_value_agrees_with_float_horner(m, size, seed, den, j, shift):
+    rng = random.Random(seed)
+    v = CyclotomicNumber.from_coefficients(
+        m, [Fraction(rng.randint(-(1 << size), 1 << size), den) for _ in range(euler_phi(m))])
+    while math.gcd(j, v.conductor) != 1:
+        j += 1
+    got = hyperbolic._numeric_value(v, j, shift)
+    assert abs(got - reference_numeric_value(v, j, shift)) <= (
+        1e-12 * sum(map(abs, v.num)) / (v.den << shift))
+
+
 @given(pair_words, st.integers(7, 40), st.floats(0, 1, exclude_max=True),
        st.integers(1, 3))
 @settings(max_examples=200, deadline=None)
@@ -679,11 +717,11 @@ def test_torsion_test_runs_when_the_search_fails(monkeypatch):
 
 def test_torsion_reason_precedes_a_degenerate_circle_chart(monkeypatch):
     def degenerate(form):
-        raise PrecisionExhausted("circle chart degenerate: J11 = 0")
+        raise ValueError("circle chart degenerate: J11 = 0")
     monkeypatch.setattr(hyperbolic, "_invariant_circle", degenerate)
     with pytest.raises(ValueError, match="generator x has finite projective order"):
         ping_pong_certify(parse_word(PAIR_CONTEXT, "A"), Y_WORD, Q14, 1)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(ValueError, match="circle chart degenerate"):
         ping_pong_certify(X_WORD, Y_WORD, Q14, 1)
 
 
