@@ -15,6 +15,7 @@ of unity come from integer series with explicit remainder bounds, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -127,8 +128,8 @@ def unit_turn(t: Fraction, bits: int) -> ComplexBall:
     """Enclosure of exp(2 pi i t), on the grid 2^-bits with radius at most
     4 * 2^-bits, for a rational number of turns t.
 
-    Results are memoised per (t mod 1, bits): embedding a matrix and
-    placing arc endpoints ask for the same few roots many times.
+    Results are memoised per (t mod 1, bits): placing arc endpoints asks
+    for the same few points many times.
     """
     return _unit_turn(Fraction(t) % 1, bits)
 
@@ -173,11 +174,11 @@ def embed(x: CyclotomicNumber, j: int, precision: int) -> ComplexBall:
     """Ball around x under zeta_m -> exp(2 pi i j / m), on the grid of
     ``precision`` (2^-precision) with radius at most 2^(1 - precision).
 
-    x = sum_k c_k zeta_m^k / den is one exact integer dot product of the c_k
-    with balls about exp(2 pi i jk / m), of radius sum_k |c_k| rad_k with
-    each rad_k <= 4, divided once by den.  The first working grid of
-    (precision + 8) 2^i bits with 2^(bits - precision) >= 4 sum_k |c_k| / den + 2
-    meets the bound, so this never retries or raises PrecisionExhausted.
+    x = sum_k c_k zeta_m^k / den is one integer dot product of the c_k with
+    centres of enclosures of exp(2 pi i jk / m), each within 4 grid steps,
+    over den: it errs by under weight / den steps, weight = 4 sum|c_k| + 2 den.
+    The first grid of (precision + 8) 2^i bits with 2^(bits - precision) >=
+    weight / den meets the bound: no retries and no PrecisionExhausted.
     """
     m = x.conductor
     if math.gcd(j, m) != 1:
@@ -186,16 +187,15 @@ def embed(x: CyclotomicNumber, j: int, precision: int) -> ComplexBall:
     bits = precision + 8
     while x.den << (bits - precision) < weight:
         bits *= 2
-    re = im = rad = 0
-    for c, t in zip(x.num, _turns(j % m, m, bits)):
-        re, im, rad = re + c * t.re, im + c * t.im, rad + abs(c) * t.rad
-    if x.den > 1:
-        re, im, rad = _round_div(re, x.den), _round_div(im, x.den), -(-rad // x.den) + 1
-    return ComplexBall(re, im, rad, bits).to(precision)
+    res, ims = _turns(j % m, m, bits)
+    re, im = sum(map(operator.mul, x.num, res)), sum(map(operator.mul, x.num, ims))
+    rad = 0 if len(x.num) == 1 and x.den == 1 else -(-weight // x.den)  # exact integer
+    return ComplexBall(_round_div(re, x.den), _round_div(im, x.den), rad, bits).to(precision)
 
 
-@lru_cache(maxsize=64)
-def _turns(j: int, m: int, bits: int) -> tuple[ComplexBall, ...]:
-    # zeta_m^(jk) for k < phi(m): the exact 1, then unit_turn's memoised balls
-    return (ComplexBall(1 << bits, 0, 0, bits),
-            *(unit_turn(Fraction(j * k, m), bits) for k in range(1, euler_phi(m))))
+@lru_cache(maxsize=16)
+def _turns(j: int, m: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # centres of zeta_m^(jk) for k < phi(m), the first the exact 1; built
+    # past the unit_turn memo, so that this cache bounds what embed keeps
+    roots = [_unit_turn.__wrapped__(Fraction(j * k, m), bits) for k in range(1, euler_phi(m))]
+    return (1 << bits, *(r.re for r in roots)), (0, *(r.im for r in roots))

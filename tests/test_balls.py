@@ -196,21 +196,27 @@ _CYCLOTOMIC_NUMBERS = st.builds(
 @settings(max_examples=25, deadline=None)
 def test_embed_agrees_with_horner(xj, precision):
     x, j = xj
-    ball = embed(x, j, precision)
-    assert ball.bits == precision and ball.rad <= 2
-    assert _meet(ball, reference_embed(x, j, precision))
+    ball, reference = embed(x, j, precision), reference_embed(x, j, precision)
+    # radius 2 grid steps, or 1 about an exact integer, as the reference's
+    assert ball.bits == precision and ball.rad == reference.rad <= 2
+    assert _meet(ball, reference)
     # the point the reference encloses at more than twice the bits, up to
     # its own radius of at most 2^(-1 - 2 precision)
     fine = reference_embed(x, j, 2 * precision + 2)
     assert _meet(ball, fine)
 
 
-def test_embedding_roots_are_the_unit_turn_memo():
-    # the cached roots of a dot product share the unit_turn memo's balls,
-    # after an exact 1
-    turns = balls._turns(3, 20, 72)
-    assert len(turns) == 8 and turns[0] == ComplexBall(1 << 72, 0, 0, 72)
-    assert all(t is unit_turn(Fraction(3 * k, 20), 72) for k, t in enumerate(turns) if k)
+def test_embedding_roots_are_unit_turn_centres_outside_its_memo():
+    # the cached roots of a dot product are the centres of unit_turn's
+    # enclosures after an exact 1, and embedding adds nothing to its memo
+    balls._unit_turn.cache_clear()
+    res, ims = balls._turns(3, 20, 72)
+    assert len(res) == len(ims) == 8 and (res[0], ims[0]) == (1 << 72, 0)
+    for k in range(1, 8):
+        root = balls._unit_turn.__wrapped__(Fraction(3 * k, 20), 72)
+        assert (res[k], ims[k]) == (root.re, root.im)
+    embed(root_of_unity(1021, 5), 7, 40)
+    assert balls._unit_turn.cache_info().currsize == 0
 
 
 @given(st.fractions(min_value=0, max_value=1), st.integers(min_value=20, max_value=60))
