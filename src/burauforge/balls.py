@@ -189,7 +189,7 @@ def embed(x: CyclotomicNumber, j: int, precision: int) -> ComplexBall:
         bits *= 2
     res, ims = _turns(j % m, m, bits)
     re, im = sum(map(operator.mul, x.num, res)), sum(map(operator.mul, x.num, ims))
-    rad = 0 if len(x.num) == 1 and x.den == 1 else -(-weight // x.den)  # exact integer
+    rad = 0 if len(x.num) == 1 and x.den == 1 else -(-weight // x.den)  # 0: exact integer
     return ComplexBall(_round_div(re, x.den), _round_div(im, x.den), rad, bits).to(precision)
 
 
