@@ -23,7 +23,15 @@ is (the fixed forms at q = 1 and -1 are indefinite); the CLI tries only it.
 Floating point appears only inside the certificate *search*, whose floats
 are read off the centres of ``balls.embed`` enclosures; every accepted
 certificate is re-derived from exact data through ball arithmetic, and
-``verify_certificate`` repeats that from scratch at doubled precision.
+``verify_certificate`` re-derives every inclusion at doubled precision.
+
+The exact data of a pair, its two word matrices and its invariant form,
+is memoised on q's stored representation (conductor, num, den), never on
+value equality: equal values may be stored at different conductors, and
+``embed`` reads an embedding's exponent at the stored conductor.  Each
+entry is computed and checked on its first use exactly as without the
+memo, so the oracle, the search and the verification of one pair share
+one evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
 from .burau import (CycloMatrix, first_scalar_word, pair_word_eval, projective_order,
@@ -50,6 +59,27 @@ __all__ = [
 
 PAIR_CONTEXT = free_group(("A", "B"))
 _ORACLE_CONTEXT = free_group(("x", "y"))
+# entries of each exact-data memo: one certify-free uses one of each, and
+# the verify-cert runs of its certificates in the same process reuse them
+_EXACT_MEMO_SIZE = 8
+
+
+def _exact_key(q: CyclotomicNumber) -> tuple:
+    # q as stored, not as a value: see the module docstring
+    return q.conductor, q.num, q.den
+
+
+def _pair_matrices(q: CyclotomicNumber, x_word: GroupWord,
+                   y_word: GroupWord) -> tuple[CycloMatrix, CycloMatrix]:
+    """x and y evaluated at the squared images A, B of q, exactly; memoised
+    on q's stored representation and the two words."""
+    return _pair_memo(_exact_key(q), x_word, y_word)
+
+
+@lru_cache(maxsize=_EXACT_MEMO_SIZE)
+def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord):
+    a, b, _ = squared_images(CyclotomicNumber(*key))
+    return pair_word_eval(x_word, a, b), pair_word_eval(y_word, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +105,16 @@ def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None
     degenerate forms.  Invariance is checked exactly; the signature tag
     is certified at the requested embedding by excluding zero from an
     enclosure of det J (an exactly-real field element).
+
+    Memoised on q's stored representation and the embedding: both checks
+    run on the first call for a key, and a later call returns that result.
     """
+    return _form_memo(_exact_key(q), embedding)
+
+
+@lru_cache(maxsize=_EXACT_MEMO_SIZE)
+def _form_memo(key: tuple, embedding: int) -> HermitianForm2 | None:
+    q = CyclotomicNumber(*key)
     a, b, _ = squared_images(q)
     one = CyclotomicNumber.from_rational(1)
     zero = CyclotomicNumber.from_rational(0)
@@ -156,9 +195,7 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
     and searched by ``burau.first_scalar_word``, on residues with each
     candidate confirmed by its exact product.
     """
-    a, b, _ = squared_images(q)
-    x_mat = pair_word_eval(x_word, a, b)
-    y_mat = pair_word_eval(y_word, a, b)
+    x_mat, y_mat = _pair_matrices(q, x_word, y_word)
     sylls = first_scalar_word({(0, 1): x_mat, (0, -1): x_mat.inverse(),
                                (1, 1): y_mat, (1, -1): y_mat.inverse()}, max_len)
     return None if sylls is None else word(_ORACLE_CONTEXT, sylls)
@@ -409,13 +446,12 @@ def _arcs_disjoint_margin(arcs: dict) -> Fraction | None:
 def _exact_pair(cert: PingPongCertificate) -> tuple[CycloMatrix, CycloMatrix, _Circle] | None:
     """The certificate's x^power_x, y^power_y and invariant circle, exactly;
     None when the form at its embedding is not indefinite or has J11 = 0."""
-    a, b, _ = squared_images(cert.q)
-    x_mat = pair_word_eval(parse_word(PAIR_CONTEXT, cert.x_word), a, b) ** cert.power_x
-    y_mat = pair_word_eval(parse_word(PAIR_CONTEXT, cert.y_word), a, b) ** cert.power_y
+    x_word, y_word = (parse_word(PAIR_CONTEXT, w) for w in (cert.x_word, cert.y_word))
+    x_mat, y_mat = _pair_matrices(cert.q, x_word, y_word)
     form = invariant_form(cert.q, cert.embedding)
     if form is None or form.signature != "indefinite" or form.matrix[0, 0].is_zero:
         return None
-    return x_mat, y_mat, _invariant_circle(form)
+    return x_mat ** cert.power_x, y_mat ** cert.power_y, _invariant_circle(form)
 
 
 def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
@@ -511,9 +547,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     # a certificate stores the words as text in the pair's alphabet: search
     # on the words that text denotes
     x_word, y_word = (parse_word(PAIR_CONTEXT, str(w)) for w in (x_word, y_word))
-    a_mat, b_mat, _ = squared_images(q)
-    x_mat = pair_word_eval(x_word, a_mat, b_mat)
-    y_mat = pair_word_eval(y_word, a_mat, b_mat)
+    x_mat, y_mat = _pair_matrices(q, x_word, y_word)
     # eligibility, checked in this order before any search: the torsion
     # test is the one-letter scalar search, on residues
     for name, mat in (("x", x_mat), ("y", y_mat)):
@@ -528,14 +562,17 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
         raise ValueError("invariant circle has nonpositive radius at this embedding")
     radius_n = math.sqrt(rsq_n)
 
+    # x^k, y^k and their fixed turns, each made once, on the level k of
+    # the search that first uses them
+    xs, ys, fxs, fys = [], [], [], []
     undecided = False
     for power in range(1, config.max_power + 1):
+        for mats, turns, base in ((xs, fxs, x_mat), (ys, fys, y_mat)):
+            mats.append(mats[-1] * base if mats else base)
+            turns.append(_fixed_turns(mats[-1], embedding, centre_n, radius_n))
         for ax, by in [(i, j) for i in range(1, power + 1) for j in range(1, power + 1)
                        if max(i, j) == power]:
-            xa = x_mat ** ax
-            yb = y_mat ** by
-            fx = _fixed_turns(xa, embedding, centre_n, radius_n)
-            fy = _fixed_turns(yb, embedding, centre_n, radius_n)
+            fx, fy = fxs[ax - 1], fys[by - 1]
             if fx is None or fy is None:
                 continue
             for shrink, pad in _SHRINK_LADDER:
@@ -553,7 +590,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
                         margin=margin, precision=bits,
                     )
                     try:
-                        if _ball_inclusions(cert, xa, yb, circle, bits):
+                        if _ball_inclusions(cert, xs[ax - 1], ys[by - 1], circle, bits):
                             return cert
                         break  # decided negative: try the next shrink level
                     except PrecisionExhausted:
@@ -614,7 +651,11 @@ def _adaptive_arcs(fx, fy, centre_n: complex, radius_n: float,
 
 def verify_certificate(cert: PingPongCertificate) -> bool:
     """Independent re-check: exact arc bookkeeping plus ball inclusions at
-    doubled precision.  Returns False on any failure."""
+    doubled precision.  Returns False on any failure.
+
+    Every inclusion is re-derived on each call.  The exact pair comes from
+    the certificate's own q and re-parsed words: computed, or read from
+    the memo keyed by exactly that q representation and those words."""
     margin = _arcs_disjoint_margin(cert.arcs)
     if margin is None or margin <= 0 or margin != cert.margin:
         return False

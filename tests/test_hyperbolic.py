@@ -1,11 +1,13 @@
 import cmath
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,11 @@ from test_cyclotomic import row_reduce
 Q14 = root_of_unity(14, 1)
 X_WORD = parse_word(PAIR_CONTEXT, "A B A^-1 B^-1")
 Y_WORD = parse_word(PAIR_CONTEXT, "A^2 B A^-2 B^-1")
+
+
+def clear_exact_memos():
+    hyperbolic._pair_memo.cache_clear()
+    hyperbolic._form_memo.cache_clear()
 
 
 def dagger(m):
@@ -360,6 +367,7 @@ def test_oracle_exact_products_do_not_grow_with_the_length_bound(monkeypatch):
 
     monkeypatch.setattr(CycloMatrix, "__mul__", counted)
     for max_len in (4, 8):
+        clear_exact_memos()
         counts.append(0)
         assert short_relation_oracle(X_WORD, Y_WORD, Q14, max_len) is None
     assert counts[0] == counts[1] > 0
@@ -755,3 +763,120 @@ def test_undecided_exact_data_fails_verification(monkeypatch, certificate):
         raise PrecisionExhausted("sign of the form determinant undecided")
     monkeypatch.setattr(hyperbolic, "invariant_form", undecided)
     assert not verify_certificate(certificate)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(hyperbolic, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(hyperbolic, name, counted)
+    return calls
+
+
+def test_one_exact_pair_per_certify_free_command(monkeypatch, capsys):
+    # the oracle, the form check, the search and the closing verification
+    # share one evaluation of the pair and one solve of the form
+    clear_exact_memos()
+    images, evals, solves = (_counting(monkeypatch, name) for name in
+                             ("squared_images", "pair_word_eval", "_inverse_of_q_minus_one"))
+    assert main(["certify-free", "--order", "14", "--x", str(X_WORD), "--y", str(Y_WORD),
+                 "--max-len", "2", "--pingpong"]) == 0
+    capsys.readouterr()
+    assert len(images) <= 2
+    assert len(evals) == 2
+    assert len(solves) == 1
+
+
+def test_verifying_a_certificate_seen_before_evaluates_nothing(monkeypatch, certificate):
+    assert verify_certificate(certificate)
+    calls = [_counting(monkeypatch, name) for name in
+             ("squared_images", "pair_word_eval", "_inverse_of_q_minus_one")]
+    assert verify_certificate(certificate)
+    assert calls == [[], [], []]
+
+
+def _zeta_stored_at(order: int, conductor: int) -> CyclotomicNumber:
+    # zeta_order written as zeta_conductor^k: the same value, stored at a
+    # larger conductor
+    k = conductor // order
+    return CyclotomicNumber.from_coefficients(
+        conductor, [int(i == k) for i in range(euler_phi(conductor))])
+
+
+# (order, embedding of the search, certificates as (conductor of q,
+# embedding, verdict)): every q has the value zeta_order.  At 28 and 52,
+# embedding 1 and 15 send zeta_order where embedding 1 and 2 do at the
+# order itself; embedding 2 at order 7 and 3 at 28 are definite
+@pytest.mark.parametrize("order, embedding, stored", [
+    (7, 1, [(7, 1, True), (28, 1, True), (7, 2, False), (28, 3, False)]),
+    (13, 2, [(13, 2, True), (52, 15, True)]),
+])
+def test_memo_keys_are_stored_representations(order, embedding, stored):
+    # embed reads an embedding's exponent at the stored conductor: a memo
+    # keyed by value would embed zeta_52^4's matrices at 2, which raises
+    base = ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), embedding,
+                             PingPongConfig(precision=32))
+    certs = [dataclasses.replace(base, q=_zeta_stored_at(order, m), embedding=e)
+             for m, e, _ in stored]
+    assert [c.q.conductor for c in certs] == [m for m, _, _ in stored]
+    assert all(c.q == root_of_unity(order, 1) for c in certs)
+    for cert, (_, _, verdict) in zip(certs, stored):
+        clear_exact_memos()
+        assert verify_certificate(cert) is verdict
+    for i, j in itertools.permutations(range(len(certs)), 2):
+        clear_exact_memos()
+        assert ([verify_certificate(certs[i]), verify_certificate(certs[j])]
+                == [stored[i][2], stored[j][2]])
+
+
+def test_search_makes_each_power_once(monkeypatch):
+    # an exhausted search at max power 4 builds x^2..x^4 and y^2..y^4 from
+    # the powers below, after the pair evaluation and nothing else
+    config = PingPongConfig(max_power=4)
+    hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD)
+    invariant_form(Q14, 1)
+    monkeypatch.setattr(hyperbolic, "_adaptive_arcs", lambda *args: None)
+    products = []
+    mul = CycloMatrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(CycloMatrix, "__mul__", counted)
+    assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1, config) is None
+    assert 0 < len(products) <= 2 * (config.max_power - 1)
+
+
+# bytes the exact-data memos hold after certify plus verify at three of
+# the largest conductors a certificate may have, measured at 0.49 MB
+MEMO_BYTES_BOUND = 1 << 20
+
+
+def test_exact_memos_stay_small():
+    # certify plus verify leaves one pair and one form per order in the
+    # memos; traced, the search takes ten times as long, so the bytes are
+    # measured by making those same entries again under tracemalloc
+    orders = (1009, 1018, 1021)
+    clear_exact_memos()
+    for order in orders:
+        cert = ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), 1,
+                                 PingPongConfig(precision=32))
+        assert cert is not None and verify_certificate(cert)
+    memos = (hyperbolic._pair_memo, hyperbolic._form_memo)
+    assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+    clear_exact_memos()
+    tracemalloc.start()
+    try:
+        for order in orders:
+            hyperbolic._pair_matrices(root_of_unity(order, 1), X_WORD, Y_WORD)
+            invariant_form(root_of_unity(order, 1), 1)
+        assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+        held = tracemalloc.get_traced_memory()[0]
+        clear_exact_memos()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < MEMO_BYTES_BOUND

@@ -103,3 +103,49 @@ def test_relation_suites_reach_the_triangle_routines(monkeypatch):
         cli.SUITES[suite].run(2, 9)
     assert calls == [(suite, x) for suite in names for x in range(2, 10)
                      if (suite, x) != ("kernel", 6)]
+
+
+
+# caches in src/ with no size bound, each with the reason its key set stays small
+UNBOUNDED_CACHES = {
+    "balls.pi_bounds": "one entry per working precision",
+    "balls._unit_turn": "one entry per arc endpoint and precision that certificate checks use",
+    "cyclotomic.euler_phi": "one integer per conductor",
+    "cyclotomic.cyclotomic_polynomial": "one polynomial per conductor and divisor",
+    "cyclotomic._reduction_rows": "sparse rows, one table per conductor",
+    "cli.build_parser": "takes no arguments: the one parser",
+}
+
+
+def _cache_sizes() -> dict[str, int | None]:
+    # module.function -> maxsize of its functools cache, None if unbounded;
+    # a maxsize may name a module-level constant
+    sizes = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants = {t.id: node.value.value for node in tree.body
+                     if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                     for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            for deco in getattr(node, "decorator_list", ()):
+                call = deco if isinstance(deco, ast.Call) else None
+                kind = ast.unparse(call.func if call else deco).rpartition(".")[2]
+                if kind == "cache":
+                    size = None
+                elif kind == "lru_cache":
+                    args = [*call.args, *(k.value for k in call.keywords)] if call else []
+                    arg = args[0] if args else ast.Constant(128)
+                    size = constants[arg.id] if isinstance(arg, ast.Name) else ast.literal_eval(arg)
+                else:
+                    continue
+                sizes[f"{path.stem}.{node.name}"] = size
+    return sizes
+
+
+def test_caches_are_bounded_or_listed():
+    # a new cache must bound its size, or give here the reason its keys
+    # stay few; the exact-data memos of hyperbolic are small and bounded
+    sizes = _cache_sizes()
+    assert {name for name, size in sizes.items() if size is None} == set(UNBOUNDED_CACHES)
+    assert sizes["hyperbolic._pair_memo"] == sizes["hyperbolic._form_memo"] == 8
+    assert all(size > 0 for size in sizes.values() if size is not None)
