@@ -28,8 +28,10 @@ on the expansions of U_i and U_i^-1.  A letter costs four truncated
 products and two products by a one-variable series, so the work grows
 with the braid length and the number of nonzero coefficients, not with
 the longitude, whose length grows exponentially with the bracket depth.
-``magnus_expansion(longitude(w, s), d)`` stays the reference it is
-tested against.
+The fold does not depend on the strand, so ``_magnus_fold`` keeps it per
+(braid, degree) in a small memo that the three strand jobs of one braid
+share.  ``magnus_expansion(longitude(w, s), d)`` stays the reference it
+is tested against.
 
 Depth certificates are one-sided: a word whose expansion vanishes below
 degree k is certified to lie at filtration depth >= k; exact membership
@@ -293,21 +295,33 @@ def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
     """``magnus_expansion(longitude(w, strand), degree)``, without the word.
 
     Runs ``_conjugator_fold`` on the expansions of the conjugators U_i
-    and their inverses.  The longitude is x_s^-e U_s^-1, e the
-    x_s-exponent of U_s^-1: U_s differs from the conjugator the word path
-    reads off only by a right power of x_s.
+    and their inverses, once per (braid, degree) for all three strands.
+    The longitude is x_s^-e U_s^-1, e the x_s-exponent of U_s^-1: U_s
+    differs from the conjugator the word path reads off only by a right
+    power of x_s.
     """
     if strand not in (1, 2, 3):
         raise ValueError("strand index must be 1, 2 or 3")
     if degree < 1:
         raise ValueError("truncation degree must be positive")
-    letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
-    _, conj_inv, perm = _conjugator_fold(w, MagnusSeries.one(3, degree), letter)
-    if perm != [0, 1, 2]:
+    conj_inv, perm = _magnus_fold(w, degree)
+    if perm != (0, 1, 2):
         raise ValueError("braid is not pure: a strand generator is not conjugated")
     s = strand - 1
     ell = conj_inv[s]
+    # a fresh product: the memo's series are never handed out
     return _letter_series(3, s, -ell.coefficient((s,)), degree) * ell
+
+
+# the reuse is the three strand jobs of one braid at one depth; an entry
+# holds about 1 MB at degree 8 and 10 MB at MAX_MAGNUS_DEPTH
+@lru_cache(maxsize=4)
+def _magnus_fold(w: GroupWord, degree: int) -> tuple[tuple[MagnusSeries, ...], tuple[int, ...]]:
+    # (conj_inv, perm) of the conjugator fold over truncated series; the
+    # series are shared by every caller and never mutated
+    letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
+    _, conj_inv, perm = _conjugator_fold(w, MagnusSeries.one(3, degree), letter)
+    return tuple(conj_inv), tuple(perm)
 
 
 # ---------------------------------------------------------------------------

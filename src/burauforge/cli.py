@@ -249,7 +249,9 @@ def _cmd_artin(args) -> int:
                             witnesses=[{"error": str(exc)}], passed=False)
         return _emit(report, [claim], args)
     # the depth comes from the braid letters; the longitude word is built
-    # only for its length and spelling
+    # only for its length and spelling.  Both are memoised in the artin
+    # module: the word action per braid and the depth's series fold per
+    # (braid, depth), so the other strands of this braid reuse them
     depth = longitude_magnus(w, args.strand, args.depth).lowest_degree()
     length = ell.length()
     claim = ClaimReport(

@@ -95,19 +95,23 @@ class GroupWord:
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         # both factors are reduced: only the junction can cancel or merge
         ctx = self.context
-        if other.context != ctx:
+        if other.context is not ctx and other.context != ctx:
             raise ValueError("words live in different groups")
         a, b = self.syllables, other.syllables
         mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            g, e = a[i - 1][0], a[i - 1][1] + b[j][1]
+        # one pass over the junction: k syllables cancel from each side,
+        # then at most one merges
+        k = 0
+        for (g, e), (h, f) in zip(reversed(a), b):
+            if g != h:
+                break
+            e += f
             if mod:
                 e %= mod
             if e:
-                return GroupWord(ctx, a[:i - 1] + ((g, e),) + b[j + 1:])
-            i, j = i - 1, j + 1
-        return GroupWord(ctx, a[:i] + b[j:])
+                return GroupWord(ctx, a[:len(a) - k - 1] + ((g, e),) + b[k + 1:])
+            k += 1
+        return GroupWord(ctx, a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "GroupWord":
         # the reversal of a reduced word is reduced

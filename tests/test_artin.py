@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burauforge import artin, cli
 from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
                               longitude_magnus, magnus_depth, magnus_expansion,
                               substitute)
@@ -419,3 +421,73 @@ def test_canonical_depth_4_bracket_is_pinned():
     assert [im.length() for im in artin_action(w).images] == [1341055, 1710209, 369153]
     assert [longitude(w, s).length() for s in (1, 2, 3)] == [670528, 855104, 184576]
     assert [longitude_magnus(w, s, 4).lowest_degree() for s in (1, 2, 3)] == [4, 4, 4]
+
+
+# ---------------------------------------------------------------------------
+# the series fold memo: one fold per (braid, degree), shared by the strands
+
+def test_longitude_magnus_matches_word_path_cold_and_warm():
+    w, degree = iterated_bracket(G1 ** 2, G2 ** -2, 3), 4
+    expected = [_word_path(w, strand, degree) for strand in (1, 2, 3)]
+    artin._magnus_fold.cache_clear()
+    for _ in range(2):
+        assert [longitude_magnus(w, strand, degree) for strand in (1, 2, 3)] == expected
+    info = artin._magnus_fold.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_longitude_magnus_hands_out_no_memo_series():
+    for w in (word(B3, []), iterated_bracket(G2 ** 2, G1 ** 2, 2)):
+        expected = [_word_path(w, strand, 3) for strand in (1, 2, 3)]
+        artin._magnus_fold.cache_clear()
+        for strand in (1, 2, 3):
+            series = longitude_magnus(w, strand, 3)
+            for block in series.blocks:
+                block.clear()
+                block[0] = 7
+        assert [longitude_magnus(w, strand, 3) for strand in (1, 2, 3)] == expected
+        assert artin._magnus_fold.cache_info().misses == 1
+
+
+def test_strand_jobs_of_one_braid_fold_once(monkeypatch, capsys):
+    # the three strand jobs of one braid at one depth run the series fold
+    # once and the word fold once
+    calls = []
+    original = artin._conjugator_fold
+
+    def counting(w, one, letter):
+        calls.append(type(one).__name__)
+        return original(w, one, letter)
+
+    monkeypatch.setattr(artin, "_conjugator_fold", counting)
+    artin._magnus_fold.cache_clear()
+    artin.artin_action.cache_clear()
+    braid = "g1^2 g2^2 g1^-2 g2^-2"
+    for strand in ("1", "2", "3"):
+        assert cli.main(["artin", "--braid", braid, "--strand", strand, "--depth", "3"]) == 0
+    assert sorted(calls) == ["GroupWord", "MagnusSeries"]
+    capsys.readouterr()
+
+
+# bytes the series fold memo holds after eight distinct degree-6 folds of
+# weight-3 brackets, measured at 0.36 MB: four entries
+FOLD_MEMO_BYTES_BOUND = 1 << 20
+
+
+def test_series_fold_memo_stays_small():
+    ones, twos = (G1 ** 2, G1 ** -2), (G2 ** 2, G2 ** -2)
+    braids = [iterated_bracket(u, v, 3) for a, b in ((ones, twos), (twos, ones))
+              for u in a for v in b]
+    assert len(set(braids)) == 8
+    artin._magnus_fold.cache_clear()
+    tracemalloc.start()
+    try:
+        for w in braids:
+            longitude_magnus(w, 1, 6)
+        assert artin._magnus_fold.cache_info().currsize == 4
+        held = tracemalloc.get_traced_memory()[0]
+        artin._magnus_fold.cache_clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < FOLD_MEMO_BYTES_BOUND

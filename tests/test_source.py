@@ -144,8 +144,12 @@ def _cache_sizes() -> dict[str, int | None]:
 
 def test_caches_are_bounded_or_listed():
     # a new cache must bound its size, or give here the reason its keys
-    # stay few; the exact-data memos of hyperbolic are small and bounded
+    # stay few; the exact-data memos of hyperbolic and the Artin memos
+    # (the word action per braid, the series fold per braid and degree)
+    # are small and bounded
     sizes = _cache_sizes()
     assert {name for name, size in sizes.items() if size is None} == set(UNBOUNDED_CACHES)
     assert sizes["hyperbolic._pair_memo"] == sizes["hyperbolic._form_memo"] == 8
+    assert sizes["artin._magnus_fold"] == 4
+    assert sizes["artin.artin_action"] == 8
     assert all(size > 0 for size in sizes.values() if size is not None)

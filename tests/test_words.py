@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from burauforge.burau import CycloMatrix, burau_eval, squared_images
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.modular import ModMatrix2, ab_images
-from burauforge.words import (FREE_PRODUCT, _reduce, braid_group, commutator, evaluate_word,
-                              format_word, free_group, free_product, generator, iterated_bracket,
-                              parse_word, power, st_words, word)
+from burauforge.words import (FREE_PRODUCT, GroupWord, _reduce, braid_group, commutator,
+                              evaluate_word, format_word, free_group, free_product, generator,
+                              iterated_bracket, parse_word, power, st_words, word)
 
 FREE = free_group(("a", "b"))
 A = generator(FREE, "a")
@@ -89,28 +89,71 @@ def _leading_shared(out, sylls):
         assert x is y
 
 
+def reference_mul(u, v):
+    """The product as it was written before the one-pass junction: an
+    indexed loop cancelling one syllable pair at a time."""
+    ctx = u.context
+    if v.context != ctx:
+        raise ValueError("words live in different groups")
+    a, b = u.syllables, v.syllables
+    mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        g, e = a[i - 1][0], a[i - 1][1] + b[j][1]
+        if mod:
+            e %= mod
+        if e:
+            return GroupWord(ctx, a[:i - 1] + ((g, e),) + b[j + 1:])
+        i, j = i - 1, j + 1
+    return GroupWord(ctx, a[:i] + b[j:])
+
+
+def _abut(u, v):
+    # the reduced word whose syllables are u's then v's, dropping u's last
+    # syllable when it has v's first generator: v stays whole
+    us, vs = u.syllables, v.syllables
+    if us and vs and us[-1][0] == vs[0][0]:
+        us = us[:-1]
+    return GroupWord(u.context, us + vs)
+
+
+_SYLLABLES = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                st.integers(min_value=-6, max_value=6)), max_size=40)
+
+
 # reduced factors in a free group, free products with torsion 2..5 and the
-# 3-strand braid group; the junction may cancel several syllables
-@given(st.sampled_from([*_CONTEXTS, braid_group(3)]),
-       st.lists(st.tuples(st.integers(min_value=0, max_value=2),
-                          st.integers(min_value=-6, max_value=6)), max_size=8),
-       st.lists(st.tuples(st.integers(min_value=0, max_value=2),
-                          st.integers(min_value=-6, max_value=6)), max_size=8),
-       st.booleans())
+# 3-strand braid group; the junction may cancel several syllables, and
+# with "head" b's head cancels all of a, with "tail" a's tail all of b
+@given(st.sampled_from([*_CONTEXTS, braid_group(3)]), _SYLLABLES, _SYLLABLES,
+       st.sampled_from(["none", "head", "tail"]))
 @settings(max_examples=300, deadline=None)
-def test_product_and_inverse_match_full_reduction(ctx, drawn_a, drawn_b, mirror):
+def test_product_and_inverse_match_full_reduction(ctx, drawn_a, drawn_b, cancel):
     n = len(ctx.names)
     a = word(ctx, [(g % n, e) for g, e in drawn_a])
     b = word(ctx, [(g % n, e) for g, e in drawn_b])
-    if mirror:  # make the junction cancel as far as it can
-        b = word(ctx, [(g, -e) for g, e in reversed(a.syllables)] + list(b.syllables))
+    if cancel == "head":
+        b = _abut(b.inverse(), a).inverse()
+    elif cancel == "tail":
+        a = _abut(a, b.inverse())
     inverse = a.inverse()
     assert inverse == word(ctx, [(g, -e) for g, e in reversed(a.syllables)])
     product = a * b
     assert product == word(ctx, a.syllables + b.syllables)
+    assert product == reference_mul(a, b)
     assert all(type(syl) is tuple for syl in product.syllables)
+    if cancel == "head":
+        assert product.syllables == b.syllables[len(a.syllables):]
+    elif cancel == "tail":
+        assert product.syllables == a.syllables[:len(a.syllables) - len(b.syllables)]
     _leading_shared(product.syllables, a.syllables)
     _leading_shared(product.syllables[::-1], b.syllables[::-1])
+
+
+def test_product_rejects_other_group():
+    with pytest.raises(ValueError, match="different groups"):
+        A * generator(free_group(("x", "y")), "x")
+    # an equal context built separately is the same group
+    assert A * generator(free_group(("a", "b")), "b") == parse_word(FREE, "a b")
 
 
 def test_commutator_examples():
@@ -179,7 +222,6 @@ def test_roundtrip_random(sylls):
 
 def test_reduction_preserves_braid_element():
     # reduced and unreduced braid words give the same Burau matrix
-    from burauforge.words import GroupWord
     rng = random.Random(3)
     ctx = braid_group(3)
     q = root_of_unity(7, 1)
