@@ -175,19 +175,23 @@ def longitude(w: GroupWord, strand: int) -> GroupWord:
 class MagnusSeries:
     """Truncated noncommutative integer series in letters X_1..X_r.
 
-    ``blocks[p]`` maps the position of a degree-p monomial to its
-    coefficient, zeros dropped on construction; the position's p
-    base-``rank`` digits are the monomial's letters, first letter most
-    significant.  Concatenating positions i (degree p) and j (degree q)
-    gives position i * rank^q + j of degree p + q, so products need no
-    monomial table.  The truncation degree is ``len(blocks) - 1``.
+    ``blocks[p]`` maps the position of a degree-p monomial to its nonzero
+    coefficient; the position's p base-``rank`` digits are the monomial's
+    letters, first letter most significant.  Concatenating positions i
+    (degree p) and j (degree q) gives position i * rank^q + j of degree
+    p + q, so products need no monomial table.  The truncation degree is
+    ``len(blocks) - 1``.  A series takes over the dicts it is built from
+    and drops their zeros in place, so a product builds its blocks once.
     """
 
     __slots__ = ("rank", "blocks")
 
     def __init__(self, rank: int, blocks: list[dict[int, int]]):
         self.rank = rank
-        self.blocks = [{k: c for k, c in block.items() if c} for block in blocks]
+        self.blocks = blocks
+        for block in blocks:
+            for k in [k for k, c in block.items() if not c]:
+                del block[k]
 
     @staticmethod
     def one(rank: int, degree: int) -> "MagnusSeries":

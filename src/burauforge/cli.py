@@ -16,6 +16,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
+from . import triangle
 from .balls import PrecisionExhausted
 from .cyclotomic import root_of_unity
 from .hyperbolic import (MAX_CERT_CONDUCTOR, MAX_CERT_POWER, MAX_CERT_PRECISION,
@@ -125,16 +126,21 @@ def _psl_claim(n: int) -> ClaimReport:
     )
 
 
-# The claim functions are looked up when a suite runs, not when this table
-# is built, so that rebinding a module global (as a tracer does) reaches them.
+# A relation family is registered here only, by its routine and the order of
+# its parameter.  The claim functions are looked up when a suite runs, not
+# when this table is built, so that rebinding a module global (as a tracer
+# does) reaches them.
 _FROM_2 = range(2, MAX_RANGE_END + 1)
 _ODD_FROM_7 = range(7, MAX_RANGE_END + 1, 2)
 SUITES = {
-    "even": Suite(lambda k: galois_orbit("even", k), _FROM_2, full=(4, 24)),
-    "odd": Suite(lambda k: galois_orbit("odd", k), _FROM_2, full=(3, 15)),
-    "oddlem": Suite(lambda k: galois_orbit("oddlem", k), _FROM_2, full=(3, 15)),
-    "kernel": Suite(lambda n: galois_orbit("kernel", n), [n for n in _FROM_2 if n != 6],
-                    full=(2, 40)),
+    "even": Suite(lambda k: galois_orbit(triangle.verify_even, k, 2 * k), _FROM_2,
+                  full=(4, 24)),
+    "odd": Suite(lambda k: galois_orbit(triangle.verify_odd, k, 2 * k + 1), _FROM_2,
+                 full=(3, 15)),
+    "oddlem": Suite(lambda k: galois_orbit(triangle.verify_odd_embedding, k, 2 * k + 1),
+                    _FROM_2, full=(3, 15)),
+    "kernel": Suite(lambda n: galois_orbit(triangle.verify_kernel_words, n, n),
+                    [n for n in _FROM_2 if n != 6], full=(2, 40)),
     "onerel": Suite(lambda r: [verify_commutator_relator(r)], _FROM_2, full=(2, 50)),
     "psl": Suite(lambda n: [_psl_claim(n)], range(3, 14), full=(3, 13)),
     "st": Suite(lambda n: [verify_st_kernel(n)], _ODD_FROM_7, full=(7, 31)),

@@ -307,9 +307,6 @@ class CyclotomicNumber:
         num = [int(f * den) for f in fracs]
         return CyclotomicNumber._make(m, num, den)
 
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in self.num)
-
     # -- basic predicates ----------------------------------------------------
 
     @property

@@ -101,25 +101,25 @@ def eval_ab_word(w: GroupWord, n: int) -> ModMatrix2:
     return evaluate_word(w, {names[0]: a, names[1]: b}, ModMatrix2.identity(n))
 
 
+def _identity_claim(claim: str, n: int, checks) -> ClaimReport:
+    """A witness per (label, matrix): its entries and whether it is +-identity."""
+    witnesses = [{"word": label, "image": m.to_json(), "trivial": m.is_identity}
+                 for label, m in checks]
+    return ClaimReport(
+        claim=claim,
+        params={"n": n, "k": (n - 1) // 2},
+        witnesses=witnesses,
+        passed=all(w["trivial"] for w in witnesses),
+    )
+
+
 def verify_st_kernel(n: int) -> ClaimReport:
     """Both distinguished words map to +-1 mod n (n = 2k+1, k >= 3)."""
     if n % 2 == 0 or n < 7:
         raise ValueError("n must be odd and at least 7")
-    k = (n - 1) // 2
-    s, t = st_words(k)
-    witnesses = []
-    ok = True
-    for label, w in (("s", s), ("t", t)):
-        image = eval_ab_word(w, n)
-        good = image.is_identity
-        ok = ok and good
-        witnesses.append({"word": label, "image": image.to_json(), "trivial": good})
-    return ClaimReport(
-        claim="the two kernel words map to +-identity in PSL(2, Z/nZ)",
-        params={"n": n, "k": k},
-        witnesses=witnesses,
-        passed=ok,
-    )
+    s, t = st_words((n - 1) // 2)
+    return _identity_claim("the two kernel words map to +-identity in PSL(2, Z/nZ)", n,
+                           [("s", eval_ab_word(s, n)), ("t", eval_ab_word(t, n))])
 
 
 def verify_presentation(n: int) -> ClaimReport:
@@ -129,25 +129,13 @@ def verify_presentation(n: int) -> ClaimReport:
     k = (n - 1) // 2
     alpha, u, v = psi_generators(n)
     g = v * alpha ** k * v * alpha ** (-2) * v * alpha ** k
-    relators = [
+    return _identity_claim("presentation relators of PSL(2, Z/nZ) evaluate to +-identity", n, [
         ("alpha^n", alpha ** n),
         ("u^3", u ** 3),
         ("v^2", v ** 2),
         ("g v g v", g * v * g * v),
         ("g alpha g^-1 alpha^-4", g * alpha * g.inverse() * alpha ** (-4)),
-    ]
-    witnesses = []
-    ok = True
-    for label, m in relators:
-        good = m.is_identity
-        ok = ok and good
-        witnesses.append({"word": label, "image": m.to_json(), "trivial": good})
-    return ClaimReport(
-        claim="presentation relators of PSL(2, Z/nZ) evaluate to +-identity",
-        params={"n": n, "k": k},
-        witnesses=witnesses,
-        passed=ok,
-    )
+    ])
 
 
 def psl_order(n: int, primes: list[int] | None = None) -> int:

@@ -11,13 +11,17 @@ when ord(q) <= 6.
 
 The relation families (``verify_even``, ``verify_odd``,
 ``verify_odd_embedding``, ``verify_kernel_words``) must hold at every
-primitive n-th root of unity.  ``galois_orbit`` evaluates a family once
-per order, at zeta_n, and derives the claim at each other primitive root
-zeta_n^j by sigma_j: zeta_n -> zeta_n^j.  A and B have entries in Z[q],
-so a word at zeta_n^j is sigma_j applied entrywise to the word at zeta_n;
-scalarity and projective equality are Galois-invariant, and each scalar
-witness is the sigma_j-image of the one at zeta_n (Washington,
-*Introduction to Cyclotomic Fields*, ch. 2).
+primitive n-th root of unity.  Each family is registered once, in
+``cli.SUITES``, which names its routine and the order n of its parameter.
+Every witness is decided by a matrix product and ``CycloMatrix.is_scalar``:
+a word is scalar, or m1 = c * m2 projectively, which is m1 adj(m2) being
+scalar.  ``galois_orbit`` evaluates a family once per order, at zeta_n,
+and derives the claim at each other primitive root zeta_n^j by
+sigma_j: zeta_n -> zeta_n^j.  A and B have entries in Z[q], so a word at
+zeta_n^j is sigma_j applied entrywise to the word at zeta_n; scalarity and
+projective equality are Galois-invariant, and each scalar witness is the
+sigma_j-image of the one at zeta_n (Washington, *Introduction to
+Cyclotomic Fields*, ch. 2).
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 
 from .burau import CycloMatrix, squared_images
-from .cyclotomic import CyclotomicNumber, dot, prime_factors, root_of_unity
+from .cyclotomic import CyclotomicNumber, prime_factors, root_of_unity
 from .modular import psl_order
 from .reports import ClaimReport
 from .words import commutator, free_product, generator, word
@@ -104,37 +107,46 @@ def primitive_roots(n: int) -> list[CyclotomicNumber]:
 # ---------------------------------------------------------------------------
 # relation suites
 
-def _witnesses(checks) -> tuple[list[dict], tuple]:
-    """A witness per (label, matrix), and the exact scalar behind each
-    (None where the matrix is not scalar)."""
+def _relation_claim(claim: str, params: dict, checks, proj=(), note: str = "") -> ClaimReport:
+    """The report of a relation family: a witness per (label, matrix) in
+    ``checks``, scalar or not, with its exact value, then one per
+    (label, m1, m2) in ``proj``, whether m1 = c * m2.  A ``note`` flags the
+    claim, which then never fails."""
     scalars = tuple(m.scalar_value() for _, m in checks)
-    return [{"word": label,
-             "scalar": s is not None,
-             "value": str(s) if s is not None else None}
-            for (label, _), s in zip(checks, scalars)], scalars
+    witnesses = [{"word": label,
+                  "scalar": s is not None,
+                  "value": str(s) if s is not None else None}
+                 for (label, _), s in zip(checks, scalars)]
+    witnesses += [{"word": label, "scalar": _proj_equal(m1, m2)} for label, m1, m2 in proj]
+    return ClaimReport(
+        claim=claim,
+        params=params,
+        witnesses=witnesses,
+        passed=bool(note) or all(w["scalar"] for w in witnesses),
+        flagged=bool(note),
+        note=note,
+        scalars=scalars + (None,) * len(proj),
+    )
 
 
-def _require_order(q: CyclotomicNumber, n: int):
+def _proj_equal(m1: CycloMatrix, m2: CycloMatrix) -> bool:
+    """m1 = c * m2 for some scalar c, for an invertible 2x2 m2: m1 adj(m2)
+    is scalar, since adj(m2) = det(m2) m2^-1."""
+    (a, b), (c, d) = m2.rows
+    return (m1 * CycloMatrix([[d, -b], [-c, a]])).is_scalar()
+
+
+def _images(q: CyclotomicNumber, n: int) -> tuple[CycloMatrix, CycloMatrix]:
+    """A and B at q, which must have order n."""
     o = q.multiplicative_order()
     if o != n:
         raise ValueError(f"parameter must have order {n}, got {o}")
-
-
-def verify_even(k: int, q: CyclotomicNumber) -> ClaimReport:
-    """A^k, B^k and (AB)^k are scalar when q has order 2k."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _require_order(q, 2 * k)
     a, b, _ = squared_images(q)
-    checks = [(f"A^{k}", a ** k), (f"B^{k}", b ** k), (f"(AB)^{k}", (a * b) ** k)]
-    witnesses, scalars = _witnesses(checks)
-    return ClaimReport(
-        claim="even-case presentation relations are projectively trivial",
-        params={"k": k, "parameter_order": 2 * k, "q": str(q)},
-        witnesses=witnesses,
-        passed=all(w["scalar"] for w in witnesses),
-        scalars=scalars,
-    )
+    return a, b
+
+
+def _even_words(k: int, a: CycloMatrix, b: CycloMatrix):
+    return [(f"A^{k}", a ** k), (f"B^{k}", b ** k), (f"(AB)^{k}", (a * b) ** k)]
 
 
 def _odd_words(k: int, a: CycloMatrix, b: CycloMatrix):
@@ -148,20 +160,22 @@ def _odd_words(k: int, a: CycloMatrix, b: CycloMatrix):
     ]
 
 
+def verify_even(k: int, q: CyclotomicNumber) -> ClaimReport:
+    """A^k, B^k and (AB)^k are scalar when q has order 2k."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    return _relation_claim("even-case presentation relations are projectively trivial",
+                           {"k": k, "parameter_order": 2 * k, "q": str(q)},
+                           _even_words(k, *_images(q, 2 * k)))
+
+
 def verify_odd(k: int, q: CyclotomicNumber) -> ClaimReport:
     """The five odd-case relations are scalar when q has order 2k+1."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    _require_order(q, 2 * k + 1)
-    a, b, _ = squared_images(q)
-    witnesses, scalars = _witnesses(_odd_words(k, a, b))
-    return ClaimReport(
-        claim="odd-case presentation relations are projectively trivial",
-        params={"k": k, "parameter_order": 2 * k + 1, "q": str(q)},
-        witnesses=witnesses,
-        passed=all(w["scalar"] for w in witnesses),
-        scalars=scalars,
-    )
+    return _relation_claim("odd-case presentation relations are projectively trivial",
+                           {"k": k, "parameter_order": 2 * k + 1, "q": str(q)},
+                           _odd_words(k, *_images(q, 2 * k + 1)))
 
 
 def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
@@ -174,43 +188,20 @@ def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
     if k < 2:
         raise ValueError("k must be at least 2")
     n = 2 * k + 1
-    _require_order(q, n)
-    a, b, _ = squared_images(q)
+    a, b = _images(q, n)
     alpha = a ** (k + 1)
     u = a.inverse() * b ** k * a ** k
     v = a ** k * b ** k * a ** k
     alpha2 = alpha * alpha
-    witnesses, scalars = _witnesses([
-        (f"alpha^{n}", alpha ** n),
-        ("u^3", u ** 3),
-        ("v^2", v ** 2),
-        ("alpha u v", alpha * u * v),
-    ])
-    proj = [
-        {"word": "alpha^2 = A (projective)",
-         "scalar": _proj_equal(alpha2, a)},
-        {"word": "u^2 alpha^2 u = v alpha^2 v (projective)",
-         "scalar": _proj_equal(u * u * alpha2 * u, v * alpha2 * v)},
-        {"word": "v alpha^2 v = B (projective)",
-         "scalar": _proj_equal(v * alpha2 * v, b)},
-    ]
-    witnesses.extend(proj)
-    return ClaimReport(
-        claim="median-triangle generators satisfy the (2,3,2k+1) presentation",
-        params={"k": k, "parameter_order": n, "q": str(q)},
-        witnesses=witnesses,
-        passed=all(w["scalar"] for w in witnesses),
-        scalars=scalars + (None,) * len(proj),
+    return _relation_claim(
+        "median-triangle generators satisfy the (2,3,2k+1) presentation",
+        {"k": k, "parameter_order": n, "q": str(q)},
+        [(f"alpha^{n}", alpha ** n), ("u^3", u ** 3), ("v^2", v ** 2),
+         ("alpha u v", alpha * u * v)],
+        proj=[("alpha^2 = A (projective)", alpha2, a),
+              ("u^2 alpha^2 u = v alpha^2 v (projective)", u * u * alpha2 * u, v * alpha2 * v),
+              ("v alpha^2 v = B (projective)", v * alpha2 * v, b)],
     )
-
-
-def _proj_equal(m1: CycloMatrix, m2: CycloMatrix) -> bool:
-    """m1 = c * m2 for some scalar c, for an invertible m2: every 2x2 minor
-    m1[a] m2[b] - m1[b] m2[a] of the two entry vectors vanishes."""
-    u = [v for row in m1.rows for v in row]
-    w = [v for row in m2.rows for v in row]
-    return all(dot((u[a], u[b]), (w[b], -w[a])).is_zero
-               for a, b in combinations(range(len(u)), 2))
 
 
 def verify_kernel_words(n: int, q: CyclotomicNumber) -> ClaimReport:
@@ -223,43 +214,25 @@ def verify_kernel_words(n: int, q: CyclotomicNumber) -> ClaimReport:
     """
     if n in (1, 6):
         raise ValueError("orders 1 and 6 are outside the kernel description")
-    _require_order(q, n)
-    a, b, _ = squared_images(q)
-    if n % 2 == 0:
-        k = n // 2
-        checks = [(f"A^{k}", a ** k), (f"B^{k}", b ** k), (f"(AB)^{k}", (a * b) ** k)]
-    else:
-        k = (n - 1) // 2
-        checks = _odd_words(k, a, b)
-    witnesses, scalars = _witnesses(checks)
-    ok = all(w["scalar"] for w in witnesses)
-    flagged = n == 2
-    return ClaimReport(
-        claim="kernel normal generators are projectively trivial",
-        params={"n": n, "k": k, "q": str(q)},
-        witnesses=witnesses,
-        passed=ok or flagged,
-        flagged=flagged,
-        note="degenerate order-2 parameter: squared generators act trivially" if flagged else "",
-        scalars=scalars,
+    k = n // 2
+    words = _odd_words if n % 2 else _even_words
+    return _relation_claim(
+        "kernel normal generators are projectively trivial",
+        {"n": n, "k": k, "q": str(q)},
+        words(k, *_images(q, n)),
+        note="degenerate order-2 parameter: squared generators act trivially" if n == 2 else "",
     )
 
 
-def galois_orbit(family: str, x: int) -> list[ClaimReport]:
-    """The claims of a relation family at parameter x, one per primitive
-    root of its order n, in the order of ``primitive_roots(n)``: the same
-    reports as ``[verify(x, q) for q in primitive_roots(n)]``.
+def galois_orbit(verify, x: int, n: int) -> list[ClaimReport]:
+    """The claims of the relation family ``verify`` at parameter x, whose
+    parameter has order n, one per primitive n-th root in the order of
+    ``primitive_roots(n)``: the same reports as
+    ``[verify(x, q) for q in primitive_roots(n)]``.
 
-    ``family`` is "even", "odd", "oddlem" or "kernel".  The family is
-    evaluated once, at zeta_n; every other claim is derived from that one
-    by sigma_j (see the module docstring).
+    The family is evaluated once, at zeta_n; every other claim is derived
+    from that one by sigma_j (see the module docstring).
     """
-    # looked up when called, so that rebinding a routine (as a tracer
-    # does) reaches this path
-    verify, n = {"even": (verify_even, 2 * x),
-                 "odd": (verify_odd, 2 * x + 1),
-                 "oddlem": (verify_odd_embedding, 2 * x + 1),
-                 "kernel": (verify_kernel_words, x)}[family]
     base = verify(x, root_of_unity(n, 1))
     return [base if j == 1 else _conjugate_claim(base, n, j) for j in _units(n)]
 

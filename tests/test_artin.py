@@ -155,6 +155,17 @@ def test_magnus_inverse_cancels(sylls, d):
     assert prod.terms == {(): 1}
 
 
+def test_magnus_product_drops_cancelled_terms_and_keeps_its_factors():
+    # (x1 x2)(x2^-1 x1^-1 x3) = x3: every term with X1 or X2 cancels
+    u = X1 * X2
+    left, right = magnus_expansion(u, 4), magnus_expansion(u.inverse() * X3, 4)
+    before = [dict(b) for b in left.blocks], [dict(b) for b in right.blocks]
+    prod = left * right
+    assert prod == magnus_expansion(X3, 4)
+    assert all(c for block in prod.blocks for c in block.values())
+    assert ([dict(b) for b in left.blocks], [dict(b) for b in right.blocks]) == before
+
+
 def test_magnus_product_rejects_different_shapes():
     with pytest.raises(ValueError, match="different shapes"):
         magnus_expansion(X1, 2) * magnus_expansion(X1, 3)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burauforge.cli import SUITES, build_parser, main
+from burauforge.cli import MAX_RANGE_END, SUITES, build_parser, main
 from burauforge.cyclotomic import root_of_unity
 from burauforge.hyperbolic import PAIR_CONTEXT, PingPongConfig, ping_pong_certify
 from burauforge.words import iterated_bracket, parse_word
@@ -443,6 +443,9 @@ def test_lower_bounds_of_n_stay_with_the_command(capsys, argv, message):
     (["verify", "--suite", "odd", "--range", "1..4"], "verify_odd.json"),
     (["verify", "--suite", "oddlem", "--range", "1..4"], "verify_oddlem.json"),
     (["verify", "--suite", "kernel", "--range", "5..8"], "verify_kernel.json"),
+    # recorded before the relation claims shared one builder: the flagged
+    # order-2 note and the k = 1 words at n = 3 and 4
+    (["verify", "--suite", "kernel", "--range", "2..5"], "verify_kernel_2_5.json"),
     (["verify", "--suite", "onerel", "--range", "1..4"], "verify_onerel.json"),
     (["verify", "--suite", "psl", "--range", "12..14"], "verify_psl.json"),
     (["verify", "--suite", "st", "--range", "6..10"], "verify_st.json"),
@@ -471,6 +474,15 @@ def test_reports_golden(capsys, argv, golden):
     # a failed claim, such as an impure braid's, exits 1
     assert main(argv) == (0 if json.loads(text)["overall"] == "pass" else 1)
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_full_ranges_lie_in_their_domains(name):
+    # scripts/run_all_suites.py runs each suite over its full range
+    suite = SUITES[name]
+    lo, hi = suite.full
+    assert lo <= hi <= MAX_RANGE_END
+    assert lo in suite.params and hi in suite.params
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -129,7 +129,7 @@ def test_commutator_relator():
 
 
 # ---------------------------------------------------------------------------
-# projective equality from cross products, against the inverse it replaced
+# projective equality by the adjugate, against the inverse as its oracle
 
 def reference_proj_equal(m1, m2):
     return (m1 * m2.inverse()).is_scalar()
