@@ -443,9 +443,6 @@ def test_lower_bounds_of_n_stay_with_the_command(capsys, argv, message):
     (["verify", "--suite", "odd", "--range", "1..4"], "verify_odd.json"),
     (["verify", "--suite", "oddlem", "--range", "1..4"], "verify_oddlem.json"),
     (["verify", "--suite", "kernel", "--range", "5..8"], "verify_kernel.json"),
-    # recorded before the relation claims shared one builder: the flagged
-    # order-2 note and the k = 1 words at n = 3 and 4
-    (["verify", "--suite", "kernel", "--range", "2..5"], "verify_kernel_2_5.json"),
     (["verify", "--suite", "onerel", "--range", "1..4"], "verify_onerel.json"),
     (["verify", "--suite", "psl", "--range", "12..14"], "verify_psl.json"),
     (["verify", "--suite", "st", "--range", "6..10"], "verify_st.json"),
@@ -468,6 +465,9 @@ def test_lower_bounds_of_n_stay_with_the_command(capsys, argv, message):
     # from root_of_unity by exponent arithmetic; they reach conductor 1018
     (["params", "--p", "512"], "params_512.json"),
     (["twist-order", "--p", "509"], "twist_order_509.json"),
+    # recorded before the relation claims shared one builder: the flagged
+    # order-2 note and the k = 1 words at n = 3 and 4
+    (["verify", "--suite", "kernel", "--range", "2..5"], "verify_kernel_2_5.json"),
 ])
 def test_reports_golden(capsys, argv, golden):
     text = (GOLDEN / golden).read_text()
