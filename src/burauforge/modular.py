@@ -96,9 +96,14 @@ def ab_images(n: int) -> tuple[ModMatrix2, ModMatrix2]:
 
 
 def eval_ab_word(w: GroupWord, n: int) -> ModMatrix2:
+    return _eval_ab_words([w], n)[0]
+
+
+def _eval_ab_words(words, n: int) -> list[ModMatrix2]:
+    """The image of each word, from one build of the images of a and b."""
     a, b = ab_images(n)
-    names = w.context.names
-    return evaluate_word(w, {names[0]: a, names[1]: b}, ModMatrix2.identity(n))
+    one = ModMatrix2.identity(n)
+    return [evaluate_word(w, dict(zip(w.context.names, (a, b))), one) for w in words]
 
 
 def _identity_claim(claim: str, n: int, checks) -> ClaimReport:
@@ -117,9 +122,9 @@ def verify_st_kernel(n: int) -> ClaimReport:
     """Both distinguished words map to +-1 mod n (n = 2k+1, k >= 3)."""
     if n % 2 == 0 or n < 7:
         raise ValueError("n must be odd and at least 7")
-    s, t = st_words((n - 1) // 2)
+    s, t = _eval_ab_words(st_words((n - 1) // 2), n)
     return _identity_claim("the two kernel words map to +-identity in PSL(2, Z/nZ)", n,
-                           [("s", eval_ab_word(s, n)), ("t", eval_ab_word(t, n))])
+                           [("s", s), ("t", t)])
 
 
 def verify_presentation(n: int) -> ClaimReport:

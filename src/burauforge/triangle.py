@@ -34,7 +34,7 @@ from .burau import CycloMatrix, squared_images
 from .cyclotomic import CyclotomicNumber, prime_factors, root_of_unity
 from .modular import psl_order
 from .reports import ClaimReport
-from .words import commutator, free_product, generator, word
+from .words import free_product, word
 
 __all__ = [
     "FINITE_IMAGE_PARAMETER_ORDERS",
@@ -288,29 +288,34 @@ def verify_commutator_relator(r: int) -> ClaimReport:
 
     Three spellings are reduced and compared: the left-hand side
     (ab)^r a^-r b^-r, the displayed commutator product, and the same
-    product rewritten through the dictionary c_ij = [a^i, b^j].
+    product rewritten through the dictionary c_ij = [a^i, b^j].  Each is
+    written out as one syllable list and reduced once to the free-product
+    normal form.  [b^(i-1), a^i] equals c_{i,i-1}^-1 letter for letter, so
+    spellings 2 and 3 agree as written, and the identity's content is
+    lhs = product.
     """
     if r < 2:
         raise ValueError("r must be at least 2")
     ctx = free_product(("a", "b"), r)
-    a = generator(ctx, "a")
-    b = generator(ctx, "b")
-    lhs = (a * b) ** r * a ** (-r) * b ** (-r)
+    a, b = ctx.index("a"), ctx.index("b")
 
-    product = word(ctx, [])
+    def bracket(x, i, y, j):
+        # the letters of [x^i, y^j]
+        return [(x, i), (y, j), (x, -i), (y, -j)]
+
+    def inverse(letters):
+        return [(g, -e) for g, e in reversed(letters)]
+
+    product, dictionary = [], []
     for i in range(1, r + 1):
         if i >= 2:
-            product = product * commutator(b ** (i - 1), a ** i)
-        product = product * commutator(a ** i, b ** i)
-
-    def c(i, j):
-        return commutator(a ** i, b ** j)
-
-    dictionary = word(ctx, [])
-    for i in range(1, r + 1):
-        if i >= 2:
-            dictionary = dictionary * c(i, i - 1).inverse()
-        dictionary = dictionary * c(i, i)
+            product += bracket(b, i - 1, a, i)
+            dictionary += inverse(bracket(a, i, b, i - 1))
+        product += bracket(a, i, b, i)
+        dictionary += bracket(a, i, b, i)
+    lhs = word(ctx, [(a, 1), (b, 1)] * r + [(a, -r), (b, -r)])
+    product = word(ctx, product)
+    dictionary = word(ctx, dictionary)
 
     ok = lhs == product == dictionary
     return ClaimReport(

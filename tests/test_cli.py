@@ -468,6 +468,9 @@ def test_lower_bounds_of_n_stay_with_the_command(capsys, argv, message):
     # recorded before the relation claims shared one builder: the flagged
     # order-2 note and the k = 1 words at n = 3 and 4
     (["verify", "--suite", "kernel", "--range", "2..5"], "verify_kernel_2_5.json"),
+    # recorded before each one-relator spelling was written out as one
+    # syllable list and reduced once
+    (["verify", "--suite", "onerel", "--range", "48..50"], "verify_onerel_48_50.json"),
 ])
 def test_reports_golden(capsys, argv, golden):
     text = (GOLDEN / golden).read_text()

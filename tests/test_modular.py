@@ -1,5 +1,7 @@
 import pytest
 
+from burauforge import modular
+from burauforge.cli import SUITES
 from burauforge.modular import (ModMatrix2, ab_images, eval_ab_word,
                                 psi_generators, psl_order,
                                 psl_order_bruteforce, verify_presentation,
@@ -55,6 +57,19 @@ def test_st_kernel_membership():
         assert verify_st_kernel(n).passed
     with pytest.raises(ValueError):
         verify_st_kernel(8)
+
+
+def test_st_suite_builds_the_images_once_per_claim(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return psi_generators(n)
+
+    monkeypatch.setattr(modular, "psi_generators", counting)
+    claims = SUITES["st"].run(7, 31)
+    assert calls == [c.params["n"] for c in claims] == list(range(7, 32, 2))
+    assert all(c.passed for c in claims)
 
 
 def test_presentation_relators():

@@ -30,6 +30,29 @@ def test_modules_import_no_private_names_from_siblings():
     assert found == []
 
 
+def _imported_names(tree):
+    # (line, bound name) of every import but __future__ features
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, (a.asname or a.name).partition(".")[0])
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+def test_modules_use_every_name_they_import():
+    # a name left behind when its last use goes; __init__ imports to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
+                  if name not in used]
+    assert found == []
+
+
 def test_module_exports_resolve():
     # a deleted function must not leave its name behind in __all__
     missing, exporting = [], 0

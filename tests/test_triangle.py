@@ -13,6 +13,7 @@ from burauforge.triangle import (_conjugate_claim, _proj_equal, classify,
                                  verify_commutator_relator, verify_even,
                                  verify_kernel_words, verify_odd,
                                  verify_odd_embedding)
+from burauforge.words import commutator, free_product, generator, word
 
 
 def test_classify_excluded_orders():
@@ -126,6 +127,42 @@ def test_commutator_relator():
     assert verify_commutator_relator(50).passed
     with pytest.raises(ValueError):
         verify_commutator_relator(1)
+
+
+# ---------------------------------------------------------------------------
+# the one-relator spellings, against the group-operation construction
+
+def reference_commutator_relator(r):
+    """The three reduced spellings and the verdict, built from powers,
+    commutators, products and inverses of reduced words."""
+    ctx = free_product(("a", "b"), r)
+    a = generator(ctx, "a")
+    b = generator(ctx, "b")
+    lhs = (a * b) ** r * a ** (-r) * b ** (-r)
+
+    product = word(ctx, [])
+    for i in range(1, r + 1):
+        if i >= 2:
+            product = product * commutator(b ** (i - 1), a ** i)
+        product = product * commutator(a ** i, b ** i)
+
+    def c(i, j):
+        return commutator(a ** i, b ** j)
+
+    dictionary = word(ctx, [])
+    for i in range(1, r + 1):
+        if i >= 2:
+            dictionary = dictionary * c(i, i - 1).inverse()
+        dictionary = dictionary * c(i, i)
+    return [str(lhs), str(product), str(dictionary)], lhs == product == dictionary
+
+
+@pytest.mark.parametrize("r", [*range(2, 61), 240])
+def test_commutator_relator_matches_the_group_operation_reference(r):
+    claim = verify_commutator_relator(r)
+    reduced, passed = reference_commutator_relator(r)
+    assert [w["reduced"] for w in claim.witnesses] == reduced
+    assert claim.passed == passed
 
 
 # ---------------------------------------------------------------------------
