@@ -39,7 +39,7 @@ EXIT_PRECISION = 3
 
 
 # the relation suites grow about cubically in the order; over 2..240 the
-# slowest, oddlem (orders up to 481), takes 15-24 s and 164 MB
+# slowest, oddlem (orders up to 481), takes 25-33 s and 155 MB
 MAX_RANGE_END = 240
 
 
@@ -234,7 +234,7 @@ def _cmd_verify_cert(args) -> int:
     cert = PingPongCertificate.load(args.file)
     ok = verify_certificate(cert)
     claim = ClaimReport(
-        claim="stored certificate re-verified from scratch at doubled precision",
+        claim="stored certificate re-verified at doubled precision",
         params={"file": args.file, "power_x": cert.power_x, "power_y": cert.power_y},
         witnesses=[cert.to_json()],
         passed=ok,

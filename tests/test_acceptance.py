@@ -27,6 +27,7 @@ from burauforge.triangle import (euler_characteristics, primitive_roots,
                                  verify_even, verify_kernel_words, verify_odd,
                                  verify_odd_embedding)
 from burauforge.words import generator, iterated_bracket, parse_word, word
+from test_burau import SEVEN_RATIONALS, generator_products
 
 
 class _Timer:
@@ -73,8 +74,10 @@ def test_criterion_01_burau_base_case():
             qq = root_of_unity(m_, j)
             if qq == -1:
                 continue
-            squared_images(qq)  # closed forms asserted on construction
+            assert squared_images(qq) == generator_products(qq)
             seen += 1
+        for qq in SEVEN_RATIONALS:  # the degree bound: see test_burau
+            assert squared_images(qq) == generator_products(qq)
 
 
 def test_criterion_02_even_presentation():

@@ -76,6 +76,27 @@ def test_center_is_scalar_at_negated_parameter():
     assert m.is_scalar() and m.scalar_value() == -(q ** 3)
 
 
+def generator_products(q):
+    """(A, B, C) at parameter -q as products of the generator matrices: the
+    reference that the closed forms of ``squared_images`` are checked against."""
+    g1 = burau_generator(3, 1, -q)
+    g2 = burau_generator(3, 2, -q)
+    return g1 * g1, g2 * g2, (g1 * g2) ** 3
+
+
+# Every entry of g1^2, g2^2 and (g1 g2)^3 at -q is a polynomial in q of
+# degree at most 6 (each generator entry has degree at most 1, and the
+# longest product has six factors), and so is every closed-form entry.
+# Two such polynomials that agree at 7 distinct rationals are equal, so
+# agreement at these proves the closed forms at every q in every field.
+SEVEN_RATIONALS = [C.from_rational(Fraction(k, 3)) for k in range(1, 8)]
+
+
+def test_closed_forms_hold_for_every_q():
+    for q in SEVEN_RATIONALS:
+        assert squared_images(q) == generator_products(q)
+
+
 def test_closed_forms_random_roots():
     rng = random.Random(23)
     seen = 0
@@ -85,12 +106,30 @@ def test_closed_forms_random_roots():
         q = root_of_unity(m, j)
         if q == -1 or q.is_zero:
             continue
-        a, b, c = squared_images(q)  # closed forms asserted inside
+        a, b, c = squared_images(q)
+        assert (a, b, c) == generator_products(q)
         q2 = q * q
         assert a[0, 0] == q2 and a[0, 1] == 1 + q and a[1, 0] == 0 and a[1, 1] == 1
         assert b[0, 0] == 1 and b[1, 0] == -q - q2 and b[1, 1] == q2
         assert c.is_scalar() and c.scalar_value() == -(q ** 3)
         seen += 1
+
+
+def test_squared_images_makes_no_matrix_product(monkeypatch):
+    calls = []
+    product = CycloMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(CycloMatrix, "__mul__", counting)
+    for q in (root_of_unity(7, 1), root_of_unity(12, 5), C.from_rational(1),
+              C.from_rational(Fraction(-2, 3))):
+        squared_images(q)
+    assert calls == []
+    generator_products(root_of_unity(7, 1))  # the counter does see products
+    assert calls
 
 
 def test_projective_order_examples():

@@ -11,13 +11,51 @@ from burauforge.words import free_group, parse_word
 AB = free_group(("a", "b"))
 
 
+# the rotation generators as integer matrices; psi_generators reduces
+# them mod n
+ALPHA = ((1, -1), (0, 1))
+U = ((1, -1), (1, 0))
+V = ((0, -1), (1, 0))
+MINUS_ONE = ((-1, 0), (0, -1))
+
+
+def _int_mul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _mod(n, m):
+    (a, b), (c, d) = m
+    return ModMatrix2.make(n, a, b, c, d)
+
+
+def test_rotation_identities_over_the_integers():
+    # u^3 = v^2 = -I, and the two spellings of b agree, over Z: so they
+    # hold up to sign mod every n
+    assert _int_mul(_int_mul(U, U), U) == MINUS_ONE
+    assert _int_mul(V, V) == MINUS_ONE
+    a = _int_mul(ALPHA, ALPHA)
+    assert a == ((1, -2), (0, 1))
+    b = _int_mul(_int_mul(V, a), V)
+    assert b == _int_mul(MINUS_ONE, ((1, 0), (2, 1)))
+    assert _int_mul(_int_mul(_int_mul(U, U), a), U) == b
+
+
 def test_generator_orders():
-    alpha, u, v = psi_generators(7)
-    assert alpha.order() == 7 and u.order() == 3 and v.order() == 2
-    alpha, u, v = psi_generators(11)
-    assert (u ** 3).is_identity and (v ** 2).is_identity and (alpha ** 11).is_identity
-    # the product relation of the rotation presentation
-    assert (alpha * u * v).is_identity
+    # alpha^k = +-[[1, -k], [0, 1]], so alpha has order exactly n; u has
+    # order 3 and v order 2
+    for n in range(5, 102, 2):
+        alpha, u, v = psi_generators(n)
+        assert (alpha, u, v) == (_mod(n, ALPHA), _mod(n, U), _mod(n, V))
+        power = ModMatrix2.identity(n)
+        for k in range(1, n):
+            power = power * alpha
+            assert power == ModMatrix2.make(n, 1, -k, 0, 1)
+            assert not power.is_identity
+        assert (power * alpha).is_identity
+        assert not u.is_identity and not (u * u).is_identity and (u ** 3).is_identity
+        assert not v.is_identity and (v ** 2).is_identity
 
 
 def test_psi_rejects_even():
@@ -36,11 +74,12 @@ def test_rotation_presentation_sweep():
 
 
 def test_ab_images():
-    a, b = ab_images(7)
-    assert a == ModMatrix2.make(7, 1, -2, 0, 1)
-    assert a.order() == 7
-    for n in (7, 9, 11, 13, 25):
-        ab_images(n)  # the two expressions for b must agree internally
+    for n in range(5, 102, 2):
+        a, b = ab_images(n)
+        assert a == ModMatrix2.make(n, 1, -2, 0, 1)
+        assert b == ModMatrix2.make(n, 1, 0, 2, 1)
+        _, u, _ = psi_generators(n)
+        assert b == u * u * a * u
 
 
 def test_eval_ab_word():
