@@ -9,13 +9,19 @@ boundary word x1 x2 x3 are the consistency oracle, exercised in tests):
 
 Longitudes of deep commutators run to hundreds of thousands of letters.
 Every word here is a reduced tuple of (generator, exponent) syllables.
-One conjugator fold, ``_conjugator_fold``, reads the braid letters left
-to right, phi_k = phi_{k-1} o l_k, and keeps each image
+One conjugator fold, ``_conjugator_fold``, reads the braid syllables left
+to right, phi_k = phi_{k-1} o l_k^e, and keeps each image
 phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as U_i, U_i^-1 and the strand
-permutation pi.  It serves both words and Magnus series: over words
-every step is a ``GroupWord`` product, which concatenates the syllable
-tuples and reduces only where the factors meet, so the syllables of a
-large image are objects shared with the words it was built from.
+permutation pi.  A syllable g_i^e takes one quotient D = U_i^-1 U_{i+1}
+and its inverse; then g_i^(2m) is one conjugation by phi(P)^m,
+P = x_i x_{i+1}, raised by ``words.power``, and an odd exponent adds one
+letter step.  The fold serves both words and Magnus series.  Over words
+the quotient is ``words.left_quotient``, which cuts the common prefix of
+U_i and U_{i+1} at C speed, and every other step is a ``GroupWord``
+product, which concatenates the syllable tuples and reduces only where
+the factors meet, so the syllables of a large image are objects shared
+with the words it was built from.  No word may pass
+``words.MAX_WORD_SYLLABLES``.
 
 A truncated Magnus series has one encoding, ``MagnusSeries``: a list of
 degree blocks, each mapping the base-rank position of a monomial to its
@@ -24,10 +30,12 @@ cached binomial series (1 + X_g)^e of each syllable, top block first.
 
 The depth of a longitude does not need the longitude word:
 ``longitude_magnus`` runs the same fold in the truncated Magnus algebra,
-on the expansions of U_i and U_i^-1.  A letter costs four truncated
-products and two products by a one-variable series, so the work grows
-with the braid length and the number of nonzero coefficients, not with
-the longitude, whose length grows exponentially with the bracket depth.
+on the expansions of U_i and U_i^-1.  A syllable g_i^e costs at most
+twelve truncated products, four products by a one-variable series and,
+for |e| > 3, two powers of about log2|e| squarings each, so the work
+grows with the number of braid syllables and of nonzero coefficients,
+not with the longitude, whose length grows exponentially with the
+bracket depth.
 The fold does not depend on the strand, so ``_magnus_fold`` keeps it per
 (braid, degree) in a small memo that the three strand jobs of one braid
 share.  ``magnus_expansion(longitude(w, s), d)`` stays the reference it
@@ -43,7 +51,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .words import GroupWord, braid_group, free_group, word
+from .words import GroupWord, braid_group, free_group, left_quotient, power, word
 
 __all__ = [
     "F3", "F6", "FreeAutomorphism", "artin_action", "longitude",
@@ -108,29 +116,49 @@ def substitute(w: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
 _WORD_LETTERS = {(g, e): GroupWord(F3, ((g, e),)) for g in range(3) for e in (1, -1)}
 
 
-def _conjugator_fold(w: GroupWord, one, letter):
-    """Fold the braid w left to right, phi_k = phi_{k-1} o l_k.
+def _conjugator_fold(w: GroupWord, one, letter, quotient):
+    """Fold the braid w left to right by syllables, phi_k = phi_{k-1} o l_k^e.
 
     Returns (conj, conj_inv, perm) with phi(x_i) = conj[i] x_perm[i]
     conj[i]^-1 and conj_inv[i] the inverse of conj[i].  ``one`` is the
-    identity and ``letter[g, e]`` the element x_g^e (e = +-1), of words
-    or of series alike.  A letter sends one generator x_c to y x_t y^-1
-    with y = x_c^(+-1), so U_c becomes phi_{k-1}(y) U_t, and the other
-    generator x_t to x_c, so U_t becomes U_c.
+    identity, ``letter[g, e]`` the element x_g^e (e = +-1) and
+    ``quotient(x, x_inv, y)`` the element x^-1 y, of words or of series
+    alike.
+
+    A syllable moves two generators, x_c and x_t (c = i, t = i + 1 for
+    g_i^e with e > 0, swapped with the sign s for e < 0).  Take
+    a = pi(c), b = pi(t), D = U_c^-1 U_t and S = x_a^s D x_b^s.  g_i^(2m)
+    conjugates x_c and x_t by P^(sm), P = x_i x_{i+1}, and
+    phi(P^s) = U_c S D^-1 U_c^-1, so U_t becomes U_c (S D^-1)^(m-1) S and
+    U_c becomes that times D^-1, leaving pi and D unchanged.  An odd
+    exponent adds one letter step: x_c goes to y x_t y^-1 with
+    y = x_c^s, so U_c becomes phi(y) U_t = U_c x_a^s D, and x_t to x_c,
+    so U_t becomes U_c.  Conjugators are taken up to right powers of
+    x_pi(i), which leave phi unchanged.
     """
     if w.context.strands != 3:
         raise ValueError("the action is implemented for 3-strand braids")
     conj, conj_inv, perm = [one] * 3, [one] * 3, [0, 1, 2]
     for g, e in w.syllables:
-        # g_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i; its inverse:
-        # x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}, x_i -> x_{i+1}
         c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
-        for _ in range(abs(e)):
-            u, v = conj[c], conj_inv[c]
-            conj[c] = u * (letter[perm[c], sign] * (v * conj[t]))
-            conj_inv[c] = conj_inv[t] * u * letter[perm[c], -sign] * v
+        a, b = perm[c], perm[t]
+        u, v = conj[c], conj_inv[c]
+        d, d_inv = quotient(u, v, conj[t]), quotient(conj[t], conj_inv[t], u)
+        # x_a^s D and its inverse, shared by S and the letter step
+        xd, dx = letter[a, sign] * d, d_inv * letter[a, -sign]
+        m, odd = divmod(abs(e), 2)
+        if m:
+            s, s_inv = xd * letter[b, sign], letter[b, -sign] * dx
+            if m > 1:
+                s = power(s * d_inv, m - 1, one) * s
+                s_inv = s_inv * power(d * s_inv, m - 1, one)
+            conj[t], conj_inv[t] = u * s, s_inv * v
+            u, v = conj[t] * d_inv, d * conj_inv[t]
+            conj[c], conj_inv[c] = u, v
+        if odd:
+            conj[c], conj_inv[c] = u * xd, dx * v
             conj[t], conj_inv[t] = u, v
-            perm[c], perm[t] = perm[t], perm[c]
+            perm[c], perm[t] = b, a
     return conj, conj_inv, perm
 
 
@@ -142,8 +170,11 @@ def artin_action(w: GroupWord) -> FreeAutomorphism:
 
     Built by the conjugator fold over words: the image of x_i is
     U_i x_{pi(i)} U_i^-1, every product reducing only at its junction.
+    Raises ``words.WordTooLong`` when a word would pass
+    ``words.MAX_WORD_SYLLABLES``.
     """
-    conj, conj_inv, perm = _conjugator_fold(w, GroupWord(F3, ()), _WORD_LETTERS)
+    conj, conj_inv, perm = _conjugator_fold(w, GroupWord(F3, ()), _WORD_LETTERS,
+                                            left_quotient)
     images = tuple(u * (_WORD_LETTERS[p, 1] * v) for u, v, p in zip(conj, conj_inv, perm))
     return FreeAutomorphism(images, source=w)
 
@@ -324,7 +355,8 @@ def _magnus_fold(w: GroupWord, degree: int) -> tuple[tuple[MagnusSeries, ...], t
     # (conj_inv, perm) of the conjugator fold over truncated series; the
     # series are shared by every caller and never mutated
     letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
-    _, conj_inv, perm = _conjugator_fold(w, MagnusSeries.one(3, degree), letter)
+    _, conj_inv, perm = _conjugator_fold(w, MagnusSeries.one(3, degree), letter,
+                                         lambda x, x_inv, y: x_inv * y)
     return tuple(conj_inv), tuple(perm)
 
 

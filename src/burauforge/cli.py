@@ -29,7 +29,7 @@ from .quantum import build_params, gamma_at_p, twist_projective_order
 from .reports import ClaimReport, overall_status
 from .triangle import (classify, euler_characteristics, galois_orbit,
                        surface_free_bound, verify_commutator_relator)
-from .words import parse_word
+from .words import WordTooLong, parse_word
 from .artin import B3, MAX_MAGNUS_DEPTH, longitude, longitude_magnus
 
 EXIT_PASS = 0
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (ValueError, OSError) as exc:
+    except (ValueError, WordTooLong, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

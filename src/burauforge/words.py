@@ -8,17 +8,21 @@ elements is only ever decided downstream through a representation.
 A ``GroupWord`` is built reduced by ``word``.  Products and inverses
 rely on that: a product reduces only where its factors meet, keeping the
 other syllables as the same tuple objects, and an inverse only reverses
-and negates.
+and negates.  ``left_quotient`` forms x^-1 y by cutting the common prefix
+of x and y, found in one C-level comparison of their syllables.  No
+product or quotient builds more than ``MAX_WORD_SYLLABLES`` syllables.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "GroupContext", "GroupWord",
+    "GroupContext", "GroupWord", "MAX_WORD_SYLLABLES", "WordTooLong", "left_quotient",
     "free_group", "free_product", "braid_group",
     "word", "generator", "commutator", "iterated_bracket", "st_words",
     "parse_word", "format_word", "evaluate_word", "power",
@@ -27,6 +31,24 @@ __all__ = [
 FREE = "free"
 FREE_PRODUCT = "free_product"
 BRAID = "braid"
+
+# most syllables a product or quotient may build, checked against the sum
+# of its factors' lengths, which bounds the result, before it is built.
+# A tuple at the cap holds 32 MB of pointers.  The weight-4 bracket of
+# g1^2 and g2^2 has images of 1.71M syllables; `artin --braid
+# "g1^2000000"` (images of 4M) peaks at 128 MB, and runs stopped at the
+# cap peaked at 70-250 MB (2-core Xeon, CPython 3.11.7)
+MAX_WORD_SYLLABLES = 1 << 22
+
+
+class WordTooLong(OverflowError):
+    """A product or quotient of words would pass ``MAX_WORD_SYLLABLES``."""
+
+
+def _check_length(n: int) -> None:
+    if n > MAX_WORD_SYLLABLES:
+        raise WordTooLong(f"a word of up to {n} syllables is past the cap of "
+                          f"{MAX_WORD_SYLLABLES} (MAX_WORD_SYLLABLES)")
 
 
 @dataclass(frozen=True)
@@ -98,6 +120,7 @@ class GroupWord:
         if other.context is not ctx and other.context != ctx:
             raise ValueError("words live in different groups")
         a, b = self.syllables, other.syllables
+        _check_length(len(a) + len(b))
         mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
         # one pass over the junction: k syllables cancel from each side,
         # then at most one merges
@@ -135,6 +158,31 @@ class GroupWord:
 
     def __str__(self):
         return format_word(self)
+
+
+def left_quotient(x: GroupWord, x_inv: GroupWord, y: GroupWord) -> GroupWord:
+    """x^-1 y, given x, its inverse x_inv and y, all reduced.
+
+    The common prefix of x and y cancels, found by comparing their
+    syllables at C speed; past it the syllables of x_inv and y meet, and at
+    most one pair with the same generator merges.
+    """
+    ctx = x.context
+    if y.context is not ctx and y.context != ctx:
+        raise ValueError("words live in different groups")
+    a, b = x.syllables, y.syllables
+    k = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
+    _check_length(len(a) + len(b) - 2 * k)
+    # x_inv's first len(a) - k syllables are the inverse of a[k:]
+    n = len(a) - k
+    if n and k < len(b) and a[k][0] == b[k][0]:
+        # the words part inside a syllable: its exponents differ
+        g, e = b[k]
+        e -= a[k][1]
+        if ctx.kind == FREE_PRODUCT:
+            e %= ctx.torsion
+        return GroupWord(ctx, x_inv.syllables[:n - 1] + ((g, e),) + b[k + 1:])
+    return GroupWord(ctx, x_inv.syllables[:n] + b[k:])
 
 
 def word(context: GroupContext, syllables: Iterable[tuple[int, int]]) -> GroupWord:

@@ -1,5 +1,9 @@
+import contextlib
+import io
+import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -9,8 +13,8 @@ from burauforge import artin, cli
 from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
                               longitude_magnus, magnus_depth, magnus_expansion,
                               substitute)
-from burauforge.words import (commutator, format_word, free_group, generator,
-                              iterated_bracket, parse_word, word)
+from burauforge.words import (MAX_WORD_SYLLABLES, commutator, format_word, free_group,
+                              generator, iterated_bracket, parse_word, word)
 
 G1 = generator(B3, "g1")
 G2 = generator(B3, "g2")
@@ -372,6 +376,102 @@ def test_impure_braid_raises_in_both_paths():
 
 
 # ---------------------------------------------------------------------------
+# third reference: the conjugator fold one letter at a time, as it was
+# before syllables were folded whole; every step is plain products
+
+_LETTERS = {(g, e): word(F3, [(g, e)]) for g in range(3) for e in (1, -1)}
+
+
+def per_letter_fold(w, one, letter):
+    conj, conj_inv, perm = [one] * 3, [one] * 3, [0, 1, 2]
+    for g, e in w.syllables:
+        c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
+        for _ in range(abs(e)):
+            u, v = conj[c], conj_inv[c]
+            conj[c] = u * (letter[perm[c], sign] * (v * conj[t]))
+            conj_inv[c] = conj_inv[t] * u * letter[perm[c], -sign] * v
+            conj[t], conj_inv[t] = u, v
+            perm[c], perm[t] = perm[t], perm[c]
+    return conj, conj_inv, perm
+
+
+def per_letter_images(w):
+    conj, conj_inv, perm = per_letter_fold(w, word(F3, []), _LETTERS)
+    return tuple(u * _LETTERS[p, 1] * v for u, v, p in zip(conj, conj_inv, perm))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.integers(min_value=1, max_value=12),
+                          st.booleans()),
+                max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_action_matches_per_letter_fold_on_random_braids(drawn):
+    w = word(B3, [(g, -e if neg else e) for g, e, neg in drawn])
+    assert artin_action(w).images == per_letter_images(w)
+
+
+@pytest.mark.parametrize("text", ["g1^2000", "g2^-2000 g1^3", "g1^-1999 g2^4 g1^-2",
+                                  "g2^5 g1^2000 g2^-1"])
+def test_action_matches_per_letter_fold_at_exponent_2000(text):
+    w = parse_word(B3, text)
+    assert artin_action(w).images == per_letter_images(w)
+
+
+def _cli_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _longitude_length(report):
+    return json.loads(report)["claims"][0]["witnesses"][0]["longitude_length"]
+
+
+def test_report_at_exponent_2000_matches_per_letter_fold(monkeypatch):
+    argv = ["artin", "--braid", "g1^2000", "--strand", "1", "--depth", "3"]
+    artin._magnus_fold.cache_clear()
+    artin.artin_action.cache_clear()
+    expected = _cli_output(argv)
+    monkeypatch.setattr(artin, "_conjugator_fold",
+                        lambda w, one, letter, quotient: per_letter_fold(w, one, letter))
+    artin._magnus_fold.cache_clear()
+    artin.artin_action.cache_clear()
+    try:
+        assert _cli_output(argv) == expected
+    finally:
+        artin._magnus_fold.cache_clear()
+        artin.artin_action.cache_clear()
+    assert expected[0] == 0 and _longitude_length(expected[1]) == 3000
+
+
+def test_large_exponent_images_are_pinned():
+    images = artin_action(G1 ** 20000).images
+    assert [im.length() for im in images] == [40001, 39999, 1]
+
+
+def test_artin_command_at_exponent_20000_is_fast(capsys):
+    # one syllable is one conjugation by a power: about 0.05 s in-process
+    artin.artin_action.cache_clear()
+    start = time.perf_counter()
+    assert cli.main(["artin", "--braid", "g1^20000", "--strand", "1", "--depth", "3"]) == 0
+    assert time.perf_counter() - start < 5
+    assert _longitude_length(capsys.readouterr().out) == 30000
+
+
+def test_artin_command_past_the_word_cap_is_a_usage_error(capsys):
+    # the images of g1^100000000 would have 2 * 10^8 syllables: the first
+    # product past the cap stops the run, in about 0.2 s
+    start = time.perf_counter()
+    assert cli.main(["artin", "--braid", "g1^100000000", "--strand", "1",
+                     "--depth", "3"]) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"past the cap of {MAX_WORD_SYLLABLES} (MAX_WORD_SYLLABLES)" in err
+
+
+# ---------------------------------------------------------------------------
 # the folded expansion against the word path
 
 def _word_path(w, strand, degree):
@@ -408,6 +508,18 @@ def test_longitude_magnus_matches_word_path_on_any_braid(sylls, degree):
     for strand in (1, 2, 3):
         assert (_outcome(longitude_magnus, w, strand, degree)
                 == _outcome(_word_path, w, strand, degree))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.sampled_from((-6, -4, -2, 2, 4, 6))),
+                max_size=4),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_longitude_magnus_matches_word_path_at_exponents_4_and_6(sylls, degree):
+    # exponents +-4 and +-6 take the fold's power of S D^-1
+    w = word(B3, sylls)
+    for strand in (1, 2, 3):
+        assert longitude_magnus(w, strand, degree) == _word_path(w, strand, degree)
 
 
 def test_longitude_magnus_rejects_bad_arguments():
@@ -466,9 +578,9 @@ def test_strand_jobs_of_one_braid_fold_once(monkeypatch, capsys):
     calls = []
     original = artin._conjugator_fold
 
-    def counting(w, one, letter):
+    def counting(w, one, letter, quotient):
         calls.append(type(one).__name__)
-        return original(w, one, letter)
+        return original(w, one, letter, quotient)
 
     monkeypatch.setattr(artin, "_conjugator_fold", counting)
     artin._magnus_fold.cache_clear()

@@ -1,14 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from burauforge.burau import CycloMatrix, burau_eval, squared_images
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.modular import ModMatrix2, ab_images
-from burauforge.words import (FREE_PRODUCT, GroupWord, _reduce, braid_group, commutator,
-                              evaluate_word, format_word, free_group, free_product, generator,
-                              iterated_bracket, parse_word, power, st_words, word)
+from burauforge import words
+from burauforge.words import (FREE_PRODUCT, GroupWord, WordTooLong, _reduce, braid_group,
+                              commutator, evaluate_word, format_word, free_group, free_product,
+                              generator, iterated_bracket, left_quotient, parse_word, power,
+                              st_words, word)
 
 FREE = free_group(("a", "b"))
 A = generator(FREE, "a")
@@ -147,6 +149,87 @@ def test_product_and_inverse_match_full_reduction(ctx, drawn_a, drawn_b, cancel)
         assert product.syllables == a.syllables[:len(a.syllables) - len(b.syllables)]
     _leading_shared(product.syllables, a.syllables)
     _leading_shared(product.syllables[::-1], b.syllables[::-1])
+
+
+def _extend(u, v):
+    # the reduced word of u's syllables then v's, keeping u whole: v's first
+    # syllable goes when it has u's last generator
+    us, vs = u.syllables, v.syllables
+    if us and vs and us[-1][0] == vs[0][0]:
+        vs = vs[1:]
+    return GroupWord(u.context, us + vs)
+
+
+# x and y reduced in F_3 and in free products with torsion 2..5, drawn so
+# that they share a syllable prefix of each kind the cut must handle
+@given(st.sampled_from(_CONTEXTS), _SYLLABLES, _SYLLABLES, _SYLLABLES,
+       st.sampled_from(["any", "equal", "x_prefix", "y_prefix", "partial", "x_empty",
+                        "y_empty"]),
+       st.integers(min_value=0, max_value=5))
+@settings(max_examples=400, deadline=None)
+def test_left_quotient_matches_inverse_product(ctx, drawn_p, drawn_x, drawn_y, case, pick):
+    n = len(ctx.names)
+    p, x, y = (word(ctx, [(g % n, e) for g, e in drawn]) for drawn in (drawn_p, drawn_x, drawn_y))
+    if case == "equal":
+        y = x
+    elif case == "x_prefix":
+        x, y = p, _extend(p, y)
+    elif case == "y_prefix":
+        x, y = _extend(p, x), p
+    elif case == "partial":
+        # past the prefix both go on with one generator, at two exponents
+        if ctx.kind == FREE_PRODUCT:
+            assume(ctx.torsion > 2)
+            f = 2 + pick % (ctx.torsion - 2)
+        else:
+            f = (-3, -2, -1, 2, 3, 4)[pick]
+        g = (p.syllables[-1][0] + 1) % n if p.syllables else 0
+        x = _extend(GroupWord(ctx, p.syllables + ((g, 1),)), x)
+        y = _extend(GroupWord(ctx, p.syllables + ((g, f),)), y)
+    elif case == "x_empty":
+        x = word(ctx, [])
+    elif case == "y_empty":
+        y = word(ctx, [])
+    x_inv = x.inverse()
+    quotient = left_quotient(x, x_inv, y)
+    assert quotient == x_inv * y
+    assert quotient == word(ctx, x_inv.syllables + y.syllables)
+    if case == "equal":
+        assert quotient.is_identity
+    elif case == "x_prefix":
+        assert quotient.syllables == y.syllables[len(x.syllables):]
+    elif case == "y_prefix":
+        assert quotient.syllables == x_inv.syllables[:len(x.syllables) - len(y.syllables)]
+    elif case == "partial":
+        k = len(p.syllables)
+        assert quotient.syllables[len(x.syllables) - k - 1][0] == x.syllables[k][0]
+
+
+def test_left_quotient_examples():
+    x, y = parse_word(FREE, "a^2 b^-1 a^3 b"), parse_word(FREE, "a^2 b^-1 a^-1 b^2")
+    assert format_word(left_quotient(x, x.inverse(), y)) == "b^-1 a^-4 b^2"
+    assert format_word(left_quotient(y, y.inverse(), x)) == "b^-2 a^4 b"
+    assert left_quotient(x, x.inverse(), x).is_identity
+    empty = word(FREE, [])
+    assert left_quotient(empty, empty, y) == y
+    assert left_quotient(x, x.inverse(), empty) == x.inverse()
+    with pytest.raises(ValueError, match="different groups"):
+        left_quotient(A, A.inverse(), generator(free_group(("x", "y")), "x"))
+
+
+def test_products_past_the_syllable_cap_raise(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_SYLLABLES", 10)
+    u, v = parse_word(FREE, "a b a b a"), parse_word(FREE, "b a b a b a")
+    assert len((u * u).syllables) == 9
+    with pytest.raises(WordTooLong, match=r"past the cap of 10 \(MAX_WORD_SYLLABLES\)"):
+        u * v
+    with pytest.raises(WordTooLong):
+        power(u, 3, word(FREE, []))
+    # a quotient is bounded by the syllables past the common prefix
+    x, y = parse_word(FREE, "a b a b a b"), parse_word(FREE, "a b a b a b a")
+    assert format_word(left_quotient(x, x.inverse(), y)) == "a"
+    with pytest.raises(WordTooLong):
+        left_quotient(x, x.inverse(), v)
 
 
 def test_product_rejects_other_group():
