@@ -162,6 +162,19 @@ def _conjugator_fold(w: GroupWord, one, letter, quotient):
     return conj, conj_inv, perm
 
 
+def _require_pure(w: GroupWord) -> None:
+    # an odd exponent of g_i swaps strands i and i + 1, an even one none;
+    # a braid of another strand count is left to the fold to reject
+    if w.context.strands != 3:
+        return
+    perm = [0, 1, 2]
+    for g, e in w.syllables:
+        if e % 2:
+            perm[g], perm[g + 1] = perm[g + 1], perm[g]
+    if perm != [0, 1, 2]:
+        raise ValueError("braid is not pure: a strand generator is not conjugated")
+
+
 # small cache: deep-commutator images run to megabytes, and the reuse is
 # the three strand jobs of one braid, each calling `longitude`
 @lru_cache(maxsize=8)
@@ -182,19 +195,16 @@ def artin_action(w: GroupWord) -> FreeAutomorphism:
 def longitude(w: GroupWord, strand: int) -> GroupWord:
     """The word l with action(w)(x_i) = l^-1 x_i l, for a pure braid w.
 
-    A braid sends each x_j to a conjugate of a generator x_k, reduced
-    u x_k u^-1 with u not ending in a power of x_k, whose middle syllable
-    is therefore (k, 1): the braid is pure when the middle syllable of
-    image j is (j, 1) for every j.  The conjugator is defined up to left
-    powers of x_i; the representative returned has total x_i-exponent
-    zero.
+    Purity is decided from the braid's syllables, before any image is
+    built.  A pure braid sends each x_j to a conjugate of x_j, reduced
+    u x_j u^-1 with u not ending in a power of x_j, whose middle syllable
+    is therefore (j, 1).  The conjugator is defined up to left powers of
+    x_i; the representative returned has total x_i-exponent zero.
     """
     if strand not in (1, 2, 3):
         raise ValueError("strand index must be 1, 2 or 3")
-    images = artin_action(w).images
-    if any(im.syllables[len(im.syllables) // 2] != (j, 1) for j, im in enumerate(images)):
-        raise ValueError("braid is not pure: a strand generator is not conjugated")
-    sylls = images[strand - 1].syllables
+    _require_pure(w)
+    sylls = artin_action(w).images[strand - 1].syllables
     # the reduced image is u x_s u^-1: its syllables past the middle are l = u^-1
     ell = GroupWord(F3, sylls[len(sylls) // 2 + 1:])
     return word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))]) * ell
@@ -339,11 +349,9 @@ def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
         raise ValueError("strand index must be 1, 2 or 3")
     if degree < 1:
         raise ValueError("truncation degree must be positive")
-    conj_inv, perm = _magnus_fold(w, degree)
-    if perm != (0, 1, 2):
-        raise ValueError("braid is not pure: a strand generator is not conjugated")
+    _require_pure(w)
     s = strand - 1
-    ell = conj_inv[s]
+    ell = _magnus_fold(w, degree)[s]
     # a fresh product: the memo's series are never handed out
     return _letter_series(3, s, -ell.coefficient((s,)), degree) * ell
 
@@ -351,13 +359,13 @@ def longitude_magnus(w: GroupWord, strand: int, degree: int) -> MagnusSeries:
 # the reuse is the three strand jobs of one braid at one depth; an entry
 # holds about 1 MB at degree 8 and 10 MB at MAX_MAGNUS_DEPTH
 @lru_cache(maxsize=4)
-def _magnus_fold(w: GroupWord, degree: int) -> tuple[tuple[MagnusSeries, ...], tuple[int, ...]]:
-    # (conj_inv, perm) of the conjugator fold over truncated series; the
-    # series are shared by every caller and never mutated
+def _magnus_fold(w: GroupWord, degree: int) -> tuple[MagnusSeries, ...]:
+    # conj_inv of the conjugator fold over truncated series; the series
+    # are shared by every caller and never mutated
     letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
-    _, conj_inv, perm = _conjugator_fold(w, MagnusSeries.one(3, degree), letter,
-                                         lambda x, x_inv, y: x_inv * y)
-    return tuple(conj_inv), tuple(perm)
+    _, conj_inv, _ = _conjugator_fold(w, MagnusSeries.one(3, degree), letter,
+                                      lambda x, x_inv, y: x_inv * y)
+    return tuple(conj_inv)
 
 
 # ---------------------------------------------------------------------------

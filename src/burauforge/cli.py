@@ -9,7 +9,6 @@ given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -26,7 +25,7 @@ from .hyperbolic import (MAX_CERT_CONDUCTOR, MAX_CERT_POWER, MAX_CERT_PRECISION,
 from .modular import (psl_order, psl_order_bruteforce, verify_presentation,
                       verify_st_kernel)
 from .quantum import build_params, gamma_at_p, twist_projective_order
-from .reports import ClaimReport, overall_status
+from .reports import ClaimReport, claim_status, dumps, overall_status
 from .triangle import (classify, euler_characteristics, galois_orbit,
                        surface_free_bound, verify_commutator_relator)
 from .words import WordTooLong, parse_word
@@ -87,10 +86,9 @@ def _emit(report: dict, claims: list[ClaimReport], args) -> int:
     report["overall"] = status
     if getattr(args, "timestamps", False):
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(dumps(report) + "\n")
     for c in claims:
-        print(f"[{c.as_dict()['status']:7s}] {c.claim} {c.params}", file=sys.stderr)
+        print(f"[{claim_status(c):7s}] {c.claim} {c.params}", file=sys.stderr)
     print(f"overall: {status}", file=sys.stderr)
     return EXIT_PASS if status == "pass" else EXIT_FAIL
 

@@ -503,10 +503,10 @@ class CyclotomicNumber:
 
     def to_json(self) -> dict:
         c = self.canonical()
-        return {
-            "conductor": c.conductor,
-            "coeffs": [str(Fraction(v, c.den)) for v in c.num],
-        }
+        # str(Fraction(v, 1)) == str(v), and most values are integral
+        coeffs = (list(map(str, c.num)) if c.den == 1
+                  else [str(Fraction(v, c.den)) for v in c.num])
+        return {"conductor": c.conductor, "coeffs": coeffs}
 
     @staticmethod
     def from_json(data: dict) -> "CyclotomicNumber":
@@ -521,7 +521,7 @@ class CyclotomicNumber:
         for k, v in enumerate(c.num):
             if not v:
                 continue
-            coef = Fraction(v, c.den)
+            coef = v if c.den == 1 else Fraction(v, c.den)
             if k == 0:
                 parts.append(str(coef))
             else:

@@ -48,7 +48,7 @@ from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
 from .burau import (CycloMatrix, first_scalar_word, pair_word_eval, projective_order,
                     squared_images)
 from .cyclotomic import CyclotomicNumber, root_of_unity, root_power_sum
-from .reports import ClaimReport
+from .reports import ClaimReport, dumps
 from .words import GroupWord, free_group, parse_word, word
 
 __all__ = [
@@ -353,7 +353,7 @@ class PingPongCertificate:
 
     def dump(self, path: str):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+            fh.write(dumps(self.to_json()))
 
     @staticmethod
     def load(path: str) -> "PingPongCertificate":

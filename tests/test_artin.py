@@ -471,6 +471,28 @@ def test_artin_command_past_the_word_cap_is_a_usage_error(capsys):
     assert f"past the cap of {MAX_WORD_SYLLABLES} (MAX_WORD_SYLLABLES)" in err
 
 
+def test_impure_braid_is_rejected_before_any_fold(monkeypatch):
+    # an odd exponent swaps two strands: the syllables decide purity, so
+    # g1^2097151 is not folded into images of 4.2M syllables, and an
+    # impure braid past the word cap fails its claim (exit 1), not exit 2
+    def no_fold(*args):
+        raise AssertionError("an impure braid reached the fold")
+
+    monkeypatch.setattr(artin, "_conjugator_fold", no_fold)
+    artin.artin_action.cache_clear()
+    artin._magnus_fold.cache_clear()
+    for braid in ("g1^2097151", "g1^100000001", "g1^2 g2^-3 g1^4"):
+        start = time.perf_counter()
+        code, out, _ = _cli_output(["artin", "--braid", braid, "--strand", "1",
+                                    "--depth", "3"])
+        assert time.perf_counter() - start < 0.1
+        assert code == cli.EXIT_FAIL
+        assert json.loads(out)["claims"][0]["witnesses"] == [
+            {"error": "braid is not pure: a strand generator is not conjugated"}]
+        with pytest.raises(ValueError, match="not pure"):
+            longitude_magnus(parse_word(B3, braid), 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # the folded expansion against the word path
 

@@ -131,6 +131,39 @@ def test_serialisation_roundtrip():
     assert C.from_json(data) == x
 
 
+def _fraction_str(x):
+    # the printed form with every coefficient a Fraction
+    c = x.canonical()
+    if c.conductor == 1:
+        return str(c.rational_value())
+    parts = []
+    for k, v in enumerate(c.num):
+        coef = Fraction(v, c.den)
+        if not coef:
+            continue
+        if k == 0:
+            parts.append(str(coef))
+        else:
+            mono = f"z{c.conductor}" if k == 1 else f"z{c.conductor}^{k}"
+            parts.append(mono if coef == 1 else f"-{mono}" if coef == -1 else f"{coef}*{mono}")
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_printed_forms_match_the_fraction_path(m, data):
+    # integral values print without building a Fraction, and must print
+    # what the Fraction path prints, with or without a denominator
+    den = data.draw(st.sampled_from([1, 1, 2, 3, 6]))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=euler_phi(m),
+                                max_size=euler_phi(m)))
+    x = C.from_coefficients(m, [Fraction(v, den) for v in coeffs])
+    c = x.canonical()
+    assert x.to_json() == {"conductor": c.conductor,
+                           "coeffs": [str(Fraction(v, c.den)) for v in c.num]}
+    assert str(x) == _fraction_str(x)
+
+
 def _stored(x):
     return x.conductor, x.num, x.den
 

@@ -30,6 +30,19 @@ def test_modules_import_no_private_names_from_siblings():
     assert found == []
 
 
+
+def test_one_json_writer():
+    # every report and certificate file goes through reports.dumps; a
+    # json.dump or json.dumps with an indent would be a second writer
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and any(k.arg == "indent" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
 def _imported_names(tree):
     # (line, bound name) of every import but __future__ features
     for node in ast.walk(tree):
