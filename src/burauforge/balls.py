@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,14 +48,20 @@ def _grid(x: "ComplexBall", y: "ComplexBall") -> int:
     return x.bits
 
 
-@dataclass(frozen=True)
 class ComplexBall:
     """The disc of radius rad * 2^-bits about (re + i im) * 2^-bits."""
 
-    re: int
-    im: int
-    rad: int
-    bits: int
+    __slots__ = ("re", "im", "rad", "bits")
+
+    def __init__(self, re: int, im: int, rad: int, bits: int):
+        self.re = re
+        self.im = im
+        self.rad = rad
+        self.bits = bits
+
+    def __eq__(self, other):
+        return (isinstance(other, ComplexBall) and self.re == other.re and self.im == other.im
+                and self.rad == other.rad and self.bits == other.bits)
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
         return ComplexBall(self.re + other.re, self.im + other.im,

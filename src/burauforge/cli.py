@@ -12,7 +12,6 @@ import argparse
 import sys
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import cache
 
 from . import triangle
@@ -96,7 +95,6 @@ def _emit(report: dict, claims: list[ClaimReport], args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-@dataclass(frozen=True)
 class Suite:
     """A sweep of one claim family over an integer parameter.
 
@@ -105,9 +103,13 @@ class Suite:
     the claims of those in lo..hi.  ``full`` is the documented full range.
     """
 
-    claims: Callable[[int], list[ClaimReport]]
-    params: Sequence[int]
-    full: tuple[int, int]
+    __slots__ = ("claims", "params", "full")
+
+    def __init__(self, claims: Callable[[int], list[ClaimReport]], params: Sequence[int],
+                 full: tuple[int, int]):
+        self.claims = claims
+        self.params = params
+        self.full = full
 
     def run(self, lo: int, hi: int) -> list[ClaimReport]:
         return [c for n in self.params if lo <= n <= hi for c in self.claims(n)]

@@ -39,9 +39,9 @@ sparse rows of z^e) and normalised once.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .words import power
 

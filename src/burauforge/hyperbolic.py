@@ -40,14 +40,13 @@ import cmath
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
 from .burau import (CycloMatrix, first_scalar_word, pair_word_eval, projective_order,
                     squared_images)
-from .cyclotomic import CyclotomicNumber, root_of_unity, root_power_sum
+from .cyclotomic import CyclotomicNumber, euler_phi, root_of_unity, root_power_sum
 from .reports import ClaimReport, dumps
 from .words import GroupWord, free_group, parse_word, word
 
@@ -85,11 +84,13 @@ def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord):
 # ---------------------------------------------------------------------------
 # invariant Hermitian forms
 
-@dataclass(frozen=True)
 class HermitianForm2:
-    matrix: CycloMatrix
-    signature: str          # "indefinite" | "definite"
-    embedding: int
+    __slots__ = ("matrix", "signature", "embedding")
+
+    def __init__(self, matrix: CycloMatrix, signature: str, embedding: int):
+        self.matrix = matrix
+        self.signature = signature      # "indefinite" | "definite"
+        self.embedding = embedding
 
 
 def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None:
@@ -204,10 +205,12 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
 # ---------------------------------------------------------------------------
 # ping-pong on the invariant circle
 
-@dataclass(frozen=True)
 class PingPongConfig:
-    max_power: int = 4
-    precision: int = 96
+    __slots__ = ("max_power", "precision")
+
+    def __init__(self, max_power: int = 4, precision: int = 96):
+        self.max_power = max_power
+        self.precision = precision
 
 
 # (repelling-arc, padding) half-widths as fractions of the least gap
@@ -235,6 +238,15 @@ MAX_CERT_POWER = 64
 MAX_CERT_LETTERS = 4096
 # "A^-1 " spells a letter in five characters; longer text is not parsed
 _MAX_WORD_TEXT = 8 * MAX_CERT_LETTERS
+# arc endpoints and the margin lie on the grid 1/65536 and the coefficients
+# of q are small; a longer rational string is not parsed
+_MAX_RATIONAL_TEXT = 256
+# a longer certificate file is not parsed: twice the text that dumps prints
+# for the largest certificate the field bounds admit, two words and at most
+# MAX_CERT_CONDUCTOR coefficients and nine other rationals, each with 16
+# characters of quotes, indentation and separators, and 1024 for the rest
+MAX_CERT_TEXT = 2 * (2 * _MAX_WORD_TEXT + 1024
+                     + (MAX_CERT_CONDUCTOR + 9) * (_MAX_RATIONAL_TEXT + 16))
 _CERT_KEYS = ("q", "embedding", "x_word", "y_word", "power_x", "power_y",
               "arcs", "margin", "precision")
 _ARC_NAMES = ("x_att", "x_rep", "y_att", "y_rep")
@@ -273,10 +285,11 @@ def _json_word(value, what: str, power: int) -> str:
 def _json_rational(value, what: str) -> Fraction:
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         raise ValueError(f"certificate {what} must be a rational string such as '3/8'")
+    if len(value) > _MAX_RATIONAL_TEXT:
+        raise ValueError(f"certificate {what} is longer than {_MAX_RATIONAL_TEXT} characters")
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class PingPongCertificate:
     """Freeness witness for <x^a, y^b> acting on the invariant circle.
 
@@ -286,15 +299,24 @@ class PingPongCertificate:
     re-derives every inclusion from the exact data in this record.
     """
 
-    q: CyclotomicNumber
-    embedding: int
-    x_word: str
-    y_word: str
-    power_x: int
-    power_y: int
-    arcs: dict            # keys x_att, x_rep, y_att, y_rep -> [turn, turn]
-    margin: Fraction
-    precision: int
+    __slots__ = ("q", "embedding", "x_word", "y_word", "power_x", "power_y", "arcs",
+                 "margin", "precision")
+
+    def __init__(self, q: CyclotomicNumber, embedding: int, x_word: str, y_word: str,
+                 power_x: int, power_y: int, arcs: dict, margin: Fraction, precision: int):
+        self.q = q
+        self.embedding = embedding
+        self.x_word = x_word
+        self.y_word = y_word
+        self.power_x = power_x
+        self.power_y = power_y
+        self.arcs = arcs            # keys x_att, x_rep, y_att, y_rep -> [turn, turn]
+        self.margin = margin
+        self.precision = precision
+
+    def __eq__(self, other):
+        return (isinstance(other, PingPongCertificate)
+                and all(getattr(self, k) == getattr(other, k) for k in self.__slots__))
 
     def to_json(self) -> dict:
         return {
@@ -322,8 +344,11 @@ class PingPongCertificate:
         if sorted(q) != ["coeffs", "conductor"]:
             raise ValueError("certificate q must have exactly the keys conductor, coeffs")
         conductor = _json_int(q["conductor"], "q conductor", 1, MAX_CERT_CONDUCTOR)
-        coeffs = [_json_rational(c, "q coefficient")
-                  for c in _json_typed(q["coeffs"], list, "q coeffs")]
+        coeffs = _json_typed(q["coeffs"], list, "q coeffs")
+        if len(coeffs) != euler_phi(conductor):
+            raise ValueError(f"certificate q at conductor {conductor} must have "
+                             f"phi({conductor}) = {euler_phi(conductor)} coefficients")
+        coeffs = [_json_rational(c, "q coefficient") for c in coeffs]
         arcs = _json_typed(data["arcs"], dict, "arcs")
         if sorted(arcs) != list(_ARC_NAMES):
             raise ValueError(f"certificate arcs must be exactly {', '.join(_ARC_NAMES)}")
@@ -358,17 +383,22 @@ class PingPongCertificate:
     @staticmethod
     def load(path: str) -> "PingPongCertificate":
         with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError("certificate JSON is nested too deeply") from None
+            text = fh.read(MAX_CERT_TEXT + 1)
+        if len(text) > MAX_CERT_TEXT:
+            raise ValueError(f"certificate file is longer than {MAX_CERT_TEXT} characters")
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
         return PingPongCertificate.from_json(data)
 
 
-@dataclass(frozen=True)
 class _Circle:
-    centre: CyclotomicNumber        # -J12 / J11, an exact field element
-    radius_sq: CyclotomicNumber     # -det J / J11^2, exactly real and positive
+    __slots__ = ("centre", "radius_sq")
+
+    def __init__(self, centre: CyclotomicNumber, radius_sq: CyclotomicNumber):
+        self.centre = centre            # -J12 / J11, an exact field element
+        self.radius_sq = radius_sq      # -det J / J11^2, exactly real and positive
 
 
 def _invariant_circle(form: HermitianForm2) -> _Circle:

@@ -4,8 +4,6 @@ and the finite presentation relators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import prime_factors
 from .reports import ClaimReport
 from .words import GroupWord, evaluate_word, power, st_words
@@ -17,12 +15,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ModMatrix2:
     """2x2 matrix over Z/nZ with det = 1, identified with its negation."""
 
-    n: int
-    entries: tuple[int, int, int, int]
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[int, int, int, int]):
+        self.n = n
+        self.entries = entries
+
+    def __eq__(self, other):
+        return (isinstance(other, ModMatrix2) and self.n == other.n
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
 
     @staticmethod
     def make(n: int, a: int, b: int, c: int, d: int) -> "ModMatrix2":

@@ -14,7 +14,6 @@ reading under which the twist image has projective order exactly p
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber, root_of_unity
@@ -26,14 +25,18 @@ __all__ = ["QuantumParams", "build_params", "twist_projective_order", "gamma_at_
 COLOR_CONVENTION = "colours indexed by the level p, not by the halved TQFT index"
 
 
-@dataclass(frozen=True)
 class QuantumParams:
-    p: int
-    a_root: CyclotomicNumber            # defining root: order p (even p) or 2p (odd p)
-    colors: tuple[int, ...]
-    twists: tuple[CyclotomicNumber, ...]  # eigenvalue (-a)^(l(l+2)) per colour
-    burau_parameter: CyclotomicNumber   # parameter of the 2-dim sub-representation
-    half_order: Fraction                # half the order of the parameter, by the table
+    __slots__ = ("p", "a_root", "colors", "twists", "burau_parameter", "half_order")
+
+    def __init__(self, p: int, a_root: CyclotomicNumber, colors: tuple[int, ...],
+                 twists: tuple[CyclotomicNumber, ...], burau_parameter: CyclotomicNumber,
+                 half_order: Fraction):
+        self.p = p
+        self.a_root = a_root                    # order p (even p) or 2p (odd p)
+        self.colors = colors
+        self.twists = twists                    # eigenvalue (-a)^(l(l+2)) per colour
+        self.burau_parameter = burau_parameter  # of the 2-dim sub-representation
+        self.half_order = half_order            # half the parameter's order, by the table
 
     def to_json(self) -> dict:
         return {

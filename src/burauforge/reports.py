@@ -12,25 +12,33 @@ strings, such as the coefficients of a ``CyclotomicNumber``, as one join.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode
 
 __all__ = ["ClaimReport", "claim_status", "dumps", "overall_status"]
 
 
-@dataclass
 class ClaimReport:
-    claim: str
-    params: dict
-    witnesses: list
-    passed: bool
-    flagged: bool = False
-    note: str = ""
-    # on an evaluated claim, the exact value behind each witness's printed
-    # "value" (None where it has none), in witness order, from which the
-    # claims at the Galois-conjugate parameters are derived; not part of
-    # the report
-    scalars: tuple = field(default=(), repr=False, compare=False)
+    __slots__ = ("claim", "params", "witnesses", "passed", "flagged", "note", "scalars")
+
+    def __init__(self, claim: str, params: dict, witnesses: list, passed: bool,
+                 flagged: bool = False, note: str = "", scalars: tuple = ()):
+        self.claim = claim
+        self.params = params
+        self.witnesses = witnesses
+        self.passed = passed
+        self.flagged = flagged
+        self.note = note
+        # on an evaluated claim, the exact value behind each witness's
+        # printed "value" (None where it has none), in witness order, from
+        # which the claims at the Galois-conjugate parameters are derived;
+        # not part of the report, nor of equality
+        self.scalars = scalars
+
+    def __eq__(self, other):
+        return (isinstance(other, ClaimReport) and self.claim == other.claim
+                and self.params == other.params and self.witnesses == other.witnesses
+                and self.passed == other.passed and self.flagged == other.flagged
+                and self.note == other.note)
 
     def as_dict(self) -> dict:
         out = {

@@ -27,7 +27,6 @@ Cyclotomic Fields*, ch. 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .burau import CycloMatrix, squared_images
@@ -49,14 +48,17 @@ __all__ = [
 FINITE_IMAGE_PARAMETER_ORDERS = frozenset({1, 2, 3, 4, 6, 10})
 
 
-@dataclass(frozen=True)
 class TriangleClassification:
-    order: int                      # multiplicative order of q
-    case: str                       # "finite-image" | "even" | "odd"
-    k: int
-    triangle: tuple[int, int, int] | None
-    geometry: str | None
-    substituted_order: int          # multiplicative order of -q
+    __slots__ = ("order", "case", "k", "triangle", "geometry", "substituted_order")
+
+    def __init__(self, order: int, case: str, k: int, triangle: tuple[int, int, int] | None,
+                 geometry: str | None, substituted_order: int):
+        self.order = order                          # multiplicative order of q
+        self.case = case                            # "finite-image" | "even" | "odd"
+        self.k = k
+        self.triangle = triangle
+        self.geometry = geometry
+        self.substituted_order = substituted_order  # multiplicative order of -q
 
     def as_dict(self) -> dict:
         return {
@@ -252,8 +254,8 @@ def _conjugate_claim(claim: ClaimReport, n: int, j: int) -> ClaimReport:
                  for w, s in zip(claim.witnesses, base)]
     # the derived claim keeps only the printed values: a long sweep holds
     # every claim until it is reported
-    return replace(claim, params={**claim.params, "q": str(root_of_unity(n, j))},
-                   witnesses=witnesses, scalars=())
+    return ClaimReport(claim.claim, {**claim.params, "q": str(root_of_unity(n, j))},
+                       witnesses, claim.passed, claim.flagged, claim.note)
 
 
 # ---------------------------------------------------------------------------

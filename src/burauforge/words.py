@@ -16,10 +16,9 @@ product or quotient builds more than ``MAX_WORD_SYLLABLES`` syllables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "GroupContext", "GroupWord", "MAX_WORD_SYLLABLES", "WordTooLong", "left_quotient",
@@ -51,12 +50,24 @@ def _check_length(n: int) -> None:
                           f"{MAX_WORD_SYLLABLES} (MAX_WORD_SYLLABLES)")
 
 
-@dataclass(frozen=True)
 class GroupContext:
-    kind: str
-    names: tuple[str, ...]
-    torsion: int | None = None
-    strands: int | None = None
+    __slots__ = ("kind", "names", "torsion", "strands")
+
+    def __init__(self, kind: str, names: tuple[str, ...], torsion: int | None = None,
+                 strands: int | None = None):
+        self.kind = kind
+        self.names = names
+        self.torsion = torsion
+        self.strands = strands
+
+    def _key(self) -> tuple:
+        return self.kind, self.names, self.torsion, self.strands
+
+    def __eq__(self, other):
+        return isinstance(other, GroupContext) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -101,10 +112,19 @@ def _reduce(kind: str, torsion, sylls: Iterable[tuple[int, int]]) -> tuple[tuple
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class GroupWord:
-    context: GroupContext
-    syllables: tuple[tuple[int, int], ...]
+    __slots__ = ("context", "syllables")
+
+    def __init__(self, context: GroupContext, syllables: tuple[tuple[int, int], ...]):
+        self.context = context
+        self.syllables = syllables
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupWord) and self.syllables == other.syllables
+                and self.context == other.context)
+
+    def __hash__(self):
+        return hash((self.context, self.syllables))
 
     def reduce(self) -> "GroupWord":
         return GroupWord(self.context,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from burauforge.cli import MAX_RANGE_END, SUITES, build_parser, main
 from burauforge.cyclotomic import root_of_unity
-from burauforge.hyperbolic import PAIR_CONTEXT, PingPongConfig, ping_pong_certify
+from burauforge.hyperbolic import (MAX_CERT_TEXT, PAIR_CONTEXT, PingPongCertificate,
+                                   PingPongConfig, ping_pong_certify)
 from burauforge.words import iterated_bracket, parse_word
 from test_hyperbolic import clear_exact_memos
 
@@ -162,6 +164,7 @@ def _swap_attracting(data):
     (_with(power_y=65), 2),
     (_with(margin=0.5), 2),
     (_with(margin="1e999999999"), 2),
+    (_with(margin="1/" + "3" * 300), 2),   # longer than a rational may be
     (_with_arc("z_att", ["0", "1/2"]), 2),
     (lambda data: {**data, "arcs": {k: v for k, v in data["arcs"].items()
                                     if k != "y_rep"}}, 2),
@@ -211,6 +214,40 @@ def test_verify_cert_bounds_word_letters(capsys, tmp_path, cert_json, edit, expe
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_verify_cert_refuses_a_long_file_before_parsing_it(capsys, tmp_path, cert_json):
+    # 3,000,000 coefficients at conductor 7 fill 15 MB: json would build
+    # every string, and each would be parsed as a Fraction, before the
+    # count is checked
+    coeffs = ", ".join(['"0"'] * 3_000_000)
+    text = json.dumps({**json.loads(cert_json), "q": {"conductor": 7, "coeffs": []}})
+    path = tmp_path / "cert.json"
+    path.write_text(text.replace('"coeffs": []', f'"coeffs": [{coeffs}]'))
+    assert path.stat().st_size > 15_000_000
+    start = time.perf_counter()
+    code, report, err = run_cli(capsys, "verify-cert", "--file", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and report is None
+    assert err == f"error: certificate file is longer than {MAX_CERT_TEXT} characters\n"
+
+
+def test_coefficient_count_is_checked_before_any_coefficient(cert_json):
+    # none of these is a rational string: the count is what is refused
+    data = {**json.loads(cert_json), "q": {"conductor": 7, "coeffs": ["x"] * 3_000_000}}
+    with pytest.raises(ValueError, match=r"must have phi\(7\) = 6 coefficients"):
+        PingPongCertificate.from_json(data)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("certify_free_*.json")))
+def test_stored_certificates_load(tmp_path, name):
+    # each golden certificate, written as --cert-out writes it, stays
+    # within every bound on certificate input
+    cert = json.loads((GOLDEN / name).read_text())["certificate"]
+    path = tmp_path / "cert.json"
+    PingPongCertificate.from_json(cert).dump(str(path))
+    assert len(path.read_text()) < MAX_CERT_TEXT
+    assert PingPongCertificate.load(str(path)).to_json() == cert
 
 
 # the goldens at orders other than 14 were recorded from the program

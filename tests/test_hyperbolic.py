@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import functools
 import itertools
 import json
@@ -106,13 +105,19 @@ def test_parabolic_parameter_gets_scaled_symplectic_form():
     assert dagger(b) * form.matrix * b == form.matrix
 
 
+def _rebuilt(cert, **changes):
+    # a copy of cert with the given fields changed, built by the constructor
+    fields = {k: getattr(cert, k) for k in PingPongCertificate.__slots__}
+    return PingPongCertificate(**{**fields, **changes})
+
+
 def test_a_form_without_a_circle_chart_makes_the_pair_ineligible(certificate):
     # J11 = 0 at q = 1 is exact, not a precision failure: the search refuses
     # the pair, and a certificate moved to q = 1 fails verification
     q = CyclotomicNumber.from_rational(1)
     with pytest.raises(ValueError, match="circle chart degenerate"):
         ping_pong_certify(X_WORD, Y_WORD, q, 1)
-    moved = dataclasses.replace(certificate, q=q)
+    moved = _rebuilt(certificate, q=q)
     assert hyperbolic._exact_pair(moved) is None
     assert not verify_certificate(moved)
 
@@ -586,7 +591,7 @@ def _tampered(cert, swap, name, shift, grow_start, grow_end):
         arcs["x_att"], arcs["y_att"] = arcs["y_att"], arcs["x_att"]
     s, e = arcs[name]
     arcs[name] = ((s + (shift - grow_start) * step) % 1, (e + (shift + grow_end) * step) % 1)
-    return dataclasses.replace(cert, arcs=arcs)
+    return _rebuilt(cert, arcs=arcs)
 
 
 def test_found_certificates_pass_both_ways_and_swapped_copies_fail():
@@ -819,7 +824,7 @@ def test_memo_keys_are_stored_representations(order, embedding, stored):
     # keyed by value would embed zeta_52^4's matrices at 2, which raises
     base = ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), embedding,
                              PingPongConfig(precision=32))
-    certs = [dataclasses.replace(base, q=_zeta_stored_at(order, m), embedding=e)
+    certs = [_rebuilt(base, q=_zeta_stored_at(order, m), embedding=e)
              for m, e, _ in stored]
     assert [c.q.conductor for c in certs] == [m for m, _, _ in stored]
     assert all(c.q == root_of_unity(order, 1) for c in certs)

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +44,18 @@ def test_one_json_writer():
                     and any(k.arg == "indent" for k in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_starts_without_heavy_stdlib_modules():
+    # every CLI command starts a fresh interpreter; dataclasses pulls in
+    # inspect, ast, dis and tokenize, and under -S (no site hook) nothing
+    # else loads typing, so none of them is paid for at start-up
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import burauforge.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
 
 def _imported_names(tree):
     # (line, bound name) of every import but __future__ features
