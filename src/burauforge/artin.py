@@ -8,7 +8,7 @@ boundary word x1 x2 x3 are the consistency oracle, exercised in tests):
     g_i : x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i,  others fixed.
 
 Longitudes of deep commutators run to hundreds of thousands of letters.
-Every word here is a reduced tuple of (generator, exponent) syllables.
+Braid words are reduced tuples of (generator, exponent) syllables.
 One conjugator fold, ``_conjugator_fold``, reads the braid syllables left
 to right, phi_k = phi_{k-1} o l_k^e, and keeps each image
 phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as U_i, U_i^-1 and the strand
@@ -16,12 +16,14 @@ permutation pi.  A syllable g_i^e takes one quotient D = U_i^-1 U_{i+1}
 and its inverse; then g_i^(2m) is one conjugation by phi(P)^m,
 P = x_i x_{i+1}, raised by ``words.power``, and an odd exponent adds one
 letter step.  The fold serves both words and Magnus series.  Over words
-the quotient is ``words.left_quotient``, which cuts the common prefix of
-U_i and U_{i+1} at C speed, and every other step is a ``GroupWord``
-product, which concatenates the syllable tuples and reduces only where
-the factors meet, so the syllables of a large image are objects shared
-with the words it was built from.  No word may pass
-``words.MAX_WORD_SYLLABLES``.
+it runs on letter-held ``GroupWord``s, one byte per letter (2g for x_g,
+2g + 1 for its inverse): the quotient is ``words.left_quotient``, which
+cuts the common prefix of U_i and U_{i+1} at C speed, and every other
+step is a product that cancels only where the factors meet and then
+concatenates the strings.  The images and longitudes are letter-held, so
+their lengths are ``len`` and no syllable is decoded unless one is read.
+No word may pass ``words.MAX_WORD_SYLLABLES`` letters, nor a substituted
+word as many syllables.
 
 A truncated Magnus series has one encoding, ``MagnusSeries``: a list of
 degree blocks, each mapping the base-rank position of a monomial to its
@@ -51,7 +53,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .words import GroupWord, braid_group, free_group, left_quotient, power, word
+from .words import (GroupWord, as_letters, braid_group, check_length, free_group,
+                    left_quotient, power, word)
 
 __all__ = [
     "F3", "F6", "FreeAutomorphism", "artin_action", "longitude",
@@ -109,11 +112,16 @@ def substitute(w: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     inverses = [im.inverse().syllables for im in images]
     sylls: list[tuple[int, int]] = []
     for g, e in w.syllables:
-        sylls.extend((images[g].syllables if e > 0 else inverses[g]) * abs(e))
+        image = images[g].syllables if e > 0 else inverses[g]
+        # the list is capped like any word, before it grows
+        check_length(len(sylls) + len(image) * abs(e))
+        sylls.extend(image * abs(e))
     return word(images[0].context, sylls)
 
 
-_WORD_LETTERS = {(g, e): GroupWord(F3, ((g, e),)) for g in range(3) for e in (1, -1)}
+# the word fold runs on letter-held words
+_WORD_ONE = as_letters(word(F3, []))
+_WORD_LETTERS = {(g, e): as_letters(word(F3, [(g, e)])) for g in range(3) for e in (1, -1)}
 
 
 def _conjugator_fold(w: GroupWord, one, letter, quotient):
@@ -181,13 +189,13 @@ def _require_pure(w: GroupWord) -> None:
 def artin_action(w: GroupWord) -> FreeAutomorphism:
     """Automorphism of F_3 attached to a braid word in B_3.
 
-    Built by the conjugator fold over words: the image of x_i is
-    U_i x_{pi(i)} U_i^-1, every product reducing only at its junction.
-    Raises ``words.WordTooLong`` when a word would pass
-    ``words.MAX_WORD_SYLLABLES``.
+    Built by the conjugator fold over letter-held words: the image of x_i
+    is U_i x_{pi(i)} U_i^-1, every product cancelling only at its
+    junction, and the images are letter-held.  Raises
+    ``words.WordTooLong`` when a word would pass
+    ``words.MAX_WORD_SYLLABLES`` letters.
     """
-    conj, conj_inv, perm = _conjugator_fold(w, GroupWord(F3, ()), _WORD_LETTERS,
-                                            left_quotient)
+    conj, conj_inv, perm = _conjugator_fold(w, _WORD_ONE, _WORD_LETTERS, left_quotient)
     images = tuple(u * (_WORD_LETTERS[p, 1] * v) for u, v, p in zip(conj, conj_inv, perm))
     return FreeAutomorphism(images, source=w)
 
@@ -197,17 +205,19 @@ def longitude(w: GroupWord, strand: int) -> GroupWord:
 
     Purity is decided from the braid's syllables, before any image is
     built.  A pure braid sends each x_j to a conjugate of x_j, reduced
-    u x_j u^-1 with u not ending in a power of x_j, whose middle syllable
-    is therefore (j, 1).  The conjugator is defined up to left powers of
-    x_i; the representative returned has total x_i-exponent zero.
+    u x_j u^-1 with u not ending in a power of x_j, whose middle letter
+    is therefore x_j.  The conjugator is defined up to left powers of
+    x_i; the representative returned has total x_i-exponent zero.  The
+    longitude is letter-held, read off the image's letters with no
+    syllable decoded.
     """
     if strand not in (1, 2, 3):
         raise ValueError("strand index must be 1, 2 or 3")
     _require_pure(w)
-    sylls = artin_action(w).images[strand - 1].syllables
-    # the reduced image is u x_s u^-1: its syllables past the middle are l = u^-1
-    ell = GroupWord(F3, sylls[len(sylls) // 2 + 1:])
-    return word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))]) * ell
+    letters = artin_action(w).images[strand - 1].letters
+    # the reduced image is u x_s u^-1: its letters past the middle are l = u^-1
+    ell = GroupWord.from_letters(F3, letters[len(letters) // 2 + 1:])
+    return as_letters(word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))])) * ell
 
 
 # ---------------------------------------------------------------------------

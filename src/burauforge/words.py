@@ -8,43 +8,59 @@ elements is only ever decided downstream through a representation.
 A ``GroupWord`` is built reduced by ``word``.  Products and inverses
 rely on that: a product reduces only where its factors meet, keeping the
 other syllables as the same tuple objects, and an inverse only reverses
-and negates.  ``left_quotient`` forms x^-1 y by cutting the common prefix
-of x and y, found in one C-level comparison of their syllables.  No
-product or quotient builds more than ``MAX_WORD_SYLLABLES`` syllables.
+and negates.  No product builds more than ``MAX_WORD_SYLLABLES``
+syllables.
+
+A free-group word may instead be held as a reduced letter string
+(``as_letters``, ``GroupWord.from_letters``): ``bytes`` with one byte
+per letter, 2g for x_g and 2g + 1 for its inverse, so a generator index
+is below 128.  A product of two letter-held words cancels only at the
+junction, found by comparing growing windows at C speed, and then
+concatenates; an inverse is one reversal and one ``bytes.translate``;
+``length`` is ``len`` and ``exponent_sum`` two ``bytes.count`` calls.
+``left_quotient`` forms x^-1 y by cutting the common prefix of x and y,
+after which nothing can cancel.  For letter-held words the cap counts
+letters.  Their syllables are decoded once, on first read (``str``,
+``==``, ``hash``, a product with a syllable-held word), and such mixed
+products are syllable-held.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import compress, count
+from itertools import compress, count, groupby
 from operator import ne
 
 __all__ = [
     "GroupContext", "GroupWord", "MAX_WORD_SYLLABLES", "WordTooLong", "left_quotient",
     "free_group", "free_product", "braid_group",
     "word", "generator", "commutator", "iterated_bracket", "st_words",
-    "parse_word", "format_word", "evaluate_word", "power",
+    "parse_word", "format_word", "evaluate_word", "power", "check_length", "as_letters",
 ]
 
 FREE = "free"
 FREE_PRODUCT = "free_product"
 BRAID = "braid"
 
-# most syllables a product or quotient may build, checked against the sum
-# of its factors' lengths, which bounds the result, before it is built.
-# A tuple at the cap holds 32 MB of pointers.  The weight-4 bracket of
-# g1^2 and g2^2 has images of 1.71M syllables; `artin --braid
-# "g1^2000000"` (images of 4M) peaks at 128 MB, and runs stopped at the
-# cap peaked at 70-250 MB (2-core Xeon, CPython 3.11.7)
+# most syllables a product or quotient may build (letters, for letter-held
+# words), checked against the sum of its factors' lengths, which bounds
+# the result, before it is built.  A syllable tuple at the cap holds 32 MB
+# of pointers, a letter string 4 MB.  The weight-4 bracket of g1^2 and
+# g2^2 has images of up to 1.71M letters; `artin --braid "g1^2000000"`
+# (images of 4M letters) peaks at 31 MB, and runs of g1^n stopped at the
+# cap peaked at 23-31 MB (2-core Xeon, CPython 3.11.7)
 MAX_WORD_SYLLABLES = 1 << 22
 
 
 class WordTooLong(OverflowError):
-    """A product or quotient of words would pass ``MAX_WORD_SYLLABLES``."""
+    """A word would pass ``MAX_WORD_SYLLABLES``: syllables of a
+    syllable-held word, letters of a letter-held one."""
 
 
-def _check_length(n: int) -> None:
+def check_length(n: int) -> None:
+    """Raise ``WordTooLong`` if a word of up to n syllables or letters,
+    about to be built, would pass the cap."""
     if n > MAX_WORD_SYLLABLES:
         raise WordTooLong(f"a word of up to {n} syllables is past the cap of "
                           f"{MAX_WORD_SYLLABLES} (MAX_WORD_SYLLABLES)")
@@ -113,15 +129,35 @@ def _reduce(kind: str, torsion, sylls: Iterable[tuple[int, int]]) -> tuple[tuple
 
 
 class GroupWord:
-    __slots__ = ("context", "syllables")
+    # ``letters`` is None for a syllable-held word; a letter-held word
+    # leaves ``syllables`` unset until ``__getattr__`` decodes it
+    __slots__ = ("context", "syllables", "letters")
 
     def __init__(self, context: GroupContext, syllables: tuple[tuple[int, int], ...]):
         self.context = context
         self.syllables = syllables
+        self.letters = None
+
+    @classmethod
+    def from_letters(cls, context: GroupContext, letters: bytes) -> "GroupWord":
+        """The free-group word held as ``letters``, a reduced letter string."""
+        if context.kind != FREE or len(context.names) > 128:
+            raise ValueError("letter strings hold words of free groups of rank <= 128")
+        return _held(context, letters)
+
+    def __getattr__(self, name):
+        # only reached for an unset slot: a letter-held word's syllables
+        if name != "syllables" or self.letters is None:
+            raise AttributeError(name)
+        self.syllables = sylls = _decode(self.letters)
+        return sylls
 
     def __eq__(self, other):
-        return (isinstance(other, GroupWord) and self.syllables == other.syllables
-                and self.context == other.context)
+        if not isinstance(other, GroupWord):
+            return False
+        if self.letters is not None and other.letters is not None:
+            return self.letters == other.letters and self.context == other.context
+        return self.syllables == other.syllables and self.context == other.context
 
     def __hash__(self):
         return hash((self.context, self.syllables))
@@ -132,15 +168,20 @@ class GroupWord:
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not (self.syllables if self.letters is None else self.letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         # both factors are reduced: only the junction can cancel or merge
         ctx = self.context
         if other.context is not ctx and other.context != ctx:
             raise ValueError("words live in different groups")
+        if self.letters is not None and other.letters is not None:
+            a, b = self.letters, other.letters
+            check_length(len(a) + len(b))
+            k = _agreement(a, b, inverted=True)
+            return _held(ctx, b"".join((memoryview(a)[:len(a) - k], memoryview(b)[k:])))
         a, b = self.syllables, other.syllables
-        _check_length(len(a) + len(b))
+        check_length(len(a) + len(b))
         mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
         # one pass over the junction: k syllables cancel from each side,
         # then at most one merges
@@ -158,6 +199,8 @@ class GroupWord:
 
     def inverse(self) -> "GroupWord":
         # the reversal of a reduced word is reduced
+        if self.letters is not None:
+            return _held(self.context, self.letters[::-1].translate(_INVERT))
         sylls = reversed(self.syllables)
         if self.context.kind == FREE_PRODUCT:
             mod = self.context.torsion
@@ -165,34 +208,95 @@ class GroupWord:
         return GroupWord(self.context, tuple((g, -e) for g, e in sylls))
 
     def __pow__(self, e: int) -> "GroupWord":
-        if e == 0:
-            return word(self.context, [])
-        base = self if e > 0 else self.inverse()
-        return word(self.context, base.syllables * abs(e))
+        # square-and-multiply over capped products: x1 ** (1 << 40) is 40
+        # squarings of one syllable, and a longer base stops at the cap
+        return power(self, e, word(self.context, []))
 
     def exponent_sum(self, gen: int) -> int:
+        if self.letters is not None:
+            return self.letters.count(2 * gen) - self.letters.count(2 * gen + 1)
         return sum(e for g, e in self.syllables if g == gen)
 
     def length(self) -> int:
+        if self.letters is not None:
+            return len(self.letters)
         return sum(abs(e) for _, e in self.syllables)
 
     def __str__(self):
         return format_word(self)
 
 
+def as_letters(w: GroupWord) -> GroupWord:
+    """w held as a letter string; w must lie in a free group of rank <= 128."""
+    if w.letters is not None:
+        return w
+    check_length(w.length())
+    return GroupWord.from_letters(w.context, b"".join(
+        bytes((2 * g + (e < 0),)) * abs(e) for g, e in w.syllables))
+
+
+def _held(context: GroupContext, letters: bytes) -> GroupWord:
+    w = GroupWord.__new__(GroupWord)
+    w.context, w.letters = context, letters
+    return w
+
+
+# letter 2g <-> 2g + 1: x_g <-> x_g^-1
+_INVERT = bytes(b ^ 1 for b in range(256))
+
+
+def _decode(letters: bytes) -> tuple[tuple[int, int], ...]:
+    # a reduced letter string's runs of one letter are its syllables
+    runs = ((b, len(list(run))) for b, run in groupby(letters))
+    return tuple((b >> 1, -n if b & 1 else n) for b, n in runs)
+
+
+def _agreement(a: bytes, b: bytes, inverted: bool) -> int:
+    """Length of the common prefix of b and of a, or, if ``inverted``, of
+    a's inverse: the letters a left quotient or a product cancels.
+
+    Windows of 8, 16, 32, ... letters are compared at C speed, and the
+    first that differs is placed by one XOR of its integer values, so a
+    cut of k letters costs O(k) in C and O(log k) steps.
+    """
+    n = min(len(a), len(b))
+    # most junctions of the Artin fold cancel nothing
+    if not n or (a[-1] ^ b[0] != 1 if inverted else a[0] != b[0]):
+        return 0
+    k, step, end = 0, 8, len(a)
+    while k < n:
+        m = min(step, n - k)
+        p = a[end - k - m:end - k][::-1].translate(_INVERT) if inverted else a[k:k + m]
+        q = b[k:k + m]
+        if p != q:
+            x = int.from_bytes(p, "big") ^ int.from_bytes(q, "big")
+            return k + m - (x.bit_length() + 7) // 8
+        k += m
+        step <<= 1
+    return n
+
+
 def left_quotient(x: GroupWord, x_inv: GroupWord, y: GroupWord) -> GroupWord:
     """x^-1 y, given x, its inverse x_inv and y, all reduced.
 
-    The common prefix of x and y cancels, found by comparing their
-    syllables at C speed; past it the syllables of x_inv and y meet, and at
+    The common prefix of x and y cancels, found at C speed.  Past it the
+    letters of letter-held words differ, so nothing more cancels and the
+    rest is one concatenation; the syllables of x_inv and y meet, and at
     most one pair with the same generator merges.
     """
     ctx = x.context
     if y.context is not ctx and y.context != ctx:
         raise ValueError("words live in different groups")
+    if x.letters is not None and y.letters is not None and x_inv.letters is not None:
+        a, b = x.letters, y.letters
+        k = _agreement(a, b, inverted=False)
+        check_length(len(a) + len(b) - 2 * k)
+        # x_inv's first len(a) - k letters are the inverse of a[k:]
+        return _held(ctx, b"".join((memoryview(x_inv.letters)[:len(a) - k],
+                                    memoryview(b)[k:])))
     a, b = x.syllables, y.syllables
     k = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
-    _check_length(len(a) + len(b) - 2 * k)
+    check_length(len(a) + len(b) - 2 * k)
     # x_inv's first len(a) - k syllables are the inverse of a[k:]
     n = len(a) - k
     if n and k < len(b) and a[k][0] == b[k][0]:

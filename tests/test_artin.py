@@ -1,20 +1,23 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burauforge import artin, cli
+from burauforge import artin, cli, words
 from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
                               longitude_magnus, magnus_depth, magnus_expansion,
                               substitute)
-from burauforge.words import (MAX_WORD_SYLLABLES, commutator, format_word, free_group,
-                              generator, iterated_bracket, parse_word, word)
+from burauforge.words import (MAX_WORD_SYLLABLES, GroupWord, WordTooLong, commutator,
+                              format_word, free_group, generator, iterated_bracket,
+                              left_quotient, parse_word, word)
 
 G1 = generator(B3, "g1")
 G2 = generator(B3, "g2")
@@ -491,6 +494,122 @@ def test_impure_braid_is_rejected_before_any_fold(monkeypatch):
             {"error": "braid is not pure: a strand generator is not conjugated"}]
         with pytest.raises(ValueError, match="not pure"):
             longitude_magnus(parse_word(B3, braid), 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# fourth reference: the conjugator fold over syllable-held words, as the
+# word action ran before its words became letter strings: syllable
+# products and the syllable left_quotient
+
+def syllable_action(w):
+    conj, conj_inv, perm = artin._conjugator_fold(w, word(F3, []), _LETTERS, left_quotient)
+    return tuple(u * (_LETTERS[p, 1] * v) for u, v, p in zip(conj, conj_inv, perm))
+
+
+def syllable_longitude(w, strand):
+    artin._require_pure(w)
+    sylls = syllable_action(w)[strand - 1].syllables
+    ell = GroupWord(F3, sylls[len(sylls) // 2 + 1:])
+    return word(F3, [(strand - 1, -ell.exponent_sum(strand - 1))]) * ell
+
+
+def _fold_outcome(action, longitude_fn, w):
+    """The images and each strand's longitude with its length and exponent
+    sums, or the type and message of the error the braid raises."""
+    try:
+        images = action(w)
+        ells = [longitude_fn(w, s) for s in (1, 2, 3)]
+    except (ValueError, WordTooLong) as exc:
+        return type(exc).__name__, str(exc)
+    return (images, ells, [ell.length() for ell in ells],
+            [[ell.exponent_sum(g) for g in range(3)] for ell in ells])
+
+
+def _assert_letter_fold_matches_syllable_fold(w):
+    artin.artin_action.cache_clear()
+    outcome = _fold_outcome(lambda w: artin_action(w).images, longitude, w)
+    assert outcome == _fold_outcome(syllable_action, syllable_longitude, w)
+    if not isinstance(outcome[0], str):
+        # the engine's words are letter-held
+        assert all(v.letters is not None for v in (*outcome[0], *outcome[1]))
+    return outcome
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.sampled_from((-3, -2, -1, 1, 2, 3))),
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_letter_fold_matches_syllable_fold_on_random_braids(sylls):
+    # odd exponents make most draws impure: both must raise the same error
+    _assert_letter_fold_matches_syllable_fold(word(B3, sylls))
+
+
+def _workload_brackets():
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads._braid_text(w) for pair in workloads.bracket_pairs() for _, w in pair]
+
+
+def test_letter_fold_matches_syllable_fold_on_workload_brackets():
+    braids = _workload_brackets()
+    assert len(braids) == 72
+    for text in braids:
+        outcome = _assert_letter_fold_matches_syllable_fold(parse_word(B3, text))
+        assert not isinstance(outcome[0], str)
+
+
+@pytest.mark.parametrize("text", ["g1^100000000", "g2^-100000000 g1^2"])
+def test_letter_fold_stops_at_the_cap_where_the_syllable_fold_does(text):
+    # every word of these folds alternates two letters, so letters and
+    # syllables count alike and both stop at the same product
+    outcome = _assert_letter_fold_matches_syllable_fold(parse_word(B3, text))
+    assert outcome[0] == "WordTooLong"
+    assert f"past the cap of {MAX_WORD_SYLLABLES}" in outcome[1]
+
+
+LONG_BRACKET = "g2^-2 g1^2 g2^-2 g1^2 g2^-2 g1^-2 g2^4 g1^-2 g2^-2 g1^2 g2^2 g1^-2 g2^2"
+
+
+def test_artin_command_decodes_no_long_word(monkeypatch):
+    # the longest weight-3 workload bracket: longitudes of up to 66,992
+    # letters, whose length and depth need no syllable; only a longitude
+    # of at most 200 letters is decoded, to be printed
+    decoded = []
+    original = words._decode
+
+    def counting(letters):
+        decoded.append(len(letters))
+        return original(letters)
+
+    monkeypatch.setattr(words, "_decode", counting)
+    artin.artin_action.cache_clear()
+    artin._magnus_fold.cache_clear()
+    reports = [_cli_output(["artin", "--braid", LONG_BRACKET, "--strand", str(s),
+                            "--depth", "2"]) for s in (1, 2, 3)]
+    assert [code for code, _, _ in reports] == [0, 0, 0]
+    assert max(decoded, default=0) <= 200
+    # recorded from the program before the engine's words became letter strings
+    golden = Path(__file__).parent / "golden" / "artin_bracket3_long.json"
+    assert reports[1][1] == golden.read_text()
+    assert [_longitude_length(out) for _, out, _ in reports] == [19808, 66992, 47184]
+
+
+def test_substitution_is_capped_before_it_grows(monkeypatch):
+    # eta_embed of x1^(2^21) would list 2^23 syllables, twice the cap
+    start = time.perf_counter()
+    with pytest.raises(WordTooLong, match=f"past the cap of {MAX_WORD_SYLLABLES}"):
+        eta_embed(X1 ** (1 << 21))
+    with pytest.raises(WordTooLong):
+        artin_action(G1 ** 2).apply(X3 ** (MAX_WORD_SYLLABLES + 1))
+    assert time.perf_counter() - start < 0.5
+    # the cap bounds the syllables listed so far, checked before each
+    # syllable of w adds its image's
+    monkeypatch.setattr(words, "MAX_WORD_SYLLABLES", 12)
+    assert len(eta_embed(X1 ** 3).syllables) == 12
+    with pytest.raises(WordTooLong, match="up to 16 syllables"):
+        eta_embed(X1 ** 3 * X2)
 
 
 # ---------------------------------------------------------------------------

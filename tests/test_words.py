@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,10 +9,10 @@ from burauforge.burau import CycloMatrix, burau_eval, squared_images
 from burauforge.cyclotomic import CyclotomicNumber, root_of_unity
 from burauforge.modular import ModMatrix2, ab_images
 from burauforge import words
-from burauforge.words import (FREE_PRODUCT, GroupWord, WordTooLong, _reduce, braid_group,
-                              commutator, evaluate_word, format_word, free_group, free_product,
-                              generator, iterated_bracket, left_quotient, parse_word, power,
-                              st_words, word)
+from burauforge.words import (FREE_PRODUCT, GroupWord, WordTooLong, _reduce, as_letters,
+                              braid_group, commutator, evaluate_word, format_word, free_group,
+                              free_product, generator, iterated_bracket, left_quotient,
+                              parse_word, power, st_words, word)
 
 FREE = free_group(("a", "b"))
 A = generator(FREE, "a")
@@ -230,6 +232,100 @@ def test_products_past_the_syllable_cap_raise(monkeypatch):
     assert format_word(left_quotient(x, x.inverse(), y)) == "a"
     with pytest.raises(WordTooLong):
         left_quotient(x, x.inverse(), v)
+
+
+# ---------------------------------------------------------------------------
+# letter-held words against syllable-held ones
+
+F3 = free_group(("x1", "x2", "x3"))
+
+
+# long shared parts, so that cuts cross the 8, 16, 32, ... letter windows
+_LETTER_SYLLABLES = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                       st.integers(min_value=-9, max_value=9)), max_size=30)
+
+
+@given(_LETTER_SYLLABLES, _LETTER_SYLLABLES, _LETTER_SYLLABLES,
+       st.sampled_from(["any", "cancel_all", "cancel_head", "shared_prefix", "empty"]))
+@settings(max_examples=400, deadline=None)
+def test_letter_held_words_agree_with_syllable_held(drawn_p, drawn_x, drawn_y, case):
+    p, x, y = (word(F3, drawn) for drawn in (drawn_p, drawn_x, drawn_y))
+    if case == "cancel_all":
+        y = x.inverse()
+    elif case == "cancel_head":
+        x, y = p * x, x.inverse() * p.inverse() * y
+    elif case == "shared_prefix":
+        x, y = p * x, p * y
+    elif case == "empty":
+        x = word(F3, [])
+    lx, ly = as_letters(x), as_letters(y)
+    # the encoding is faithful: decoding gives the syllables back
+    assert lx.syllables == x.syllables and lx == x and hash(lx) == hash(x)
+    assert lx.length() == x.length() and lx.is_identity == x.is_identity
+    assert [lx.exponent_sum(g) for g in range(3)] == [x.exponent_sum(g) for g in range(3)]
+    # product, inverse and quotient stay letter-held and equal the
+    # syllable results, letter for letter
+    for got, expected in ((lx * ly, x * y), (lx.inverse(), x.inverse()),
+                          (left_quotient(lx, lx.inverse(), ly), left_quotient(x, x.inverse(), y)),
+                          (lx ** 3, x ** 3), (ly ** -2, y ** -2)):
+        assert got.letters == as_letters(expected).letters
+        assert got == expected
+    if case == "cancel_all":
+        assert (lx * ly).letters == b"" and (lx * ly).is_identity
+    # a product with a syllable-held word decodes and is syllable-held
+    mixed = lx * y
+    assert mixed.letters is None and mixed == x * y
+
+
+def test_letter_strings_decode_runs_to_syllables():
+    # one byte per letter: 2g is x_g and 2g + 1 its inverse
+    assert as_letters(word(F3, [(0, 2), (1, -1), (2, 1)])).letters == bytes((0, 0, 3, 4))
+    assert as_letters(word(F3, [])).letters == b""
+    assert GroupWord.from_letters(F3, bytes((0, 0))).syllables == ((0, 2),)
+    assert GroupWord.from_letters(F3, bytes((3, 3, 3, 4))).syllables == ((1, -3), (2, 1))
+    empty = GroupWord.from_letters(F3, b"")
+    assert empty.syllables == () and empty.is_identity and empty == word(F3, [])
+    assert format_word(GroupWord.from_letters(F3, bytes((1, 2, 2)))) == "x1^-1 x2^2"
+    with pytest.raises(ValueError, match="free groups"):
+        GroupWord.from_letters(braid_group(3), b"")
+    with pytest.raises(AttributeError):
+        A.no_such_attribute
+
+
+def test_letter_products_count_letters_against_the_cap(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_SYLLABLES", 10)
+    u = as_letters(word(F3, [(0, 6)]))
+    assert len((u * as_letters(word(F3, [(1, 4)]))).letters) == 10
+    with pytest.raises(WordTooLong, match=r"past the cap of 10 \(MAX_WORD_SYLLABLES\)"):
+        u * u
+    # a quotient is bounded by the letters past the common prefix
+    x, y = as_letters(word(F3, [(0, 6), (1, 1)])), as_letters(word(F3, [(0, 6), (1, 2)]))
+    assert left_quotient(x, x.inverse(), y).letters == bytes((2,))
+    with pytest.raises(WordTooLong):
+        left_quotient(x, x.inverse(), as_letters(word(F3, [(2, 5)])))
+
+
+def test_power_squares_capped_products():
+    # one syllable raised to 2^40 is 40 squarings, not a list of 2^40 syllables
+    start = time.perf_counter()
+    assert (A ** (1 << 40)).syllables == ((0, 1 << 40),)
+    assert (A ** -(1 << 40)).syllables == ((0, -(1 << 40)),)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_power_past_the_cap_raises_before_it_allocates(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_SYLLABLES", 1000)
+    base = A * B
+    assert len((base ** 500).syllables) == 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordTooLong, match="past the cap of 1000"):
+            base ** (1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no word past the cap was built: 1000 pointers take 8 kB
+    assert peak < 64_000
 
 
 def test_product_rejects_other_group():
