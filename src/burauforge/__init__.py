@@ -14,9 +14,8 @@ from .triangle import (TriangleClassification, classify, primitive_roots,
                        verify_even, verify_odd, verify_odd_embedding,
                        verify_kernel_words, galois_orbit, euler_characteristics,
                        surface_free_bound, verify_commutator_relator)
-from .modular import (ModMatrix2, psi_generators, ab_images, eval_ab_word,
-                      verify_st_kernel, verify_presentation, psl_order,
-                      psl_order_bruteforce)
+from .modular import (ModMatrix2, psi_generators, ab_images, verify_st_kernel,
+                      verify_presentation, psl_order, psl_order_bruteforce)
 from .quantum import QuantumParams, build_params, twist_projective_order, gamma_at_p
 from .artin import (FreeAutomorphism, artin_action, longitude, MagnusSeries,
                     magnus_expansion, magnus_depth, eta_embed, F3, F6)

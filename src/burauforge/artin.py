@@ -114,7 +114,7 @@ def substitute(w: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     for g, e in w.syllables:
         image = images[g].syllables if e > 0 else inverses[g]
         # the list is capped like any word, before it grows
-        check_length(len(sylls) + len(image) * abs(e))
+        check_length(len(sylls) + len(image) * abs(e), "syllables")
         sylls.extend(image * abs(e))
     return word(images[0].context, sylls)
 

@@ -12,9 +12,11 @@ test suite proves once that they equal the generator products for every q.
 
 ``first_scalar_word`` is the one search for a scalar product of 2x2
 matrices, run by the relation oracle over x, x^-1, y, y^-1 and by
-``projective_order`` over one letter, on residues modulo a p = 1 (mod m)
-below 2^61 that passes a base-2 Fermat test and is prime to every
-denominator by gcd; p need not be prime.
+``projective_order`` over one letter.  It works on residues modulo a
+prime p = 1 (mod m) below 2^61, proven prime by a deterministic
+Miller-Rabin test, prime to every denominator and to every letter's
+determinant, and it matches half-words by their projective classes mod
+p (meet in the middle) instead of walking the whole word tree.
 """
 
 from __future__ import annotations
@@ -178,10 +180,41 @@ def pair_word_eval(w: GroupWord, a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the scalar search runs modulo an integer p = 1 (mod m) just below 2^61
+# the scalar search runs modulo a prime p = 1 (mod m) just below 2^61
 _RESIDUE_BITS = 61
 # bases a tried for a root a^((p - 1) / m) of Phi_m modulo one p
 _ROOT_TRIES = 64
+# the primes up to 37: as Miller-Rabin bases they decide primality
+# exactly below 3.1 * 10^23 (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017), so below 2^64
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < 2^64 is prime, by the deterministic Miller-Rabin test
+    over the twelve prime bases up to 37."""
+    if n >= 1 << 64:
+        raise ValueError("primality is decided below 2^64 only")
+    if n < 2:
+        return False
+    for b in _WITNESS_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _WITNESS_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _poly_at(coeffs, r: int, p: int) -> int:
@@ -194,10 +227,11 @@ def _poly_at(coeffs, r: int, p: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _split_root(m: int, avoid: int) -> tuple[int, int]:
-    """(p, r) with p = 1 (mod m) coprime to avoid and Phi_m(r) = 0 (mod p).
+    """(p, r) with p a prime = 1 (mod m) coprime to avoid and
+    Phi_m(r) = 0 (mod p).
 
     p walks down the integers 1 (mod m) below 2^61, skipping those that
-    fail a base-2 Fermat test or share a factor with avoid, and r is the
+    ``_is_prime`` rejects or that share a factor with avoid, and r is the
     first a^((p - 1) / m), a = 2, 3, ..., that is a root of Phi_m; past
     _ROOT_TRIES bases the walk moves on.  A prime p = 1 (mod m) splits
     completely in Q(zeta_m) (Washington, *Introduction to Cyclotomic
@@ -205,7 +239,7 @@ def _split_root(m: int, avoid: int) -> tuple[int, int]:
     phi = cyclotomic_polynomial(m)
     p = ((1 << _RESIDUE_BITS) - 2) // m * m + 1
     while True:
-        if pow(2, p - 1, p) == 1 and math.gcd(p, avoid) == 1:
+        if math.gcd(p, avoid) == 1 and _is_prime(p):
             for a in range(2, 2 + _ROOT_TRIES):
                 r = pow(a, (p - 1) // m, p)
                 if not _poly_at(phi, r, p):
@@ -220,7 +254,7 @@ def _residue_map(m: int, p: int, r: int):
 
     Z[zeta_m] is Z[x] / Phi_m, so this is a ring map exactly when
     Phi_m(r) = 0 (mod p), on denominators invertible mod p; both are
-    checked, raising ArithmeticError, so nothing rests on p being prime.
+    checked, raising ArithmeticError.
     """
     if _poly_at(cyclotomic_polynomial(m), r, p):
         raise ArithmeticError(f"{r} is not a root of Phi_{m} modulo {p}")
@@ -233,51 +267,125 @@ def _residue_map(m: int, p: int, r: int):
     return residue
 
 
+def _letter_residues(letters: dict) -> tuple[int, dict]:
+    """(p, residue matrices of the letters mod p), each flattened to
+    (m00, m01, m10, m11), for the first prime p of ``_split_root`` at
+    which every letter's determinant is a unit; a letter singular mod p
+    moves the search on to the next prime, and an exactly singular one
+    raises ValueError."""
+    entries = [v for mat in letters.values() for row in mat.rows for v in row]
+    m = math.lcm(*(v.conductor for v in entries))
+    avoid = math.lcm(*(v.den for v in entries))
+    while True:
+        p, r = _split_root(m, avoid)
+        residue = _residue_map(m, p, r)
+        images = {k: tuple(residue(v) for row in mat.rows for v in row)
+                  for k, mat in letters.items()}
+        singular = [k for k, (a, b, c, d) in images.items() if (a * d - b * c) % p == 0]
+        if not singular:
+            return p, images
+        if any(letters[k].det2().is_zero for k in singular):
+            raise ValueError("letters must be invertible")
+        avoid *= p
+
+
+def _projective_keys(mats: list, p: int) -> list[tuple]:
+    """Each invertible residue matrix mod the prime p scaled so that its
+    first nonzero entry of m00, m01 is 1: equal exactly when the matrices
+    are proportional.  One modular inversion serves the whole list
+    (Montgomery's batch inversion: prefix products, one inverse, and a
+    walk back)."""
+    pivots = [m00 or m01 for m00, m01, _, _ in mats]
+    prefix, acc = [], 1
+    for x in pivots:
+        prefix.append(acc)
+        acc = acc * x % p
+    inv = pow(acc, -1, p)
+    keys = [()] * len(mats)
+    for i in range(len(mats) - 1, -1, -1):
+        s = inv * prefix[i] % p
+        inv = inv * pivots[i] % p
+        m00, m01, m10, m11 = mats[i]
+        keys[i] = (m00 * s % p, m01 * s % p, m10 * s % p, m11 * s % p)
+    return keys
+
+
 def first_scalar_word(letters: dict, max_len: int):
     """Syllables of the first reduced word of length <= max_len whose
     product of 2x2 letter matrices is scalar, or None when there is none.
 
-    ``letters`` maps syllables (generator, 1 or -1) to matrices; words are
-    enumerated breadth-first in the letters' order, and a letter never
-    follows its inverse.  The letters are mapped once into Z/p by
-    ``_residue_map``, m the lcm of their conductors.  An exactly scalar
-    product has a scalar residue matrix, so only a word whose residue
-    product is scalar gets its exact product checked; the last level is
-    decided by entry (0, 1) first.
+    ``letters`` maps syllables (generator, 1 or -1) to invertible
+    matrices; words are taken by length and, within a length, in the
+    lexicographic order of the letters' order (breadth-first), and a
+    letter never follows its inverse.  The letters are mapped once into
+    Z/p by ``_residue_map``, m the lcm of their conductors and p a prime
+    at which no letter is singular.  An exactly scalar product has a
+    scalar residue matrix, so only a word whose residue product is
+    scalar gets its exact product checked.
+
+    The residues meet in the middle (Shanks' baby-step giant-step): a
+    word of length l is u v with |v| = l // 2, and u v is scalar mod p
+    exactly when u is proportional to adj(v), as every residue is
+    invertible.  So the reduced half-words are built once per length, in
+    search order, u keyed by its projective class and v by that of
+    adj(v); for each l the u's are scanned in order against the v's with
+    the same key, in order, a v whose first letter cancels u's last
+    skipped.  With one letter there is one word per length and keying
+    does not pay: v stays the empty word and the scan is of the powers.
     """
     if max_len < 1:
         raise ValueError("length bound must be positive")
     if any(mat.size != 2 for mat in letters.values()):
         raise ValueError("only 2x2 matrices are searched")
-    entries = [v for mat in letters.values() for row in mat.rows for v in row]
-    m = math.lcm(*(v.conductor for v in entries))
-    p, r = _split_root(m, math.lcm(*(v.den for v in entries)))
-    residue = _residue_map(m, p, r)
-    images = {k: [residue(v) for row in mat.rows for v in row] for k, mat in letters.items()}
+    p, images = _letter_residues(letters)
     # the letters that may follow a word's last letter: all but its
     # inverse, and all of them after the empty word
     after = {(g, e): [(k, im) for k, im in images.items() if k != (g, -e)] for g, e in images}
     after[None] = list(images.items())
-    # a node's word is the pair (word before, last letter), never copied
-    frontier = [((), None, 1, 0, 0, 1)]
-    for level in range(1, max_len + 1):
-        final = level == max_len
-        new_frontier = []
-        for path, last, m00, m01, m10, m11 in frontier:
-            for key, (l00, l01, l10, l11) in after[last]:
-                n01 = (m00 * l01 + m01 * l11) % p
-                if n01 and final:
-                    continue
-                n10 = (m10 * l00 + m11 * l10) % p
-                n00 = (m00 * l00 + m01 * l10) % p
-                n11 = (m10 * l01 + m11 * l11) % p
-                if not (n01 or n10) and n00 == n11:
-                    sylls = _syllables((path, key))
-                    if functools.reduce(operator.mul, (letters[s] for s in sylls)).is_scalar():
+    # levels[k]: the reduced words of length k in search order, each
+    # (word, first letter, last letter, residue matrix); a word is the
+    # nested pair (word before, last letter), never copied
+    levels = [[((), None, None, (1, 0, 0, 1))]]
+    u_keys, v_index = {}, {}
+    for length in range(1, max_len + 1):
+        v_len = length // 2 if len(images) > 1 else 0
+        u_len = length - v_len
+        if u_len == len(levels):
+            new_level = []
+            for path, first, last, (m00, m01, m10, m11) in levels[-1]:
+                for key, (l00, l01, l10, l11) in after[last]:
+                    new_level.append(((path, key), first or key, key,
+                                      ((m00 * l00 + m01 * l10) % p, (m00 * l01 + m01 * l11) % p,
+                                       (m10 * l00 + m11 * l10) % p, (m10 * l01 + m11 * l11) % p)))
+            levels.append(new_level)
+        if not v_len:
+            for path, _, _, (m00, m01, m10, m11) in levels[u_len]:
+                if not (m01 or m10) and m00 == m11:
+                    sylls = _syllables(path)
+                    if _is_scalar_product(letters, sylls):
                         return sylls
-                new_frontier.append(((path, key), key, n00, n01, n10, n11))
-        frontier = new_frontier
+            continue
+        if u_len not in u_keys:
+            u_keys[u_len] = _projective_keys([w[3] for w in levels[u_len]], p)
+        if v_len not in v_index:
+            index = v_index[v_len] = {}
+            adjugates = [(m11, -m01 % p, -m10 % p, m00)
+                         for _, _, _, (m00, m01, m10, m11) in levels[v_len]]
+            for (path, first, _, _), key in zip(levels[v_len], _projective_keys(adjugates, p)):
+                index.setdefault(key, []).append((path, first))
+        index = v_index[v_len]
+        for (path, _, last, _), key in zip(levels[u_len], u_keys[u_len]):
+            for v_path, v_first in index.get(key, ()):
+                if v_first == (last[0], -last[1]):
+                    continue
+                sylls = _syllables(path) + _syllables(v_path)
+                if _is_scalar_product(letters, sylls):
+                    return sylls
     return None
+
+
+def _is_scalar_product(letters: dict, sylls: tuple) -> bool:
+    return functools.reduce(operator.mul, (letters[s] for s in sylls)).is_scalar()
 
 
 def _syllables(path) -> tuple:
@@ -291,6 +399,6 @@ def _syllables(path) -> tuple:
 
 def projective_order(m: CycloMatrix, bound: int) -> int | None:
     """Least n <= bound with m^n scalar, or None when the bound is exceeded:
-    the one-letter scalar search, so 2x2 only."""
+    the one-letter scalar search, so 2x2 and invertible only."""
     sylls = first_scalar_word({(0, 1): m}, bound)
     return None if sylls is None else len(sylls)

@@ -13,7 +13,8 @@ integer orientation determinants whose signs are bounded away from zero.
 
 The short-relation oracle and the torsion guard of the certificate
 search are one scalar search, ``burau.first_scalar_word``, on residues
-over the letters x, x^-1, y, y^-1 and over each generator alone.
+modulo a prime, over the letters x, x^-1, y, y^-1 (meeting in the
+middle on half-words) and over each generator alone (a scan of powers).
 
 At q = zeta_n the Squier form is indefinite at an embedding sigma exactly
 when |sigma(q) - 1| < 1; embedding 1 sends zeta_n to e^(2 pi i / n), the
@@ -190,11 +191,12 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
                           q: CyclotomicNumber, max_len: int) -> GroupWord | None:
     """First projectively trivial reduced word in x, y of length <= max_len.
 
-    Enumeration is breadth-first, letters ordered x, x^-1, y, y^-1, so the
-    reported witness is deterministic; returns None if no relation exists
-    at this length.  The four letter matrices are evaluated exactly once
-    and searched by ``burau.first_scalar_word``, on residues with each
-    candidate confirmed by its exact product.
+    The witness is the first in breadth-first order, letters ordered x,
+    x^-1, y, y^-1, so it is deterministic; returns None if no relation
+    exists at this length.  The four letter matrices are evaluated
+    exactly once and searched by ``burau.first_scalar_word``, which
+    matches half-words by their projective classes modulo a prime and
+    confirms each candidate by its exact product.
     """
     x_mat, y_mat = _pair_matrices(q, x_word, y_word)
     sylls = first_scalar_word({(0, 1): x_mat, (0, -1): x_mat.inverse(),

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from .cyclotomic import prime_factors
 from .reports import ClaimReport
-from .words import GroupWord, evaluate_word, power, st_words
+from .words import evaluate_word, power, st_words
 
 __all__ = [
-    "ModMatrix2", "psi_generators", "ab_images", "eval_ab_word",
+    "ModMatrix2", "psi_generators", "ab_images",
     "verify_st_kernel", "verify_presentation",
     "psl_order", "psl_order_bruteforce",
 ]
@@ -92,10 +92,6 @@ def ab_images(n: int) -> tuple[ModMatrix2, ModMatrix2]:
     alpha, _, v = psi_generators(n)
     a = alpha * alpha
     return a, v * a * v
-
-
-def eval_ab_word(w: GroupWord, n: int) -> ModMatrix2:
-    return _eval_ab_words([w], n)[0]
 
 
 def _eval_ab_words(words, n: int) -> list[ModMatrix2]:

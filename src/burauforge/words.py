@@ -58,11 +58,12 @@ class WordTooLong(OverflowError):
     syllable-held word, letters of a letter-held one."""
 
 
-def check_length(n: int) -> None:
-    """Raise ``WordTooLong`` if a word of up to n syllables or letters,
-    about to be built, would pass the cap."""
+def check_length(n: int, unit: str) -> None:
+    """Raise ``WordTooLong`` if a word of up to n units, about to be
+    built, would pass the cap; ``unit`` names what the caller counts,
+    "syllables" or "letters", and the message says it."""
     if n > MAX_WORD_SYLLABLES:
-        raise WordTooLong(f"a word of up to {n} syllables is past the cap of "
+        raise WordTooLong(f"a word of up to {n} {unit} is past the cap of "
                           f"{MAX_WORD_SYLLABLES} (MAX_WORD_SYLLABLES)")
 
 
@@ -177,11 +178,11 @@ class GroupWord:
             raise ValueError("words live in different groups")
         if self.letters is not None and other.letters is not None:
             a, b = self.letters, other.letters
-            check_length(len(a) + len(b))
+            check_length(len(a) + len(b), "letters")
             k = _agreement(a, b, inverted=True)
             return _held(ctx, b"".join((memoryview(a)[:len(a) - k], memoryview(b)[k:])))
         a, b = self.syllables, other.syllables
-        check_length(len(a) + len(b))
+        check_length(len(a) + len(b), "syllables")
         mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
         # one pass over the junction: k syllables cancel from each side,
         # then at most one merges
@@ -230,7 +231,7 @@ def as_letters(w: GroupWord) -> GroupWord:
     """w held as a letter string; w must lie in a free group of rank <= 128."""
     if w.letters is not None:
         return w
-    check_length(w.length())
+    check_length(w.length(), "letters")
     return GroupWord.from_letters(w.context, b"".join(
         bytes((2 * g + (e < 0),)) * abs(e) for g, e in w.syllables))
 
@@ -290,13 +291,13 @@ def left_quotient(x: GroupWord, x_inv: GroupWord, y: GroupWord) -> GroupWord:
     if x.letters is not None and y.letters is not None and x_inv.letters is not None:
         a, b = x.letters, y.letters
         k = _agreement(a, b, inverted=False)
-        check_length(len(a) + len(b) - 2 * k)
+        check_length(len(a) + len(b) - 2 * k, "letters")
         # x_inv's first len(a) - k letters are the inverse of a[k:]
         return _held(ctx, b"".join((memoryview(x_inv.letters)[:len(a) - k],
                                     memoryview(b)[k:])))
     a, b = x.syllables, y.syllables
     k = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
-    check_length(len(a) + len(b) - 2 * k)
+    check_length(len(a) + len(b) - 2 * k, "syllables")
     # x_inv's first len(a) - k syllables are the inverse of a[k:]
     n = len(a) - k
     if n and k < len(b) and a[k][0] == b[k][0]:

@@ -195,16 +195,45 @@ def test_projective_order_is_two_by_two_only():
         projective_order(CycloMatrix.identity(2), 0)
 
 
+def test_projective_order_refuses_a_singular_matrix():
+    # no modulus makes a singular letter a unit
+    one, zero = C.from_rational(1), C.from_rational(0)
+    with pytest.raises(ValueError, match="invertible"):
+        projective_order(CycloMatrix([[one, zero], [zero, zero]]), 5)
+
+
 @given(st.integers(1, 1021), st.integers(1, 10 ** 40))
 @settings(max_examples=60, deadline=None)
 def test_split_root_is_a_root_of_the_cyclotomic_polynomial(m, avoid):
     p, r = burau._split_root(m, avoid)
     assert p % m == 1 % m and p < 1 << 61 and math.gcd(p, avoid) == 1
+    assert burau._is_prime(p)
     assert burau._poly_at(cyclotomic_polynomial(m), r, p) == 0
     # a modulus shared with avoid is skipped for the next one down
     p2, r2 = burau._split_root(m, avoid * p)
     assert p2 < p and p2 % m == 1 % m and math.gcd(p2, avoid * p) == 1
+    assert burau._is_prime(p2)
     assert burau._poly_at(cyclotomic_polynomial(m), r2, p2) == 0
+
+
+# strong pseudoprimes to the base 2 (23 * 89), to the bases 2, 3, 5 and 7
+# (151 * 751 * 28351), and to every prime base up to 23
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+def test_primality_rejects_strong_pseudoprimes(n):
+    assert not burau._is_prime(n)
+
+
+def test_primality_accepts_the_mersenne_prime_below_2_61():
+    assert burau._is_prime((1 << 61) - 1)
+    assert not burau._is_prime((1 << 61) + 1)
+
+
+def test_primality_agrees_with_trial_division_and_stops_at_2_64():
+    assert [n for n in range(5000) if burau._is_prime(n)] == [
+        n for n in range(5000) if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert burau._is_prime((1 << 64) - 59)
+    with pytest.raises(ValueError, match="2\\^64"):
+        burau._is_prime(1 << 64)
 
 
 def test_residue_map_is_a_ring_map_across_subfields():

@@ -11,6 +11,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from burauforge import burau
 from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                    euler_phi)
 
@@ -39,3 +40,15 @@ def test_field_products_match_numerically():
         got = sum(complex(sympy.N(z ** k, 30)) * float(Fraction(v, prod.den))
                   for k, v in enumerate(prod._lift(m)))
         assert abs(want - got) <= 1e-14 * max(1.0, abs(want)), m
+
+
+def test_primality_matches_sympy_below_2_64():
+    # random integers of every size up to 64 bits, and the walk's own
+    # candidates p = 1 (mod m) just below 2^61
+    rng = random.Random(61)
+    ns = [rng.getrandbits(rng.randint(2, 64)) for _ in range(3000)]
+    for m in (7, 60, 1021):
+        top = ((1 << 61) - 2) // m * m + 1
+        ns += range(top, top - 200 * m, -m)
+    for n in ns:
+        assert burau._is_prime(n) == sympy.isprime(n), n

@@ -287,15 +287,16 @@ def test_oracle_no_witness_one_level_short(order, text, length):
     assert short_relation_oracle(X_WORD, Y_WORD, q, length - 1) is None
 
 
-@pytest.mark.parametrize("order", [7, 8, 14])
+@pytest.mark.parametrize("order", [3, 5, 7, 8, 14])
 def test_oracle_agrees_with_full_product_reference(order):
+    # up to length 7: odd and even lengths split into halves differently
     q = root_of_unity(order, 1)
-    for max_len in range(1, 6):
+    for max_len in range(1, 8):
         for x, y in [(X_WORD, Y_WORD), (parse_word(PAIR_CONTEXT, "A"),
                                         parse_word(PAIR_CONTEXT, "A^2"))]:
             got = short_relation_oracle(x, y, q, max_len)
             want = reference_oracle(x, y, q, max_len)
-            assert str(got) == str(want)
+            assert str(got) == str(want), (order, max_len)
 
 
 # nontrivial reduced words of at most six letters in A and B
@@ -358,6 +359,76 @@ def test_oracle_confirms_candidates_of_a_small_modulus(monkeypatch):
                 monkeypatch.setattr(CycloMatrix, "is_scalar", is_scalar)
                 assert str(got) == str(reference_oracle(x, y, q, max_len)), (order, max_len)
     assert False in confirmations
+
+
+def _scalar_words(x_word, y_word, q, length):
+    """Every reduced word of this length whose exact product is scalar, in
+    the search order."""
+    a, b, _ = squared_images(q)
+    x_mat, y_mat = pair_word_eval(x_word, a, b), pair_word_eval(y_word, a, b)
+    letters = {(0, 1): x_mat, (0, -1): x_mat.inverse(),
+               (1, 1): y_mat, (1, -1): y_mat.inverse()}
+    return [word(free_group(("x", "y")), sylls)
+            for sylls in itertools.product(letters, repeat=length)
+            if all(u != (g, -e) for u, (g, e) in zip(sylls, sylls[1:]))
+            and functools.reduce(lambda m, k: m * letters[k], sylls[1:],
+                                 letters[sylls[0]]).is_scalar()]
+
+
+@pytest.mark.parametrize("y_text,length,first", [
+    # x y^-1 x, y^-1 x^2, ... tie with x^2 y^-1, whose halves come first
+    ("A^2", 3, "x^2 y^-1"),
+    # y = x^-1: the half x^-1 shares x's key with y, and comes before it,
+    # but cancels at the junction
+    ("A^-1", 2, "x y"),
+])
+def test_oracle_takes_the_first_of_tied_witnesses(y_text, length, first):
+    x, y = parse_word(PAIR_CONTEXT, "A"), parse_word(PAIR_CONTEXT, y_text)
+    q = root_of_unity(7, 1)
+    assert _scalar_words(x, y, q, length - 1) == []
+    tied = _scalar_words(x, y, q, length)
+    assert len(tied) > 1 and str(tied[0]) == first
+    assert str(short_relation_oracle(x, y, q, length)) == first
+    assert str(reference_oracle(x, y, q, length)) == first
+
+
+def test_search_moves_past_a_modulus_where_a_letter_is_singular(monkeypatch):
+    # q = 2/3 + zeta_5 maps to 0 under zeta_5 -> 3 modulo 11, the least
+    # split root, so B = [[1, 0], [-q - q^2, q^2]] and its adjugate have
+    # the singular residues [[1, 0], [0, 0]] and [[0, 0], [0, 1]], the
+    # second with no nonzero entry in its first row to scale by; exactly,
+    # B adj(B) = q^2 is scalar
+    calls = []
+
+    def recorded(m, avoid):
+        calls.append(_least_split_root(m, avoid))
+        return calls[-1]
+
+    monkeypatch.setattr(burau, "_split_root", recorded)
+    q = CyclotomicNumber.from_rational(Fraction(2, 3)) + root_of_unity(5, 1)
+    _, b, _ = squared_images(q)
+    (b00, b01), (b10, b11) = b.rows
+    adj = CycloMatrix([[b11, -b01], [-b10, b00]])
+    assert burau.first_scalar_word({(0, 1): b, (1, 1): adj}, 4) == ((0, 1), (1, 1))
+    assert calls[0] == (11, 3) and len(calls) == 2 and calls[1][0] != 11
+    # the one-letter search moves on as well
+    calls.clear()
+    assert projective_order(b, 30) is None
+    assert calls[0] == (11, 3) and len(calls) == 2
+
+
+def test_oracle_memory_at_the_longest_length():
+    # the whole word tree at length 10 is 4 * 3^9 = 78,732 words; the
+    # halves are at most 324 words a length
+    q = root_of_unity(7, 1)
+    short_relation_oracle(X_WORD, Y_WORD, q, 1)
+    tracemalloc.start()
+    try:
+        assert short_relation_oracle(X_WORD, Y_WORD, q, 10) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_oracle_exact_products_do_not_grow_with_the_length_bound(monkeypatch):

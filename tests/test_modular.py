@@ -2,8 +2,7 @@ import pytest
 
 from burauforge import modular
 from burauforge.cli import SUITES
-from burauforge.modular import (ModMatrix2, ab_images, eval_ab_word,
-                                psi_generators, psl_order,
+from burauforge.modular import (ModMatrix2, ab_images, psi_generators, psl_order,
                                 psl_order_bruteforce, verify_presentation,
                                 verify_st_kernel)
 from burauforge.words import free_group, parse_word
@@ -82,13 +81,11 @@ def test_ab_images():
         assert b == u * u * a * u
 
 
-def test_eval_ab_word():
-    n = 7
-    assert eval_ab_word(parse_word(AB, "1"), n).is_identity
-    a, _ = ab_images(n)
-    assert eval_ab_word(parse_word(AB, "a^7"), n).is_identity
-    w = parse_word(AB, "a b a^-1 b^-1")
-    assert not eval_ab_word(w, n).is_identity
+def test_eval_ab_words():
+    one, a7, bracket = modular._eval_ab_words(
+        [parse_word(AB, text) for text in ("1", "a^7", "a b a^-1 b^-1")], 7)
+    assert one.is_identity and a7.is_identity
+    assert not bracket.is_identity
 
 
 def test_st_kernel_membership():

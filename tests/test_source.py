@@ -203,3 +203,18 @@ def test_caches_are_bounded_or_listed():
     assert sizes["artin._magnus_fold"] == 4
     assert sizes["artin.artin_action"] == 8
     assert all(size > 0 for size in sizes.values() if size is not None)
+
+
+def _called_names(path, function):
+    # names called anywhere in the body of the module-level function
+    tree = ast.parse(path.read_text(), str(path))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.func.id for node in ast.walk(body)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_one_scalar_search():
+    # the relation oracle and the torsion guard run the same search
+    assert "first_scalar_word" in _called_names(SRC / "burau.py", "projective_order")
+    assert "first_scalar_word" in _called_names(SRC / "hyperbolic.py", "short_relation_oracle")

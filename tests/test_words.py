@@ -223,14 +223,15 @@ def test_products_past_the_syllable_cap_raise(monkeypatch):
     monkeypatch.setattr(words, "MAX_WORD_SYLLABLES", 10)
     u, v = parse_word(FREE, "a b a b a"), parse_word(FREE, "b a b a b a")
     assert len((u * u).syllables) == 9
-    with pytest.raises(WordTooLong, match=r"past the cap of 10 \(MAX_WORD_SYLLABLES\)"):
+    with pytest.raises(WordTooLong, match=r"^a word of up to 11 syllables is past the cap "
+                                          r"of 10 \(MAX_WORD_SYLLABLES\)$"):
         u * v
     with pytest.raises(WordTooLong):
         power(u, 3, word(FREE, []))
     # a quotient is bounded by the syllables past the common prefix
     x, y = parse_word(FREE, "a b a b a b"), parse_word(FREE, "a b a b a b a")
     assert format_word(left_quotient(x, x.inverse(), y)) == "a"
-    with pytest.raises(WordTooLong):
+    with pytest.raises(WordTooLong, match="up to 12 syllables"):
         left_quotient(x, x.inverse(), v)
 
 
@@ -296,13 +297,16 @@ def test_letter_products_count_letters_against_the_cap(monkeypatch):
     monkeypatch.setattr(words, "MAX_WORD_SYLLABLES", 10)
     u = as_letters(word(F3, [(0, 6)]))
     assert len((u * as_letters(word(F3, [(1, 4)]))).letters) == 10
-    with pytest.raises(WordTooLong, match=r"past the cap of 10 \(MAX_WORD_SYLLABLES\)"):
+    with pytest.raises(WordTooLong, match=r"^a word of up to 12 letters is past the cap "
+                                          r"of 10 \(MAX_WORD_SYLLABLES\)$"):
         u * u
     # a quotient is bounded by the letters past the common prefix
     x, y = as_letters(word(F3, [(0, 6), (1, 1)])), as_letters(word(F3, [(0, 6), (1, 2)]))
     assert left_quotient(x, x.inverse(), y).letters == bytes((2,))
-    with pytest.raises(WordTooLong):
+    with pytest.raises(WordTooLong, match="up to 12 letters"):
         left_quotient(x, x.inverse(), as_letters(word(F3, [(2, 5)])))
+    with pytest.raises(WordTooLong, match="up to 11 letters"):
+        as_letters(word(F3, [(0, 11)]))
 
 
 def test_power_squares_capped_products():
