@@ -13,14 +13,16 @@ One conjugator fold, ``_conjugator_fold``, reads the braid syllables left
 to right, phi_k = phi_{k-1} o l_k^e, and keeps each image
 phi_k(x_i) = U_i x_{pi(i)} U_i^-1 as U_i, U_i^-1 and the strand
 permutation pi.  A syllable g_i^e takes one quotient D = U_i^-1 U_{i+1}
-and its inverse; then g_i^(2m) is one conjugation by phi(P)^m,
-P = x_i x_{i+1}, raised by ``words.power``, and an odd exponent adds one
-letter step.  The fold serves both words and Magnus series.  Over words
-it runs on letter-held ``GroupWord``s, one byte per letter (2g for x_g,
-2g + 1 for its inverse): the quotient is ``words.left_quotient``, which
-cuts the common prefix of U_i and U_{i+1} at C speed, and every other
-step is a product that cancels only where the factors meet and then
-concatenates the strings.  The images and longitudes are letter-held, so
+and its inverse, each formed as a product; then g_i^(2m) is one
+conjugation by phi(P)^m, P = x_i x_{i+1}, raised by ``words.power``, and
+an odd exponent adds one letter step.  The fold builds every element by
+``*`` and ``words.power`` from the identity and the six letters, so it
+serves words and Magnus series alike.  Over words it runs on letter-held
+``GroupWord``s, one byte per letter (2g for x_g, 2g + 1 for its
+inverse): every step is a product that cancels only where the factors
+meet, found at C speed, and then concatenates the strings; for the
+quotient U_i^-1 U_{i+1} that cut is the common prefix of U_i and
+U_{i+1}.  The images and longitudes are letter-held, so
 their lengths are ``len`` and no syllable is decoded unless one is read.
 No word may pass ``words.MAX_WORD_SYLLABLES`` letters, nor a substituted
 word as many syllables.
@@ -53,8 +55,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .words import (GroupWord, as_letters, braid_group, check_length, free_group,
-                    left_quotient, power, word)
+from .words import GroupWord, as_letters, braid_group, check_length, free_group, power, word
 
 __all__ = [
     "F3", "F6", "FreeAutomorphism", "artin_action", "longitude",
@@ -124,14 +125,14 @@ _WORD_ONE = as_letters(word(F3, []))
 _WORD_LETTERS = {(g, e): as_letters(word(F3, [(g, e)])) for g in range(3) for e in (1, -1)}
 
 
-def _conjugator_fold(w: GroupWord, one, letter, quotient):
+def _conjugator_fold(w: GroupWord, one, letter):
     """Fold the braid w left to right by syllables, phi_k = phi_{k-1} o l_k^e.
 
     Returns (conj, conj_inv, perm) with phi(x_i) = conj[i] x_perm[i]
     conj[i]^-1 and conj_inv[i] the inverse of conj[i].  ``one`` is the
-    identity, ``letter[g, e]`` the element x_g^e (e = +-1) and
-    ``quotient(x, x_inv, y)`` the element x^-1 y, of words or of series
-    alike.
+    identity and ``letter[g, e]`` the element x_g^e (e = +-1), of words
+    or of series alike; every other element is built by ``*`` and
+    ``words.power``, the quotients D and D^-1 included.
 
     A syllable moves two generators, x_c and x_t (c = i, t = i + 1 for
     g_i^e with e > 0, swapped with the sign s for e < 0).  Take
@@ -151,7 +152,7 @@ def _conjugator_fold(w: GroupWord, one, letter, quotient):
         c, t, sign = (g, g + 1, 1) if e > 0 else (g + 1, g, -1)
         a, b = perm[c], perm[t]
         u, v = conj[c], conj_inv[c]
-        d, d_inv = quotient(u, v, conj[t]), quotient(conj[t], conj_inv[t], u)
+        d, d_inv = v * conj[t], conj_inv[t] * u
         # x_a^s D and its inverse, shared by S and the letter step
         xd, dx = letter[a, sign] * d, d_inv * letter[a, -sign]
         m, odd = divmod(abs(e), 2)
@@ -195,7 +196,7 @@ def artin_action(w: GroupWord) -> FreeAutomorphism:
     ``words.WordTooLong`` when a word would pass
     ``words.MAX_WORD_SYLLABLES`` letters.
     """
-    conj, conj_inv, perm = _conjugator_fold(w, _WORD_ONE, _WORD_LETTERS, left_quotient)
+    conj, conj_inv, perm = _conjugator_fold(w, _WORD_ONE, _WORD_LETTERS)
     images = tuple(u * (_WORD_LETTERS[p, 1] * v) for u, v, p in zip(conj, conj_inv, perm))
     return FreeAutomorphism(images, source=w)
 
@@ -266,6 +267,8 @@ class MagnusSeries:
         return out
 
     def coefficient(self, letters: tuple[int, ...]) -> int:
+        if not all(0 <= g < self.rank for g in letters):
+            raise ValueError(f"monomial letters must lie in 0..{self.rank - 1}")
         if len(letters) > self.degree:
             return 0
         i = 0
@@ -373,8 +376,7 @@ def _magnus_fold(w: GroupWord, degree: int) -> tuple[MagnusSeries, ...]:
     # conj_inv of the conjugator fold over truncated series; the series
     # are shared by every caller and never mutated
     letter = {(g, e): _letter_series(3, g, e, degree) for g in range(3) for e in (1, -1)}
-    _, conj_inv, _ = _conjugator_fold(w, MagnusSeries.one(3, degree), letter,
-                                      lambda x, x_inv, y: x_inv * y)
+    _, conj_inv, _ = _conjugator_fold(w, MagnusSeries.one(3, degree), letter)
     return tuple(conj_inv)
 
 

@@ -508,11 +508,6 @@ class CyclotomicNumber:
                   else [str(Fraction(v, c.den)) for v in c.num])
         return {"conductor": c.conductor, "coeffs": coeffs}
 
-    @staticmethod
-    def from_json(data: dict) -> "CyclotomicNumber":
-        return CyclotomicNumber.from_coefficients(
-            int(data["conductor"]), [Fraction(s) for s in data["coeffs"]])
-
     def __str__(self):
         c = self.canonical()
         if c.conductor == 1:

@@ -9,7 +9,7 @@ A ``GroupWord`` is built reduced by ``word``.  Products and inverses
 rely on that: a product reduces only where its factors meet, keeping the
 other syllables as the same tuple objects, and an inverse only reverses
 and negates.  No product builds more than ``MAX_WORD_SYLLABLES``
-syllables.
+syllables, counted in the result before it is built.
 
 A free-group word may instead be held as a reduced letter string
 (``as_letters``, ``GroupWord.from_letters``): ``bytes`` with one byte
@@ -18,22 +18,21 @@ is below 128.  A product of two letter-held words cancels only at the
 junction, found by comparing growing windows at C speed, and then
 concatenates; an inverse is one reversal and one ``bytes.translate``;
 ``length`` is ``len`` and ``exponent_sum`` two ``bytes.count`` calls.
-``left_quotient`` forms x^-1 y by cutting the common prefix of x and y,
-after which nothing can cancel.  For letter-held words the cap counts
-letters.  Their syllables are decoded once, on first read (``str``,
-``==``, ``hash``, a product with a syllable-held word), and such mixed
-products are syllable-held.
+The product is the one junction operation: x^-1 y is
+``x.inverse() * y``, which cuts the common prefix of x and y.  For
+letter-held words the cap counts letters.  Their syllables are decoded
+once, on first read (``str``, ``==``, ``hash``, a product with a
+syllable-held word), and such mixed products are syllable-held.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import compress, count, groupby
-from operator import ne
+from itertools import groupby
 
 __all__ = [
-    "GroupContext", "GroupWord", "MAX_WORD_SYLLABLES", "WordTooLong", "left_quotient",
+    "GroupContext", "GroupWord", "MAX_WORD_SYLLABLES", "WordTooLong",
     "free_group", "free_product", "braid_group",
     "word", "generator", "commutator", "iterated_bracket", "st_words",
     "parse_word", "format_word", "evaluate_word", "power", "check_length", "as_letters",
@@ -43,9 +42,9 @@ FREE = "free"
 FREE_PRODUCT = "free_product"
 BRAID = "braid"
 
-# most syllables a product or quotient may build (letters, for letter-held
-# words), checked against the sum of its factors' lengths, which bounds
-# the result, before it is built.  A syllable tuple at the cap holds 32 MB
+# most syllables a product may build (letters, for letter-held words),
+# checked against the length of the result, found at the junction before
+# the result is built.  A syllable tuple at the cap holds 32 MB
 # of pointers, a letter string 4 MB.  The weight-4 bracket of g1^2 and
 # g2^2 has images of up to 1.71M letters; `artin --braid "g1^2000000"`
 # (images of 4M letters) peaks at 31 MB, and runs of g1^n stopped at the
@@ -172,21 +171,21 @@ class GroupWord:
         return not (self.syllables if self.letters is None else self.letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # both factors are reduced: only the junction can cancel or merge
+        # both factors are reduced: only the junction can cancel or merge,
+        # so the result's length is known before it is built
         ctx = self.context
         if other.context is not ctx and other.context != ctx:
             raise ValueError("words live in different groups")
         if self.letters is not None and other.letters is not None:
             a, b = self.letters, other.letters
-            check_length(len(a) + len(b), "letters")
-            k = _agreement(a, b, inverted=True)
+            k = _agreement(a, b)
+            check_length(len(a) + len(b) - 2 * k, "letters")
             return _held(ctx, b"".join((memoryview(a)[:len(a) - k], memoryview(b)[k:])))
         a, b = self.syllables, other.syllables
-        check_length(len(a) + len(b), "syllables")
         mod = ctx.torsion if ctx.kind == FREE_PRODUCT else 0
         # one pass over the junction: k syllables cancel from each side,
         # then at most one merges
-        k = 0
+        k, merged = 0, ()
         for (g, e), (h, f) in zip(reversed(a), b):
             if g != h:
                 break
@@ -194,9 +193,12 @@ class GroupWord:
             if mod:
                 e %= mod
             if e:
-                return GroupWord(ctx, a[:len(a) - k - 1] + ((g, e),) + b[k + 1:])
+                merged = ((g, e),)
+                break
             k += 1
-        return GroupWord(ctx, a[:len(a) - k] + b[k:])
+        n = len(merged)
+        check_length(len(a) + len(b) - 2 * k - n, "syllables")
+        return GroupWord(ctx, a[:len(a) - k - n] + merged + b[k + n:])
 
     def inverse(self) -> "GroupWord":
         # the reversal of a reduced word is reduced
@@ -252,9 +254,9 @@ def _decode(letters: bytes) -> tuple[tuple[int, int], ...]:
     return tuple((b >> 1, -n if b & 1 else n) for b, n in runs)
 
 
-def _agreement(a: bytes, b: bytes, inverted: bool) -> int:
-    """Length of the common prefix of b and of a, or, if ``inverted``, of
-    a's inverse: the letters a left quotient or a product cancels.
+def _agreement(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of b and of a's inverse: the letters
+    the product a b cancels.
 
     Windows of 8, 16, 32, ... letters are compared at C speed, and the
     first that differs is placed by one XOR of its integer values, so a
@@ -262,12 +264,12 @@ def _agreement(a: bytes, b: bytes, inverted: bool) -> int:
     """
     n = min(len(a), len(b))
     # most junctions of the Artin fold cancel nothing
-    if not n or (a[-1] ^ b[0] != 1 if inverted else a[0] != b[0]):
+    if not n or a[-1] ^ b[0] != 1:
         return 0
     k, step, end = 0, 8, len(a)
     while k < n:
         m = min(step, n - k)
-        p = a[end - k - m:end - k][::-1].translate(_INVERT) if inverted else a[k:k + m]
+        p = a[end - k - m:end - k][::-1].translate(_INVERT)
         q = b[k:k + m]
         if p != q:
             x = int.from_bytes(p, "big") ^ int.from_bytes(q, "big")
@@ -275,39 +277,6 @@ def _agreement(a: bytes, b: bytes, inverted: bool) -> int:
         k += m
         step <<= 1
     return n
-
-
-def left_quotient(x: GroupWord, x_inv: GroupWord, y: GroupWord) -> GroupWord:
-    """x^-1 y, given x, its inverse x_inv and y, all reduced.
-
-    The common prefix of x and y cancels, found at C speed.  Past it the
-    letters of letter-held words differ, so nothing more cancels and the
-    rest is one concatenation; the syllables of x_inv and y meet, and at
-    most one pair with the same generator merges.
-    """
-    ctx = x.context
-    if y.context is not ctx and y.context != ctx:
-        raise ValueError("words live in different groups")
-    if x.letters is not None and y.letters is not None and x_inv.letters is not None:
-        a, b = x.letters, y.letters
-        k = _agreement(a, b, inverted=False)
-        check_length(len(a) + len(b) - 2 * k, "letters")
-        # x_inv's first len(a) - k letters are the inverse of a[k:]
-        return _held(ctx, b"".join((memoryview(x_inv.letters)[:len(a) - k],
-                                    memoryview(b)[k:])))
-    a, b = x.syllables, y.syllables
-    k = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
-    check_length(len(a) + len(b) - 2 * k, "syllables")
-    # x_inv's first len(a) - k syllables are the inverse of a[k:]
-    n = len(a) - k
-    if n and k < len(b) and a[k][0] == b[k][0]:
-        # the words part inside a syllable: its exponents differ
-        g, e = b[k]
-        e -= a[k][1]
-        if ctx.kind == FREE_PRODUCT:
-            e %= ctx.torsion
-        return GroupWord(ctx, x_inv.syllables[:n - 1] + ((g, e),) + b[k + 1:])
-    return GroupWord(ctx, x_inv.syllables[:n] + b[k:])
 
 
 def word(context: GroupContext, syllables: Iterable[tuple[int, int]]) -> GroupWord:

@@ -17,7 +17,7 @@ from burauforge.artin import (B3, F3, artin_action, eta_embed, longitude,
                               substitute)
 from burauforge.words import (MAX_WORD_SYLLABLES, GroupWord, WordTooLong, commutator,
                               format_word, free_group, generator, iterated_bracket,
-                              left_quotient, parse_word, word)
+                              parse_word, word)
 
 G1 = generator(B3, "g1")
 G2 = generator(B3, "g2")
@@ -100,6 +100,15 @@ def test_magnus_examples():
     s = magnus_expansion(commutator(X1, X2), 2)
     assert s.coefficient((0, 1)) == 1 and s.coefficient((1, 0)) == -1
     assert s.coefficient(()) == 1 and s.coefficient((0,)) == 0
+
+
+@pytest.mark.parametrize("letters", [(0, 3), (3,), (-1,), (1, -1), (0, 1, 2, 9)])
+def test_magnus_coefficient_rejects_letters_outside_the_rank(letters):
+    # position arithmetic would read (0, 3) as X_2 X_1, whose coefficient
+    # in the expansion of x2 x1 is 1
+    s = magnus_expansion(parse_word(F3, "x2 x1"), 3)
+    with pytest.raises(ValueError, match=r"letters must lie in 0\.\.2"):
+        s.coefficient(letters)
 
 
 def test_magnus_depth_examples():
@@ -436,8 +445,7 @@ def test_report_at_exponent_2000_matches_per_letter_fold(monkeypatch):
     artin._magnus_fold.cache_clear()
     artin.artin_action.cache_clear()
     expected = _cli_output(argv)
-    monkeypatch.setattr(artin, "_conjugator_fold",
-                        lambda w, one, letter, quotient: per_letter_fold(w, one, letter))
+    monkeypatch.setattr(artin, "_conjugator_fold", per_letter_fold)
     artin._magnus_fold.cache_clear()
     artin.artin_action.cache_clear()
     try:
@@ -501,10 +509,10 @@ def test_impure_braid_is_rejected_before_any_fold(monkeypatch):
 # ---------------------------------------------------------------------------
 # fourth reference: the conjugator fold over syllable-held words, as the
 # word action ran before its words became letter strings: syllable
-# products and the syllable left_quotient
+# products, the quotients included
 
 def syllable_action(w):
-    conj, conj_inv, perm = artin._conjugator_fold(w, word(F3, []), _LETTERS, left_quotient)
+    conj, conj_inv, perm = artin._conjugator_fold(w, word(F3, []), _LETTERS)
     return tuple(u * (_LETTERS[p, 1] * v) for u, v, p in zip(conj, conj_inv, perm))
 
 
@@ -725,9 +733,9 @@ def test_strand_jobs_of_one_braid_fold_once(monkeypatch, capsys):
     calls = []
     original = artin._conjugator_fold
 
-    def counting(w, one, letter, quotient):
+    def counting(w, one, letter):
         calls.append(type(one).__name__)
-        return original(w, one, letter, quotient)
+        return original(w, one, letter)
 
     monkeypatch.setattr(artin, "_conjugator_fold", counting)
     artin._magnus_fold.cache_clear()

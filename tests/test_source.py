@@ -218,3 +218,17 @@ def test_one_scalar_search():
     # the relation oracle and the torsion guard run the same search
     assert "first_scalar_word" in _called_names(SRC / "burau.py", "projective_order")
     assert "first_scalar_word" in _called_names(SRC / "hyperbolic.py", "short_relation_oracle")
+
+
+def test_conjugator_fold_builds_words_by_products_and_powers():
+    # one junction operation for words: the fold forms every element,
+    # the quotients U_c^-1 U_t included, by * and words.power from the
+    # identity and the six letters, so words and Magnus series run it alike
+    tree = ast.parse((SRC / "artin.py").read_text())
+    fold = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_conjugator_fold")
+    assert [arg.arg for arg in fold.args.args] == ["w", "one", "letter"]
+    # a method call, such as .inverse(), has no name and fails the check
+    called = {getattr(node.func, "id", None) for node in ast.walk(fold)
+              if isinstance(node, ast.Call)}
+    assert called <= {"power", "divmod", "abs", "ValueError"}

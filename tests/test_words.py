@@ -11,8 +11,8 @@ from burauforge.modular import ModMatrix2, ab_images
 from burauforge import words
 from burauforge.words import (FREE_PRODUCT, GroupWord, WordTooLong, _reduce, as_letters,
                               braid_group, commutator, evaluate_word, format_word, free_group,
-                              free_product, generator, iterated_bracket, left_quotient,
-                              parse_word, power, st_words, word)
+                              free_product, generator, iterated_bracket, parse_word, power,
+                              st_words, word)
 
 FREE = free_group(("a", "b"))
 A = generator(FREE, "a")
@@ -163,13 +163,14 @@ def _extend(u, v):
 
 
 # x and y reduced in F_3 and in free products with torsion 2..5, drawn so
-# that they share a syllable prefix of each kind the cut must handle
+# that they share a syllable prefix of each kind the cut must handle: the
+# product x^-1 y cuts exactly the common prefix of x and y
 @given(st.sampled_from(_CONTEXTS), _SYLLABLES, _SYLLABLES, _SYLLABLES,
        st.sampled_from(["any", "equal", "x_prefix", "y_prefix", "partial", "x_empty",
                         "y_empty"]),
        st.integers(min_value=0, max_value=5))
 @settings(max_examples=400, deadline=None)
-def test_left_quotient_matches_inverse_product(ctx, drawn_p, drawn_x, drawn_y, case, pick):
+def test_inverse_product_cuts_the_common_prefix(ctx, drawn_p, drawn_x, drawn_y, case, pick):
     n = len(ctx.names)
     p, x, y = (word(ctx, [(g % n, e) for g, e in drawn]) for drawn in (drawn_p, drawn_x, drawn_y))
     if case == "equal":
@@ -193,8 +194,7 @@ def test_left_quotient_matches_inverse_product(ctx, drawn_p, drawn_x, drawn_y, c
     elif case == "y_empty":
         y = word(ctx, [])
     x_inv = x.inverse()
-    quotient = left_quotient(x, x_inv, y)
-    assert quotient == x_inv * y
+    quotient = x_inv * y
     assert quotient == word(ctx, x_inv.syllables + y.syllables)
     if case == "equal":
         assert quotient.is_identity
@@ -207,16 +207,16 @@ def test_left_quotient_matches_inverse_product(ctx, drawn_p, drawn_x, drawn_y, c
         assert quotient.syllables[len(x.syllables) - k - 1][0] == x.syllables[k][0]
 
 
-def test_left_quotient_examples():
+def test_inverse_product_examples():
     x, y = parse_word(FREE, "a^2 b^-1 a^3 b"), parse_word(FREE, "a^2 b^-1 a^-1 b^2")
-    assert format_word(left_quotient(x, x.inverse(), y)) == "b^-1 a^-4 b^2"
-    assert format_word(left_quotient(y, y.inverse(), x)) == "b^-2 a^4 b"
-    assert left_quotient(x, x.inverse(), x).is_identity
+    assert format_word(x.inverse() * y) == "b^-1 a^-4 b^2"
+    assert format_word(y.inverse() * x) == "b^-2 a^4 b"
+    assert (x.inverse() * x).is_identity
     empty = word(FREE, [])
-    assert left_quotient(empty, empty, y) == y
-    assert left_quotient(x, x.inverse(), empty) == x.inverse()
+    assert empty.inverse() * y == y
+    assert x.inverse() * empty == x.inverse()
     with pytest.raises(ValueError, match="different groups"):
-        left_quotient(A, A.inverse(), generator(free_group(("x", "y")), "x"))
+        A.inverse() * generator(free_group(("x", "y")), "x")
 
 
 def test_products_past_the_syllable_cap_raise(monkeypatch):
@@ -228,11 +228,12 @@ def test_products_past_the_syllable_cap_raise(monkeypatch):
         u * v
     with pytest.raises(WordTooLong):
         power(u, 3, word(FREE, []))
-    # a quotient is bounded by the syllables past the common prefix
+    # a product is bounded by the word it builds: a quotient by the
+    # syllables past the common prefix
     x, y = parse_word(FREE, "a b a b a b"), parse_word(FREE, "a b a b a b a")
-    assert format_word(left_quotient(x, x.inverse(), y)) == "a"
+    assert format_word(x.inverse() * y) == "a"
     with pytest.raises(WordTooLong, match="up to 12 syllables"):
-        left_quotient(x, x.inverse(), v)
+        x.inverse() * v
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def test_letter_held_words_agree_with_syllable_held(drawn_p, drawn_x, drawn_y, c
     # product, inverse and quotient stay letter-held and equal the
     # syllable results, letter for letter
     for got, expected in ((lx * ly, x * y), (lx.inverse(), x.inverse()),
-                          (left_quotient(lx, lx.inverse(), ly), left_quotient(x, x.inverse(), y)),
+                          (lx.inverse() * ly, x.inverse() * y),
                           (lx ** 3, x ** 3), (ly ** -2, y ** -2)):
         assert got.letters == as_letters(expected).letters
         assert got == expected
@@ -300,13 +301,45 @@ def test_letter_products_count_letters_against_the_cap(monkeypatch):
     with pytest.raises(WordTooLong, match=r"^a word of up to 12 letters is past the cap "
                                           r"of 10 \(MAX_WORD_SYLLABLES\)$"):
         u * u
-    # a quotient is bounded by the letters past the common prefix
+    # a product is bounded by the word it builds: a quotient by the
+    # letters past the common prefix
     x, y = as_letters(word(F3, [(0, 6), (1, 1)])), as_letters(word(F3, [(0, 6), (1, 2)]))
-    assert left_quotient(x, x.inverse(), y).letters == bytes((2,))
+    assert (x.inverse() * y).letters == bytes((2,))
     with pytest.raises(WordTooLong, match="up to 12 letters"):
-        left_quotient(x, x.inverse(), as_letters(word(F3, [(2, 5)])))
+        x.inverse() * as_letters(word(F3, [(2, 5)]))
     with pytest.raises(WordTooLong, match="up to 11 letters"):
         as_letters(word(F3, [(0, 11)]))
+
+
+# reduced factors, a shared part cancelling at the junction or not, held
+# as syllables or letters; the cap is small, so many products pass it
+@given(st.sampled_from(_CONTEXTS), _SYLLABLES, _SYLLABLES, _SYLLABLES,
+       st.booleans(), st.sampled_from(["syllables", "letters", "mixed"]),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=400, deadline=None)
+def test_product_raises_exactly_past_the_cap(ctx, drawn_p, drawn_x, drawn_y, cancel, held,
+                                              cap):
+    n = len(ctx.names)
+    p, x, y = (word(ctx, [(g % n, e) for g, e in drawn]) for drawn in (drawn_p, drawn_x, drawn_y))
+    if cancel:
+        x, y = x * p, p.inverse() * y
+    if held != "syllables":
+        assume(ctx.kind != FREE_PRODUCT)
+        x = as_letters(x)
+        if held == "letters":
+            y = as_letters(y)
+    unit = "letters" if held == "letters" else "syllables"
+    reduced = word(ctx, x.syllables + y.syllables)
+    size = reduced.length() if unit == "letters" else len(reduced.syllables)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "MAX_WORD_SYLLABLES", cap)
+        if size > cap:
+            with pytest.raises(WordTooLong, match=f"^a word of up to {size} {unit} is past"):
+                x * y
+            return
+        product = x * y
+    assert product == reduced
+    assert (product.letters is not None) == (unit == "letters")
 
 
 def test_power_squares_capped_products():
