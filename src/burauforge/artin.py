@@ -233,7 +233,8 @@ class MagnusSeries:
     (degree p) and j (degree q) gives position i * rank^q + j of degree
     p + q, so products need no monomial table.  The truncation degree is
     ``len(blocks) - 1``.  A series takes over the dicts it is built from
-    and drops their zeros in place, so a product builds its blocks once.
+    and drops their zeros in place; a product, whose blocks ``_mul_into``
+    keeps free of zeros, hands them over with no scan.
     """
 
     __slots__ = ("rank", "blocks")
@@ -244,6 +245,14 @@ class MagnusSeries:
         for block in blocks:
             for k in [k for k, c in block.items() if not c]:
                 del block[k]
+
+    @staticmethod
+    def _of_product(rank: int, blocks: list[dict[int, int]]) -> "MagnusSeries":
+        # blocks built by _mul_into from zero-free factors hold no zeros
+        series = object.__new__(MagnusSeries)
+        series.rank = rank
+        series.blocks = blocks
+        return series
 
     @staticmethod
     def one(rank: int, degree: int) -> "MagnusSeries":
@@ -287,7 +296,7 @@ class MagnusSeries:
             raise ValueError("series with different shapes")
         blocks = [dict(block) for block in self.blocks]
         _mul_into(blocks, other.blocks, self.rank)
-        return MagnusSeries(self.rank, blocks)
+        return MagnusSeries._of_product(self.rank, blocks)
 
     def lowest_degree(self) -> int | None:
         """Smallest positive degree carrying a nonzero coefficient."""
@@ -298,14 +307,20 @@ class MagnusSeries:
 
 
 def _mul_into(blocks: list[dict], factor: list[dict], rank: int) -> None:
-    # blocks <- blocks * factor, both with constant term 1, top block
-    # first: block p gains blocks[p - q] * factor[q] for q = 1..p, and
-    # those lower blocks are still the left factor's.  Zeros are kept.
+    # blocks <- blocks * factor, both with constant term 1 and no zero
+    # coefficient, top block first: block p gains blocks[p - q] * factor[q]
+    # for q = 1..p, and those lower blocks are still the left factor's.  A
+    # coefficient that sums to 0 is deleted: every term added is nonzero,
+    # so its key was there, and blocks stay free of zeros.
     for p in range(len(blocks) - 1, 0, -1):
         acc = blocks[p]
         get = acc.get
         for j, y in factor[p].items():
-            acc[j] = get(j, 0) + y
+            c = get(j, 0) + y
+            if c:
+                acc[j] = c
+            else:
+                del acc[j]
         for q in range(1, p):
             left, right = blocks[p - q], factor[q]
             if not left or not right:
@@ -314,7 +329,11 @@ def _mul_into(blocks: list[dict], factor: list[dict], rank: int) -> None:
             for j, y in right.items():
                 for i, x in left.items():
                     k = i * shift + j
-                    acc[k] = get(k, 0) + x * y
+                    c = get(k, 0) + x * y
+                    if c:
+                        acc[k] = c
+                    else:
+                        del acc[k]
 
 
 @lru_cache(maxsize=4096)
@@ -336,7 +355,7 @@ def magnus_expansion(w: GroupWord, degree: int) -> MagnusSeries:
     blocks = MagnusSeries.one(rank, degree).blocks
     for g, e in w.syllables:
         _mul_into(blocks, _letter_series(rank, g, e, degree).blocks, rank)
-    return MagnusSeries(rank, blocks)
+    return MagnusSeries._of_product(rank, blocks)
 
 
 def magnus_depth(w: GroupWord, dmax: int) -> int | None:

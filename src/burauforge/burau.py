@@ -10,6 +10,14 @@ parameter -q, so that with a caller-supplied q
 These closed forms are the definitions ``squared_images`` returns; the
 test suite proves once that they equal the generator products for every q.
 
+``root_eigen_powers`` raises a 2x2 matrix whose eigenvalues are signed
+powers of a root of unity q, as those of A, B (q^2, 1) and AB (-q, -q^3)
+are, by Cayley-Hamilton: each power is c_m m + c_I I with coefficients
+that are sums of powers of q, each one ``root_power_sum``, after an exact
+check of the pair against the trace and the determinant.  The relation
+families take every power of A, B and AB from it;
+``CycloMatrix.__pow__`` (square-and-multiply) stays the generic path.
+
 ``first_scalar_word`` is the one search for a scalar product of 2x2
 matrices, run by the relation oracle over x, x^-1, y, y^-1 and by
 ``projective_order`` over one letter.  It works on residues modulo a
@@ -25,11 +33,12 @@ import functools
 import math
 import operator
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, dot, matmul
+from .cyclotomic import (CyclotomicNumber, cyclotomic_polynomial, dot, matmul,
+                         root_power_sum)
 from .words import GroupWord, evaluate_word, power
 
 __all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
-           "first_scalar_word", "projective_order"]
+           "root_eigen_powers", "first_scalar_word", "projective_order"]
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
@@ -171,6 +180,61 @@ def squared_images(q: CyclotomicNumber) -> tuple[CycloMatrix, CycloMatrix, Cyclo
             CycloMatrix([[mq3, _ZERO], [_ZERO, mq3]]))
 
 
+def root_eigen_powers(m: CycloMatrix, q: CyclotomicNumber, lam: tuple[int, int],
+                      mu: tuple[int, int], exponents) -> list[CycloMatrix]:
+    """[m^e for e in exponents] for a 2x2 m whose eigenvalues are
+    lam = s q^a and mu = t q^b, each given as (sign s or t = +-1,
+    exponent a or b), for a root of unity q.
+
+    By Cayley-Hamilton, with U_n = sum_(j<n) lam^j mu^(n-1-j),
+
+        m^n = U_n m - lam mu U_(n-1) I              (n >= 1),
+        m^-n = (lam mu)^-n (U_(n+1) I - U_n m)      (n >= 0),
+
+    also when lam = mu.  Each coefficient is one ``root_power_sum`` over
+    the exponents of q folded mod ord(q), its terms counted once per
+    period in j, and every power is a row of one product
+    [[c_m, c_I], ...] [[m], [I]]: no power, product or inverse of m is
+    formed.  Before any use the pair is checked exactly against the trace
+    and the determinant of m, raising ValueError when either differs.
+    """
+    if m.size != 2:
+        raise ValueError("only 2x2 matrices are powered by their eigenvalues")
+    (s, a), (t, b) = lam, mu
+    if s not in (1, -1) or t not in (1, -1):
+        raise ValueError("eigenvalue signs must be 1 or -1")
+    order = q.multiplicative_order()
+    if order is None:
+        raise ValueError("q must be a root of unity")
+    # the j-th term of U_n is t^(n-1) (s t)^j q^(b (n-1) + (a-b) j): periodic in j
+    period = math.lcm(1 if s == t else 2, order // math.gcd(order, a - b))
+
+    def root_sum(n: int, c: int, x: int) -> CyclotomicNumber:
+        # c q^x U_n, c = +-1
+        full, rest = divmod(n, period)
+        sign = c * t ** ((n - 1) % 2)
+        coeffs = [0] * order
+        for j in range(min(n, period)):
+            coeffs[(x + b * (n - 1) + (a - b) * j) % order] += sign * (full + (j < rest))
+            sign *= s * t
+        return root_power_sum(q, coeffs)
+
+    (m00, m01), (m10, m11) = m.rows
+    if m00 + m11 != root_sum(2, 1, 0) or m.det2() != root_sum(1, s * t, a + b):
+        raise ValueError("eigenvalues do not match the trace and determinant")
+    coefficients = []
+    for e in exponents:
+        if e > 0:
+            coefficients.append([root_sum(e, 1, 0), root_sum(e - 1, -s * t, a + b)])
+        else:
+            # (lam mu)^e = (s t)^e q^(e (a + b))
+            c = s * t if e % 2 else 1
+            coefficients.append([root_sum(-e, -c, e * (a + b)),
+                                 root_sum(1 - e, c, e * (a + b))])
+    rows = matmul(coefficients, [[m00, m01, m10, m11], [_ONE, _ZERO, _ZERO, _ONE]])
+    return [CycloMatrix([row[:2], row[2:]]) for row in rows]
+
+
 def pair_word_eval(w: GroupWord, a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
     """Evaluate a word over a two-letter alphabet at the matrices (a, b)."""
     names = w.context.names
@@ -188,11 +252,17 @@ _ROOT_TRIES = 64
 # exactly below 3.1 * 10^23 (Sorenson and Webster, "Strong pseudoprimes to
 # twelve prime bases", Math. Comp. 86, 2017), so below 2^64
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to the nine prime bases up to 23 (Jiang and
+# Deng, "Strong pseudoprimes to the first eight prime bases", Math. Comp.
+# 83, 2014): below it those nine bases decide primality, and every
+# modulus of the scalar search lies below 2^61, under it
+_NINE_BASES_BOUND = 3825123056546413051
 
 
 def _is_prime(n: int) -> bool:
     """Whether n < 2^64 is prime, by the deterministic Miller-Rabin test
-    over the twelve prime bases up to 37."""
+    over the nine prime bases up to 23 below 3,825,123,056,546,413,051
+    and the twelve up to 37 from there."""
     if n >= 1 << 64:
         raise ValueError("primality is decided below 2^64 only")
     if n < 2:
@@ -204,7 +274,7 @@ def _is_prime(n: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for b in _WITNESS_BASES:
+    for b in _WITNESS_BASES[:9] if n < _NINE_BASES_BOUND else _WITNESS_BASES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -175,8 +175,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_params(args) -> int:
     params = build_params(args.p)
-    _, twist_claim = twist_projective_order(args.p)
-    _, gamma_claim = gamma_at_p(args.p)
+    _, twist_claim = twist_projective_order(params)
+    _, gamma_claim = gamma_at_p(params)
     report = {"command": "params", "parameters": {"p": args.p},
               "params": params.to_json()}
     return _emit(report, [twist_claim, gamma_claim], args)

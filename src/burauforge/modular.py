@@ -152,15 +152,16 @@ def psl_order(n: int, primes: list[int] | None = None) -> int:
 
 
 def psl_order_bruteforce(n: int) -> int:
-    """Count det-1 matrices mod n directly; oracle for the closed form."""
+    """Count det-1 matrices mod n directly; oracle for the closed form.
+
+    Every quadruple (a, b, c, d) with ad - bc = 1 (mod n) is counted, in
+    O(n^2): a table holds how many (b, c) give each residue of bc, and
+    each (a, d) looks up the residue ad - 1."""
     if not 2 < n <= 13:
         raise ValueError("brute force supported for 2 < n <= 13 only")
-    count = 0
-    for a in range(n):
-        for d in range(n):
-            ad = a * d
-            for b in range(n):
-                for c in range(n):
-                    if (ad - b * c) % n == 1:
-                        count += 1
+    products = [0] * n
+    for b in range(n):
+        for c in range(n):
+            products[b * c % n] += 1
+    count = sum(products[(a * d - 1) % n] for a in range(n) for d in range(n))
     return count // 2

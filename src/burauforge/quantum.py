@@ -3,7 +3,11 @@
 For each admissible level p (p >= 3, p != 2 mod 4) this module builds the
 defining root, the admissible colour set, the twist eigenvalues, the
 parameter fed to the 2-dimensional sub-representation, and its
-tabulated half-order; everything is exact and symbolic.
+tabulated half-order; everything is exact and symbolic.  Every root in
+the record is a power of zeta_n with -a = zeta_n^t, so each twist order
+is n / gcd(n, t l(l+2)), taken from the exponents alone.  The claims
+accept the level or its record, so a caller that holds the record (the
+``params`` command) builds it once.
 
 Colour convention: colour sets are indexed by the level p itself
 ({0,...,p/2-2} for even p, {0,2,...,p-3} for odd p).  That is the unique
@@ -59,6 +63,16 @@ def _validate_p(p: int):
         raise ValueError("levels congruent to 2 mod 4 are not admissible")
 
 
+def _root_exponents(p: int) -> tuple[int, int]:
+    # (n, t) with -a = zeta_n^t, so that a, the parameter and every twist
+    # are powers of zeta_n
+    return (p, 1) if p % 4 == 0 else (2 * p, p + 1)
+
+
+def _colors(p: int) -> tuple[int, ...]:
+    return tuple(range(0, p // 2 - 1)) if p % 2 == 0 else tuple(range(0, p - 2, 2))
+
+
 def build_params(p: int) -> QuantumParams:
     """Exact parameter record for level p.
 
@@ -69,8 +83,7 @@ def build_params(p: int) -> QuantumParams:
     ord(parameter) = 2 * half_order are asserted on construction.
     """
     _validate_p(p)
-    # -a = zeta_n^t, so a, the parameter and every twist are powers of zeta_n
-    n, t = (p, 1) if p % 4 == 0 else (2 * p, p + 1)
+    n, t = _root_exponents(p)
     s = t + n // 2  # a = zeta_n^s
     a = root_of_unity(n, s)
     k = 4 if p % 4 == 0 or p == 5 else 8
@@ -90,23 +103,30 @@ def build_params(p: int) -> QuantumParams:
     if q.multiplicative_order() != 2 * half:
         raise AssertionError("parameter order disagrees with the half-order table")
 
-    if p % 2 == 0:
-        colors = tuple(range(0, p // 2 - 1))
-    else:
-        colors = tuple(range(0, p - 2, 2))
+    colors = _colors(p)
     twists = tuple(root_of_unity(n, t * l * (l + 2)) for l in colors)
     return QuantumParams(p=p, a_root=a, colors=colors, twists=twists,
                          burau_parameter=q, half_order=half)
 
 
-def twist_projective_order(p: int) -> tuple[int, ClaimReport]:
-    """lcm over colours of ord(mu_l / mu_0); expected to equal p for p >= 5."""
-    params = build_params(p)
-    mu0_inv = params.twists[0].inverse()
+def twist_projective_order(level: int | QuantumParams) -> tuple[int, ClaimReport]:
+    """lcm over colours of ord(mu_l / mu_0); expected to equal p for p >= 5.
+
+    ``level`` is p or its record from ``build_params``.  With
+    -a = zeta_n^t as in ``build_params``, mu_l = zeta_n^(t l(l+2)) and
+    mu_0 = 1, so ord(mu_l / mu_0) = n / gcd(n, t l(l+2)): no field
+    element is formed.
+    """
+    if isinstance(level, QuantumParams):
+        p, colors = level.p, level.colors
+    else:
+        _validate_p(level)
+        p, colors = level, _colors(level)
+    n, t = _root_exponents(p)
     witnesses = []
     value = 1
-    for l, mu in zip(params.colors, params.twists):
-        o = (mu * mu0_inv).multiplicative_order()
+    for l in colors:
+        o = n // math.gcd(n, t * l * (l + 2))
         witnesses.append({"color": l, "eigenvalue_order": o})
         value = math.lcm(value, o)
     ok = value == p
@@ -121,14 +141,16 @@ def twist_projective_order(p: int) -> tuple[int, ClaimReport]:
     return value, report
 
 
-def gamma_at_p(p: int) -> tuple[TriangleClassification, ClaimReport]:
+def gamma_at_p(level: int | QuantumParams) -> tuple[TriangleClassification, ClaimReport]:
     """Classify the image at the level's parameter and cross-check the table.
 
-    An integral half-order o must give the even case with k = o; a
-    half-integral one the odd case with triangle (2, 3, 2o).  Finite-image
-    levels (the excluded TQFT sizes) are reported as such.
+    ``level`` is p or its record from ``build_params``.  An integral
+    half-order o must give the even case with k = o; a half-integral one
+    the odd case with triangle (2, 3, 2o).  Finite-image levels (the
+    excluded TQFT sizes) are reported as such.
     """
-    params = build_params(p)
+    params = level if isinstance(level, QuantumParams) else build_params(level)
+    p = params.p
     cls = classify(params.burau_parameter)
     o = params.half_order
     expected_order = 2 * o

@@ -15,7 +15,13 @@ primitive n-th root of unity.  Each family is registered once, in
 ``cli.SUITES``, which names its routine and the order n of its parameter.
 Every witness is decided by a matrix product and ``CycloMatrix.is_scalar``:
 a word is scalar, or m1 = c * m2 projectively, which is m1 adj(m2) being
-scalar.  ``galois_orbit`` evaluates a family once per order, at zeta_n,
+scalar.  Every power of A, B and AB (A^k, (AB)^n, A^-1, alpha = A^(k+1),
+alpha^2 and alpha^n among them) comes in closed form from the
+eigenvalues, q^2, 1 for A and B and -q, -q^3 for AB, by
+``burau.root_eigen_powers``; only the squares and cubes of mixed words
+are products.
+
+``galois_orbit`` evaluates a family once per order, at zeta_n,
 and derives the claim at each other primitive root zeta_n^j by
 sigma_j: zeta_n -> zeta_n^j.  A and B have entries in Z[q], so a word at
 zeta_n^j is sigma_j applied entrywise to the word at zeta_n; scalarity and
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .burau import CycloMatrix, squared_images
+from .burau import CycloMatrix, root_eigen_powers, squared_images
 from .cyclotomic import CyclotomicNumber, prime_factors, root_of_unity
 from .modular import psl_order
 from .reports import ClaimReport
@@ -147,18 +153,30 @@ def _images(q: CyclotomicNumber, n: int) -> tuple[CycloMatrix, CycloMatrix]:
     return a, b
 
 
-def _even_words(k: int, a: CycloMatrix, b: CycloMatrix):
-    return [(f"A^{k}", a ** k), (f"B^{k}", b ** k), (f"(AB)^{k}", (a * b) ** k)]
+# eigenvalues as (sign, exponent of q): A and B are triangular with
+# diagonal q^2, 1, and tr AB = -q - q^3, det AB = q^4
+_SQUARE_EIGENVALUES = ((1, 2), (1, 0))
+_PRODUCT_EIGENVALUES = ((-1, 1), (-1, 3))
 
 
-def _odd_words(k: int, a: CycloMatrix, b: CycloMatrix):
+def _even_words(k: int, q: CyclotomicNumber, a: CycloMatrix, b: CycloMatrix):
+    (a_k,) = root_eigen_powers(a, q, *_SQUARE_EIGENVALUES, [k])
+    (b_k,) = root_eigen_powers(b, q, *_SQUARE_EIGENVALUES, [k])
+    (ab_k,) = root_eigen_powers(a * b, q, *_PRODUCT_EIGENVALUES, [k])
+    return [(f"A^{k}", a_k), (f"B^{k}", b_k), (f"(AB)^{k}", ab_k)]
+
+
+def _odd_words(k: int, q: CyclotomicNumber, a: CycloMatrix, b: CycloMatrix):
     n = 2 * k + 1
+    a_n, a_inv, a_k1 = root_eigen_powers(a, q, *_SQUARE_EIGENVALUES, [n, -1, k - 1])
+    b_n, b_k = root_eigen_powers(b, q, *_SQUARE_EIGENVALUES, [n, k])
+    (ab_n,) = root_eigen_powers(a * b, q, *_PRODUCT_EIGENVALUES, [n])
     return [
-        (f"A^{n}", a ** n),
-        (f"B^{n}", b ** n),
-        (f"(AB)^{n}", (a * b) ** n),
-        (f"(A^-1 B^{k})^2", (a.inverse() * b ** k) ** 2),
-        (f"(B^{k} A^{k - 1})^3", (b ** k * a ** (k - 1)) ** 3),
+        (f"A^{n}", a_n),
+        (f"B^{n}", b_n),
+        (f"(AB)^{n}", ab_n),
+        (f"(A^-1 B^{k})^2", (a_inv * b_k) ** 2),
+        (f"(B^{k} A^{k - 1})^3", (b_k * a_k1) ** 3),
     ]
 
 
@@ -168,7 +186,7 @@ def verify_even(k: int, q: CyclotomicNumber) -> ClaimReport:
         raise ValueError("k must be at least 2")
     return _relation_claim("even-case presentation relations are projectively trivial",
                            {"k": k, "parameter_order": 2 * k, "q": str(q)},
-                           _even_words(k, *_images(q, 2 * k)))
+                           _even_words(k, q, *_images(q, 2 * k)))
 
 
 def verify_odd(k: int, q: CyclotomicNumber) -> ClaimReport:
@@ -177,7 +195,7 @@ def verify_odd(k: int, q: CyclotomicNumber) -> ClaimReport:
         raise ValueError("k must be at least 2")
     return _relation_claim("odd-case presentation relations are projectively trivial",
                            {"k": k, "parameter_order": 2 * k + 1, "q": str(q)},
-                           _odd_words(k, *_images(q, 2 * k + 1)))
+                           _odd_words(k, q, *_images(q, 2 * k + 1)))
 
 
 def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
@@ -191,14 +209,16 @@ def verify_odd_embedding(k: int, q: CyclotomicNumber) -> ClaimReport:
         raise ValueError("k must be at least 2")
     n = 2 * k + 1
     a, b = _images(q, n)
-    alpha = a ** (k + 1)
-    u = a.inverse() * b ** k * a ** k
-    v = a ** k * b ** k * a ** k
-    alpha2 = alpha * alpha
+    # alpha = A^(k+1), so alpha^2 and alpha^n are powers of A too
+    alpha, alpha2, alpha_n, a_inv, a_k = root_eigen_powers(
+        a, q, *_SQUARE_EIGENVALUES, [k + 1, 2 * k + 2, (k + 1) * n, -1, k])
+    (b_k,) = root_eigen_powers(b, q, *_SQUARE_EIGENVALUES, [k])
+    u = a_inv * b_k * a_k
+    v = a_k * b_k * a_k
     return _relation_claim(
         "median-triangle generators satisfy the (2,3,2k+1) presentation",
         {"k": k, "parameter_order": n, "q": str(q)},
-        [(f"alpha^{n}", alpha ** n), ("u^3", u ** 3), ("v^2", v ** 2),
+        [(f"alpha^{n}", alpha_n), ("u^3", u ** 3), ("v^2", v ** 2),
          ("alpha u v", alpha * u * v)],
         proj=[("alpha^2 = A (projective)", alpha2, a),
               ("u^2 alpha^2 u = v alpha^2 v (projective)", u * u * alpha2 * u, v * alpha2 * v),
@@ -221,7 +241,7 @@ def verify_kernel_words(n: int, q: CyclotomicNumber) -> ClaimReport:
     return _relation_claim(
         "kernel normal generators are projectively trivial",
         {"n": n, "k": k, "q": str(q)},
-        words(k, *_images(q, n)),
+        words(k, q, *_images(q, n)),
         note="degenerate order-2 parameter: squared generators act trivially" if n == 2 else "",
     )
 

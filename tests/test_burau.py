@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from burauforge import burau
 from burauforge.burau import (CycloMatrix, burau_eval, burau_generator, pair_word_eval,
-                              projective_order, squared_images)
+                              projective_order, root_eigen_powers, squared_images)
 from burauforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
                                    root_of_unity)
-from burauforge.words import braid_group, free_group, parse_word, word
+from burauforge.words import braid_group, free_group, parse_word, power, word
 
 C = CyclotomicNumber
 B3 = braid_group(3)
@@ -217,8 +217,9 @@ def test_split_root_is_a_root_of_the_cyclotomic_polynomial(m, avoid):
 
 
 # strong pseudoprimes to the base 2 (23 * 89), to the bases 2, 3, 5 and 7
-# (151 * 751 * 28351), and to every prime base up to 23
-@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+# (151 * 751 * 28351), to every prime base up to 19 (10670053 * 32010157,
+# which the ninth base, 23, rejects), and to every prime base up to 23
+@pytest.mark.parametrize("n", [2047, 3215031751, 341550071728321, 3825123056546413051])
 def test_primality_rejects_strong_pseudoprimes(n):
     assert not burau._is_prime(n)
 
@@ -435,3 +436,81 @@ def test_product_kernel_forms_no_field_products_or_sums(monkeypatch):
     monkeypatch.undo()
     assert product.rows == tuple(tuple(r) for r in expected)
     assert det == x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
+
+
+# ---------------------------------------------------------------------------
+# powers by eigenvalues: A and B have eigenvalues q^2, 1 and AB has -q, -q^3
+
+EIGENVALUES = {"A": ((1, 2), (1, 0)), "B": ((1, 2), (1, 0)), "AB": ((-1, 1), (-1, 3))}
+
+
+@st.composite
+def roots_of_unity(draw):
+    # a primitive root of each order 1..60, q = 1 and q = -1 among them
+    n = draw(st.integers(1, 60))
+    return root_of_unity(n, draw(st.sampled_from([j for j in range(1, n + 1)
+                                                   if math.gcd(j, n) == 1])))
+
+
+@given(roots_of_unity())
+@settings(max_examples=25, deadline=None)
+def test_eigen_powers_match_square_and_multiply(q):
+    a, b, _ = squared_images(q)
+    exponents = range(-60, 61)
+    for name, m in (("A", a), ("B", b), ("AB", a * b)):
+        got = root_eigen_powers(m, q, *EIGENVALUES[name], exponents)
+        assert got == [power(m, e, CycloMatrix.identity(2)) for e in exponents], name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_eigen_powers_at_q_plus_minus_one(n):
+    # a repeated eigenvalue: at q = 1, A is the unipotent [[1, 2], [0, 1]]
+    q = root_of_unity(n, 1)
+    a, b, _ = squared_images(q)
+    for name, m in (("A", a), ("B", b), ("AB", a * b)):
+        got = root_eigen_powers(m, q, *EIGENVALUES[name], range(-60, 61))
+        assert got == [power(m, e, CycloMatrix.identity(2)) for e in range(-60, 61)], name
+
+
+@given(roots_of_unity(), st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+       st.integers(-30, 30), st.integers(-30, 30), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_eigen_powers_of_triangular_matrices(q, s, t, a, b, corner):
+    # any signs and exponents: [[s q^a, corner], [0, t q^b]], conjugated
+    # by [[1, 0], [1, 1]] so that it is not triangular
+    lam, mu = s * q ** a, t * q ** b
+    m = CycloMatrix([[lam - corner, C.from_rational(corner)],
+                     [lam - corner - mu, mu + corner]])
+    exponents = range(-25, 26)
+    got = root_eigen_powers(m, q, (s, a), (t, b), exponents)
+    assert got == [power(m, e, CycloMatrix.identity(2)) for e in exponents]
+
+
+def test_eigen_powers_of_a_unipotent_matrix():
+    one = root_of_unity(1, 1)
+    a, _, _ = squared_images(one)
+    a_5, a_inv = root_eigen_powers(a, one, (1, 2), (1, 0), [5, -1])
+    assert _entries(a_5) == [["1", "10"], ["0", "1"]]
+    assert _entries(a_inv) == [["1", "-2"], ["0", "1"]]
+
+
+def test_eigen_powers_refuse_a_wrong_eigenvalue_pair():
+    q = root_of_unity(7, 1)
+    a, b, _ = squared_images(q)
+    for m, lam, mu in ((a, (1, 0), (1, 2)), (a, (1, 2), (1, 0))):
+        assert root_eigen_powers(m, q, lam, mu, [3]) == [m * m * m]
+    one = C.from_rational(1)
+    # trace q^2 + 1 but determinant q^2 - 1
+    unbalanced = CycloMatrix([[q * q, one], [one, one]])
+    # the first three pairs have determinant q^2 and the wrong trace
+    for m, lam, mu in ((a, (1, 1), (1, 1)), (a, (-1, 2), (-1, 0)), (a, (1, 3), (1, -1)),
+                       (unbalanced, (1, 2), (1, 0)),
+                       (a * b, (1, 2), (1, 0)), (a * b, (-1, 1), (1, 3))):
+        with pytest.raises(ValueError, match="trace and determinant"):
+            root_eigen_powers(m, q, lam, mu, [3])
+    with pytest.raises(ValueError, match="root of unity"):
+        root_eigen_powers(a, q + 1, (1, 2), (1, 0), [3])
+    with pytest.raises(ValueError, match="signs"):
+        root_eigen_powers(a, q, (2, 2), (1, 0), [3])
+    with pytest.raises(ValueError, match="2x2"):
+        root_eigen_powers(CycloMatrix.identity(3), q, (1, 0), (1, 0), [3])

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -648,3 +649,37 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files):
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
     check()
+
+
+# sha256 of the stdout of `verify` over each documented full range, and of
+# the concatenated stdout of `params` and `twist-order` over the levels of
+# the benchmark's sweep, as printed when every relation power was taken by
+# square-and-multiply and every twist order by field arithmetic
+FULL_RANGE_DIGESTS = {
+    ("even", "4..24"): "460f700023305dd44684f7616640da3f2836f44be774d868cc9ddedc50eaef3d",
+    ("odd", "3..15"): "30d5d92723ef7ee84cb1ee0f3831da7d89a5e48b9efc4a9f0712c631bafca6e9",
+    ("oddlem", "3..15"): "fa71649133827e493b6444b8f09c37488147c60bd42ba5ff8da9b03a0f605ab4",
+    ("kernel", "2..40"): "5698177c5e78d4764b42b2b51c3976b5f6264b956f3c64b8432dc41e851d122b",
+    ("psl", "3..13"): "be526b6979fa14f18e3388fb509e1a5c2d2d00162085b51f33d88dda210f3433",
+}
+LEVEL_DIGESTS = {
+    ("params", 49): "8fb899ee2285244033e0386d95c1c6be7b5ff8f763d0e66e2a5421957f79ee15",
+    ("twist-order", 65): "eaaf3f3d5f5c24dcafb4c5f81eb3ba8f2bfbbaf782549d2755eab3d4b2ab2fc8",
+}
+
+
+@pytest.mark.parametrize("suite, span", sorted(FULL_RANGE_DIGESTS))
+def test_full_range_reports_are_byte_identical(capsys, suite, span):
+    assert main(["verify", "--suite", suite, "--range", span]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_RANGE_DIGESTS[suite, span]
+
+
+@pytest.mark.parametrize("command, end", sorted(LEVEL_DIGESTS))
+def test_level_reports_are_byte_identical(capsys, command, end):
+    digest = hashlib.sha256()
+    for p in range(5, end):
+        if p % 4 != 2:
+            assert main([command, "--p", str(p)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == LEVEL_DIGESTS[command, end]

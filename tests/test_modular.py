@@ -122,12 +122,24 @@ def test_sweep_7_to_31():
         assert verify_presentation(n).passed
 
 
+def _count_det_one_quadruples(n):
+    # every (a, b, c, d) mod n by four nested loops, halved for +-1
+    count = 0
+    for a in range(n):
+        for d in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if (a * d - b * c) % n == 1:
+                        count += 1
+    return count // 2
+
+
 def test_brute_force_orders():
     assert psl_order_bruteforce(5) == 60
     assert psl_order_bruteforce(7) == 168
     assert psl_order_bruteforce(9) == 324
     for n in range(3, 14):
-        assert psl_order(n) == psl_order_bruteforce(n)
+        assert psl_order(n) == psl_order_bruteforce(n) == _count_det_one_quadruples(n)
     with pytest.raises(ValueError):
         psl_order_bruteforce(14)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,35 @@ def test_twist_orders():
             continue
         value, rep = twist_projective_order(p)
         assert value == p and rep.passed and not rep.flagged, p
+
+
+def _twist_orders_by_field_arithmetic(params):
+    # ord(mu_l / mu_0) of the twist eigenvalues as field elements
+    mu0_inv = params.twists[0].inverse()
+    return [(mu * mu0_inv).multiplicative_order() for mu in params.twists]
+
+
+def test_twist_orders_match_the_field_arithmetic():
+    for p in range(3, 129):
+        if p % 4 == 2:
+            continue
+        params = build_params(p)
+        orders = _twist_orders_by_field_arithmetic(params)
+        for level in (p, params):
+            value, rep = twist_projective_order(level)
+            assert [w["eigenvalue_order"] for w in rep.witnesses] == orders, p
+            assert [w["color"] for w in rep.witnesses] == list(params.colors), p
+            assert value == math.lcm(*orders), p
+
+
+def test_claims_take_the_level_or_its_record():
+    for p in (3, 5, 8, 12, 33):
+        params = build_params(p)
+        for claim in (twist_projective_order, gamma_at_p):
+            assert claim(p)[1] == claim(params)[1], p
+    for p in (2, 6):
+        with pytest.raises(ValueError):
+            twist_projective_order(p)
 
 
 def test_twist_mismatch_is_flagged_not_raised():

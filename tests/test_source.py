@@ -232,3 +232,18 @@ def test_conjugator_fold_builds_words_by_products_and_powers():
     called = {getattr(node.func, "id", None) for node in ast.walk(fold)
               if isinstance(node, ast.Call)}
     assert called <= {"power", "divmod", "abs", "ValueError"}
+
+
+def test_relation_words_power_by_eigenvalues():
+    # every power of A, B and AB in the relation families comes from the
+    # eigenvalue routine; ** is left only for the squares and cubes of
+    # mixed words
+    tree = ast.parse((SRC / "triangle.py").read_text())
+    for name in ("_even_words", "_odd_words", "verify_odd_embedding"):
+        assert "root_eigen_powers" in _called_names(SRC / "triangle.py", name), name
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        for node in ast.walk(body):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                assert ast.unparse(node.left) not in ("a", "b", "a * b"), name
+                assert isinstance(node.right, ast.Constant) and node.right.value in (2, 3), name
