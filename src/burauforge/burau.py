@@ -13,18 +13,20 @@ test suite proves once that they equal the generator products for every q.
 ``root_eigen_powers`` raises a 2x2 matrix whose eigenvalues are signed
 powers of a root of unity q, as those of A, B (q^2, 1) and AB (-q, -q^3)
 are, by Cayley-Hamilton: each power is c_m m + c_I I with coefficients
-that are sums of powers of q, each one ``root_power_sum``, after an exact
-check of the pair against the trace and the determinant.  The relation
+that are sums of powers of q, all from one ``root_power_sums``, after an
+exact check of the pair against the trace and the determinant.  The relation
 families take every power of A, B and AB from it;
 ``CycloMatrix.__pow__`` (square-and-multiply) stays the generic path.
 
 ``first_scalar_word`` is the one search for a scalar product of 2x2
 matrices, run by the relation oracle over x, x^-1, y, y^-1 and by
 ``projective_order`` over one letter.  It works on residues modulo a
-prime p = 1 (mod m) below 2^61, proven prime by a deterministic
-Miller-Rabin test, prime to every denominator and to every letter's
-determinant, and it matches half-words by their projective classes mod
-p (meet in the middle) instead of walking the whole word tree.
+prime p = 1 (mod m) below 2^30, so that every residue is one digit of a
+CPython int, proven prime by a deterministic Miller-Rabin test, prime
+to every denominator and to every letter's determinant.  It meets in
+the middle: half-words are matched by their projective classes mod p
+instead of walking the whole word tree, and the powers of one letter
+by baby and giant steps instead of one power at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import operator
 
 from .cyclotomic import (CyclotomicNumber, cyclotomic_polynomial, dot, matmul,
-                         root_power_sum)
+                         root_power_sums)
 from .words import GroupWord, evaluate_word, power
 
 __all__ = ["CycloMatrix", "burau_generator", "burau_eval", "squared_images",
@@ -191,12 +193,13 @@ def root_eigen_powers(m: CycloMatrix, q: CyclotomicNumber, lam: tuple[int, int],
         m^n = U_n m - lam mu U_(n-1) I              (n >= 1),
         m^-n = (lam mu)^-n (U_(n+1) I - U_n m)      (n >= 0),
 
-    also when lam = mu.  Each coefficient is one ``root_power_sum`` over
-    the exponents of q folded mod ord(q), its terms counted once per
-    period in j, and every power is a row of one product
-    [[c_m, c_I], ...] [[m], [I]]: no power, product or inverse of m is
-    formed.  Before any use the pair is checked exactly against the trace
-    and the determinant of m, raising ValueError when either differs.
+    also when lam = mu.  Each coefficient is a sum of (exponent of q,
+    coefficient) terms, one per j up to the period of the terms in j and
+    counted once per period; one ``root_power_sums`` makes every sum, and
+    every power is a row of one product [[c_m, c_I], ...] [[m], [I]]: no
+    power, product or inverse of m is formed.  Before any use the pair is
+    checked exactly against the trace and the determinant of m, raising
+    ValueError when either differs.
     """
     if m.size != 2:
         raise ValueError("only 2x2 matrices are powered by their eigenvalues")
@@ -209,29 +212,30 @@ def root_eigen_powers(m: CycloMatrix, q: CyclotomicNumber, lam: tuple[int, int],
     # the j-th term of U_n is t^(n-1) (s t)^j q^(b (n-1) + (a-b) j): periodic in j
     period = math.lcm(1 if s == t else 2, order // math.gcd(order, a - b))
 
-    def root_sum(n: int, c: int, x: int) -> CyclotomicNumber:
-        # c q^x U_n, c = +-1
+    def root_sum(n: int, c: int, x: int) -> list[tuple[int, int]]:
+        # the terms of c q^x U_n, c = +-1
         full, rest = divmod(n, period)
         sign = c * t ** ((n - 1) % 2)
-        coeffs = [0] * order
+        terms = []
         for j in range(min(n, period)):
-            coeffs[(x + b * (n - 1) + (a - b) * j) % order] += sign * (full + (j < rest))
+            terms.append((x + b * (n - 1) + (a - b) * j, sign * (full + (j < rest))))
             sign *= s * t
-        return root_power_sum(q, coeffs)
+        return terms
 
-    (m00, m01), (m10, m11) = m.rows
-    if m00 + m11 != root_sum(2, 1, 0) or m.det2() != root_sum(1, s * t, a + b):
-        raise ValueError("eigenvalues do not match the trace and determinant")
-    coefficients = []
+    sums = [root_sum(2, 1, 0), root_sum(1, s * t, a + b)]
     for e in exponents:
         if e > 0:
-            coefficients.append([root_sum(e, 1, 0), root_sum(e - 1, -s * t, a + b)])
+            sums += [root_sum(e, 1, 0), root_sum(e - 1, -s * t, a + b)]
         else:
             # (lam mu)^e = (s t)^e q^(e (a + b))
             c = s * t if e % 2 else 1
-            coefficients.append([root_sum(-e, -c, e * (a + b)),
-                                 root_sum(1 - e, c, e * (a + b))])
-    rows = matmul(coefficients, [[m00, m01, m10, m11], [_ONE, _ZERO, _ZERO, _ONE]])
+            sums += [root_sum(-e, -c, e * (a + b)), root_sum(1 - e, c, e * (a + b))]
+    trace, det, *coefficients = root_power_sums(q, sums)
+    (m00, m01), (m10, m11) = m.rows
+    if m00 + m11 != trace or m.det2() != det:
+        raise ValueError("eigenvalues do not match the trace and determinant")
+    rows = matmul([coefficients[i:i + 2] for i in range(0, len(coefficients), 2)],
+                  [[m00, m01, m10, m11], [_ONE, _ZERO, _ZERO, _ONE]])
     return [CycloMatrix([row[:2], row[2:]]) for row in rows]
 
 
@@ -244,8 +248,10 @@ def pair_word_eval(w: GroupWord, a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the scalar search runs modulo a prime p = 1 (mod m) just below 2^61
-_RESIDUE_BITS = 61
+# the scalar search runs modulo a prime p = 1 (mod m) just below 2^30:
+# on a 64-bit CPython an int digit has 30 bits, so every residue is one
+# digit and products and remainders take the one-digit paths
+_RESIDUE_BITS = 30
 # bases a tried for a root a^((p - 1) / m) of Phi_m modulo one p
 _ROOT_TRIES = 64
 # the primes up to 37: as Miller-Rabin bases they decide primality
@@ -255,7 +261,7 @@ _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to the nine prime bases up to 23 (Jiang and
 # Deng, "Strong pseudoprimes to the first eight prime bases", Math. Comp.
 # 83, 2014): below it those nine bases decide primality, and every
-# modulus of the scalar search lies below 2^61, under it
+# modulus of the scalar search lies below 2^30, under it
 _NINE_BASES_BOUND = 3825123056546413051
 
 
@@ -300,7 +306,7 @@ def _split_root(m: int, avoid: int) -> tuple[int, int]:
     """(p, r) with p a prime = 1 (mod m) coprime to avoid and
     Phi_m(r) = 0 (mod p).
 
-    p walks down the integers 1 (mod m) below 2^61, skipping those that
+    p walks down the integers 1 (mod m) below 2^30, skipping those that
     ``_is_prime`` rejects or that share a factor with avoid, and r is the
     first a^((p - 1) / m), a = 2, 3, ..., that is a root of Phi_m; past
     _ROOT_TRIES bases the walk moves on.  A prime p = 1 (mod m) splits
@@ -380,6 +386,19 @@ def _projective_keys(mats: list, p: int) -> list[tuple]:
     return keys
 
 
+def _residue_product(x: tuple, y: tuple, p: int) -> tuple:
+    # the product of two flattened 2x2 residue matrices mod p
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return ((x00 * y00 + x01 * y10) % p, (x00 * y01 + x01 * y11) % p,
+            (x10 * y00 + x11 * y10) % p, (x10 * y01 + x11 * y11) % p)
+
+
+def _adjugate(x: tuple, p: int) -> tuple:
+    m00, m01, m10, m11 = x
+    return m11, -m01 % p, -m10 % p, m00
+
+
 def first_scalar_word(letters: dict, max_len: int):
     """Syllables of the first reduced word of length <= max_len whose
     product of 2x2 letter matrices is scalar, or None when there is none.
@@ -400,14 +419,19 @@ def first_scalar_word(letters: dict, max_len: int):
     search order, u keyed by its projective class and v by that of
     adj(v); for each l the u's are scanned in order against the v's with
     the same key, in order, a v whose first letter cancels u's last
-    skipped.  With one letter there is one word per length and keying
-    does not pay: v stays the empty word and the scan is of the powers.
+    skipped.  With one letter M the words are its powers, and with
+    b = isqrt(max_len) + 1 the power M^(g b + i), i < b, is scalar mod p
+    exactly when M^i is proportional to adj(M^b)^g, a multiple of
+    M^(-g b): the b baby steps M^i are keyed once and each giant step is
+    looked up among them, about 2 sqrt(max_len) residue products.
     """
     if max_len < 1:
         raise ValueError("length bound must be positive")
     if any(mat.size != 2 for mat in letters.values()):
         raise ValueError("only 2x2 matrices are searched")
     p, images = _letter_residues(letters)
+    if len(images) == 1:
+        return _first_scalar_power(letters, p, images, max_len)
     # the letters that may follow a word's last letter: all but its
     # inverse, and all of them after the empty word
     after = {(g, e): [(k, im) for k, im in images.items() if k != (g, -e)] for g, e in images}
@@ -418,29 +442,17 @@ def first_scalar_word(letters: dict, max_len: int):
     levels = [[((), None, None, (1, 0, 0, 1))]]
     u_keys, v_index = {}, {}
     for length in range(1, max_len + 1):
-        v_len = length // 2 if len(images) > 1 else 0
+        v_len = length // 2
         u_len = length - v_len
         if u_len == len(levels):
-            new_level = []
-            for path, first, last, (m00, m01, m10, m11) in levels[-1]:
-                for key, (l00, l01, l10, l11) in after[last]:
-                    new_level.append(((path, key), first or key, key,
-                                      ((m00 * l00 + m01 * l10) % p, (m00 * l01 + m01 * l11) % p,
-                                       (m10 * l00 + m11 * l10) % p, (m10 * l01 + m11 * l11) % p)))
-            levels.append(new_level)
-        if not v_len:
-            for path, _, _, (m00, m01, m10, m11) in levels[u_len]:
-                if not (m01 or m10) and m00 == m11:
-                    sylls = _syllables(path)
-                    if _is_scalar_product(letters, sylls):
-                        return sylls
-            continue
+            levels.append([((path, key), first or key, key, _residue_product(mat, im, p))
+                           for path, first, last, mat in levels[-1]
+                           for key, im in after[last]])
         if u_len not in u_keys:
             u_keys[u_len] = _projective_keys([w[3] for w in levels[u_len]], p)
         if v_len not in v_index:
             index = v_index[v_len] = {}
-            adjugates = [(m11, -m01 % p, -m10 % p, m00)
-                         for _, _, _, (m00, m01, m10, m11) in levels[v_len]]
+            adjugates = [_adjugate(w[3], p) for w in levels[v_len]]
             for (path, first, _, _), key in zip(levels[v_len], _projective_keys(adjugates, p)):
                 index.setdefault(key, []).append((path, first))
         index = v_index[v_len]
@@ -449,6 +461,30 @@ def first_scalar_word(letters: dict, max_len: int):
                 if v_first == (last[0], -last[1]):
                     continue
                 sylls = _syllables(path) + _syllables(v_path)
+                if _is_scalar_product(letters, sylls):
+                    return sylls
+    return None
+
+
+def _first_scalar_power(letters: dict, p: int, images: dict, max_len: int):
+    # the one-letter search of ``first_scalar_word``: the hits n = g b + i,
+    # 1 <= n <= max_len, come in ascending order of g and then of i
+    ((letter, image),) = images.items()
+    b = math.isqrt(max_len) + 1
+    baby = [(1, 0, 0, 1)]
+    for _ in range(b):
+        baby.append(_residue_product(baby[-1], image, p))
+    step = _adjugate(baby.pop(), p)
+    giants = [(1, 0, 0, 1)]
+    for _ in range(max_len // b):
+        giants.append(_residue_product(giants[-1], step, p))
+    index = {}
+    for i, key in enumerate(_projective_keys(baby, p)):
+        index.setdefault(key, []).append(i)
+    for g, key in enumerate(_projective_keys(giants, p)):
+        for i in index.get(key, ()):
+            if 1 <= g * b + i <= max_len:
+                sylls = (letter,) * (g * b + i)
                 if _is_scalar_product(letters, sylls):
                     return sylls
     return None

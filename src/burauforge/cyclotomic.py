@@ -49,7 +49,7 @@ __all__ = [
     "CyclotomicNumber",
     "root_of_unity",
     "multiplicative_order",
-    "root_power_sum",
+    "root_power_sums",
     "galois_conjugates",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -634,21 +634,22 @@ def multiplicative_order(x: CyclotomicNumber):
     return x.multiplicative_order()
 
 
-def root_power_sum(x: CyclotomicNumber, coeffs: Iterable[int]) -> CyclotomicNumber:
-    """sum_k coeffs[k] x^k for a root of unity x, with integer coefficients.
+def root_power_sums(x: CyclotomicNumber, sums: Iterable) -> list[CyclotomicNumber]:
+    """[sum c x^k over the pairs (k, c) of terms, for terms in sums] for a
+    root of unity x, with integer exponents k and coefficients c.
 
     x is +-zeta_m^j in its field, so x^k is (+-1)^k zeta_m^(jk mod m):
-    the sum is one integer vector over the reduction rows of Phi_m, with
-    no field product formed.  Raises ValueError when x is not a root of
-    unity.
+    x's exponent is searched for once, and each sum is one integer vector
+    over the reduction rows of Phi_m, with no field product formed.
+    Raises ValueError when x is not a root of unity.
     """
     hit = _root_exponent(x)
     if hit is None:
         raise ValueError("not a root of unity")
     negated, j = hit
     m = x.conductor
-    return CyclotomicNumber._make(m, _row_sum(m, (
-        (j * k % m, -c if negated and k % 2 else c) for k, c in enumerate(coeffs))), 1)
+    return [CyclotomicNumber._make(m, _row_sum(m, (
+        (j * k % m, -c if negated and k % 2 else c) for k, c in terms)), 1) for terms in sums]
 
 
 def galois_conjugates(x: CyclotomicNumber) -> list[CyclotomicNumber]:

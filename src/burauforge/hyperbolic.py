@@ -14,7 +14,8 @@ integer orientation determinants whose signs are bounded away from zero.
 The short-relation oracle and the torsion guard of the certificate
 search are one scalar search, ``burau.first_scalar_word``, on residues
 modulo a prime, over the letters x, x^-1, y, y^-1 (meeting in the
-middle on half-words) and over each generator alone (a scan of powers).
+middle on half-words) and over each generator alone (meeting in the
+middle on powers, by baby and giant steps).
 
 At q = zeta_n the Squier form is indefinite at an embedding sigma exactly
 when |sigma(q) - 1| < 1; embedding 1 sends zeta_n to e^(2 pi i / n), the
@@ -26,9 +27,10 @@ are read off the centres of ``balls.embed`` enclosures; every accepted
 certificate is re-derived from exact data through ball arithmetic, and
 ``verify_certificate`` re-derives every inclusion at doubled precision.
 
-The exact data of a pair, its two word matrices and its invariant form,
-is memoised on q's stored representation (conductor, num, den), never on
-value equality: equal values may be stored at different conductors, and
+The exact data of a pair, its two word matrices (and their powers in a
+certificate) and its invariant form with the form's circle, is memoised
+on q's stored representation (conductor, num, den), never on value
+equality: equal values may be stored at different conductors, and
 ``embed`` reads an embedding's exponent at the stored conductor.  Each
 entry is computed and checked on its first use exactly as without the
 memo, so the oracle, the search and the verification of one pair share
@@ -47,7 +49,7 @@ from functools import lru_cache
 from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
 from .burau import (CycloMatrix, first_scalar_word, pair_word_eval, projective_order,
                     squared_images)
-from .cyclotomic import CyclotomicNumber, euler_phi, root_of_unity, root_power_sum
+from .cyclotomic import CyclotomicNumber, euler_phi, root_of_unity, root_power_sums
 from .reports import ClaimReport, dumps
 from .words import GroupWord, free_group, parse_word, word
 
@@ -69,15 +71,19 @@ def _exact_key(q: CyclotomicNumber) -> tuple:
     return q.conductor, q.num, q.den
 
 
-def _pair_matrices(q: CyclotomicNumber, x_word: GroupWord,
-                   y_word: GroupWord) -> tuple[CycloMatrix, CycloMatrix]:
-    """x and y evaluated at the squared images A, B of q, exactly; memoised
-    on q's stored representation and the two words."""
-    return _pair_memo(_exact_key(q), x_word, y_word)
+def _pair_matrices(q: CyclotomicNumber, x_word: GroupWord, y_word: GroupWord,
+                   power_x: int = 1, power_y: int = 1) -> tuple[CycloMatrix, CycloMatrix]:
+    """x^power_x and y^power_y evaluated at the squared images A, B of q,
+    exactly; memoised on q's stored representation, the two words and the
+    two powers, the powers taken from the memo's x and y."""
+    return _pair_memo(_exact_key(q), x_word, y_word, power_x, power_y)
 
 
 @lru_cache(maxsize=_EXACT_MEMO_SIZE)
-def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord):
+def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord, power_x: int, power_y: int):
+    if (power_x, power_y) != (1, 1):
+        x_mat, y_mat = _pair_memo(key, x_word, y_word, 1, 1)
+        return x_mat ** power_x, y_mat ** power_y
     a, b, _ = squared_images(CyclotomicNumber(*key))
     return pair_word_eval(x_word, a, b), pair_word_eval(y_word, a, b)
 
@@ -86,12 +92,14 @@ def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord):
 # invariant Hermitian forms
 
 class HermitianForm2:
-    __slots__ = ("matrix", "signature", "embedding")
+    __slots__ = ("matrix", "signature", "embedding", "circle")
 
     def __init__(self, matrix: CycloMatrix, signature: str, embedding: int):
         self.matrix = matrix
         self.signature = signature      # "indefinite" | "definite"
         self.embedding = embedding
+        # the chart of the null circle, None when J11 = 0
+        self.circle = _invariant_circle(matrix)
 
 
 def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None:
@@ -109,7 +117,8 @@ def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None
     enclosure of det J (an exactly-real field element).
 
     Memoised on q's stored representation and the embedding: both checks
-    run on the first call for a key, and a later call returns that result.
+    run on the first call for a key, and a later call returns that result,
+    the form's circle chart made once with it.
     """
     return _form_memo(_exact_key(q), embedding)
 
@@ -149,7 +158,8 @@ def _inverse_of_q_minus_one(q: CyclotomicNumber) -> CyclotomicNumber | None:
     """
     n = q.multiplicative_order()
     if n is not None:
-        return root_power_sum(q, range(n)) * Fraction(1, n)
+        (weighted,) = root_power_sums(q, [enumerate(range(n))])
+        return weighted * Fraction(1, n)
     if q * q.conjugate() == 1:
         return (q - 1).inverse()
     return None
@@ -403,14 +413,13 @@ class _Circle:
         self.radius_sq = radius_sq      # -det J / J11^2, exactly real and positive
 
 
-def _invariant_circle(form: HermitianForm2) -> _Circle:
-    j = form.matrix
+def _invariant_circle(j: CycloMatrix) -> _Circle | None:
+    # the null circle of the form J in the chart v = (z, 1); None when
+    # J11 = 0, where that chart is degenerate
     alpha = j[0, 0]
     if alpha.is_zero:
-        raise ValueError("circle chart degenerate: J11 = 0")
-    centre = -(j[0, 1]) / alpha
-    radius_sq = -(j.det2()) / (alpha * alpha)
-    return _Circle(centre, radius_sq)
+        return None
+    return _Circle(-(j[0, 1]) / alpha, -(j.det2()) / (alpha * alpha))
 
 
 class _CircleBalls:
@@ -478,12 +487,12 @@ def _arcs_disjoint_margin(arcs: dict) -> Fraction | None:
 def _exact_pair(cert: PingPongCertificate) -> tuple[CycloMatrix, CycloMatrix, _Circle] | None:
     """The certificate's x^power_x, y^power_y and invariant circle, exactly;
     None when the form at its embedding is not indefinite or has J11 = 0."""
-    x_word, y_word = (parse_word(PAIR_CONTEXT, w) for w in (cert.x_word, cert.y_word))
-    x_mat, y_mat = _pair_matrices(cert.q, x_word, y_word)
     form = invariant_form(cert.q, cert.embedding)
-    if form is None or form.signature != "indefinite" or form.matrix[0, 0].is_zero:
+    if form is None or form.signature != "indefinite" or form.circle is None:
         return None
-    return x_mat ** cert.power_x, y_mat ** cert.power_y, _invariant_circle(form)
+    x_word, y_word = (parse_word(PAIR_CONTEXT, w) for w in (cert.x_word, cert.y_word))
+    return (*_pair_matrices(cert.q, x_word, y_word, cert.power_x, cert.power_y),
+            form.circle)
 
 
 def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
@@ -587,7 +596,9 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
             raise ValueError(f"generator {name} is projectively trivial")
         if projective_order(mat, _ORDER_BOUND) is not None:
             raise ValueError(f"generator {name} has finite projective order")
-    circle = _invariant_circle(form)
+    circle = form.circle
+    if circle is None:
+        raise ValueError("circle chart degenerate: J11 = 0")
     centre_n = _numeric_value(circle.centre, embedding)
     rsq_n = _numeric_value(circle.radius_sq, embedding).real
     if rsq_n <= 0:

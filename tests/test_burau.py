@@ -156,6 +156,20 @@ def reference_projective_order(m, bound):
     return None
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _least_split_root(m, avoid):
+    # the least prime p = 1 (mod m) prime to avoid, and the least root of
+    # Phi_m modulo p
+    p = m + 1
+    while not (_is_prime(p) and math.gcd(p, avoid) == 1):
+        p += m
+    phi = cyclotomic_polynomial(m)
+    return p, next(r for r in range(p) if sum(c * r ** k for k, c in enumerate(phi)) % p == 0)
+
+
 PAIR = free_group(("A", "B"))
 TORSION_WORDS = [parse_word(PAIR, text) for text in ("A", "B", "A B")]
 # nontrivial reduced words of at most eight letters in A and B, and the
@@ -202,11 +216,70 @@ def test_projective_order_refuses_a_singular_matrix():
         projective_order(CycloMatrix([[one, zero], [zero, zero]]), 5)
 
 
+# bound 1, and the bounds g b - 1, g b and g b + 1 for block sizes b up
+# to 7 and giant steps g up to b
+POWER_BOUNDS = sorted({1} | {g * b + d for b in range(2, 8) for g in range(1, b + 1)
+                             for d in (-1, 0, 1)})
+
+
+def test_power_search_confirms_candidates_of_a_small_modulus(monkeypatch):
+    # modulo the least prime p = 1 (mod m) the residue of a matrix of
+    # infinite order has a small order, so powers that are not scalar read
+    # as scalar; each is confirmed exactly and passed over
+    monkeypatch.setattr(burau, "_split_root", _least_split_root)
+    confirmations = []
+    is_scalar = CycloMatrix.is_scalar
+
+    def recorded(self):
+        confirmations.append(is_scalar(self))
+        return confirmations[-1]
+
+    words = TORSION_WORDS + [parse_word(PAIR, text) for text in
+                             ("A B^-1", "A B A^-1 B^-1", "A^2 B A^-2 B^-1")]
+    for order in (7, 8, 9, 12, 14):
+        a, b, _ = squared_images(root_of_unity(order, 1))
+        for w in words:
+            m = pair_word_eval(w, a, b)
+            # the reference for every bound at once: the least n, if any
+            least = reference_projective_order(m, POWER_BOUNDS[-1])
+            monkeypatch.setattr(CycloMatrix, "is_scalar", recorded)
+            got = [projective_order(m, bound) for bound in POWER_BOUNDS]
+            monkeypatch.setattr(CycloMatrix, "is_scalar", is_scalar)
+            assert got == [least if least is not None and least <= bound else None
+                           for bound in POWER_BOUNDS], (order, str(w))
+    assert False in confirmations
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+       .filter(lambda e: e[0] * e[3] != e[1] * e[2]),
+       st.sampled_from([Fraction(1), Fraction(2), Fraction(-3, 2)]),
+       st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_conjugated_diagonal_matrices_have_the_order_of_their_eigenvalue_ratio(
+        roots, entries, scale, extra):
+    # c P diag(lam, mu) P^-1, lam / mu = zeta_n^(i - j) of order r: the
+    # power r is the first scalar one, whatever the block size and the
+    # giant step it falls on
+    n, i, j = roots
+    r = n // math.gcd(n, i - j)
+    p = CycloMatrix([[C.from_rational(e) for e in entries[:2]],
+                     [C.from_rational(e) for e in entries[2:]]])
+    zero = C.from_rational(0)
+    diag = CycloMatrix([[root_of_unity(n, i) * scale, zero],
+                        [zero, root_of_unity(n, j) * scale]])
+    m = p * diag * p.inverse()
+    assert projective_order(m, r + extra) == r
+    if r > 1:
+        assert projective_order(m, r - 1) is None
+
+
 @given(st.integers(1, 1021), st.integers(1, 10 ** 40))
 @settings(max_examples=60, deadline=None)
 def test_split_root_is_a_root_of_the_cyclotomic_polynomial(m, avoid):
     p, r = burau._split_root(m, avoid)
-    assert p % m == 1 % m and p < 1 << 61 and math.gcd(p, avoid) == 1
+    assert p % m == 1 % m and p < 1 << 30 and math.gcd(p, avoid) == 1
     assert burau._is_prime(p)
     assert burau._poly_at(cyclotomic_polynomial(m), r, p) == 0
     # a modulus shared with avoid is skipped for the next one down
@@ -214,6 +287,21 @@ def test_split_root_is_a_root_of_the_cyclotomic_polynomial(m, avoid):
     assert p2 < p and p2 % m == 1 % m and math.gcd(p2, avoid * p) == 1
     assert burau._is_prime(p2)
     assert burau._poly_at(cyclotomic_polynomial(m), r2, p2) == 0
+
+
+def test_split_root_takes_the_first_prime_below_2_30_for_every_conductor_to_1024():
+    # for every conductor a certificate may have, the walk from 2^30 stops
+    # at the first prime p = 1 (mod m), where one of the first _ROOT_TRIES
+    # bases a gives the root a^((p - 1) / m) of Phi_m
+    for m in range(1, 1025):
+        p, r = burau._split_root(m, 1)
+        first = ((1 << 30) - 2) // m * m + 1
+        while not burau._is_prime(first):
+            first -= m
+        assert p == first < 1 << 30, m
+        phi = cyclotomic_polynomial(m)
+        roots = [pow(a, (p - 1) // m, p) for a in range(2, 2 + burau._ROOT_TRIES)]
+        assert r == next(x for x in roots if burau._poly_at(phi, x, p) == 0), m
 
 
 # strong pseudoprimes to the base 2 (23 * 89), to the bases 2, 3, 5 and 7

@@ -44,11 +44,12 @@ def test_field_products_match_numerically():
 
 def test_primality_matches_sympy_below_2_64():
     # random integers of every size up to 64 bits, and the walk's own
-    # candidates p = 1 (mod m) just below 2^61
+    # candidates p = 1 (mod m) just below 2^30, and below 2^61
     rng = random.Random(61)
     ns = [rng.getrandbits(rng.randint(2, 64)) for _ in range(3000)]
-    for m in (7, 60, 1021):
-        top = ((1 << 61) - 2) // m * m + 1
-        ns += range(top, top - 200 * m, -m)
+    for bits in (30, 61):
+        for m in (7, 60, 1021):
+            top = ((1 << bits) - 2) // m * m + 1
+            ns += range(top, top - 200 * m, -m)
     for n in ns:
         assert burau._is_prime(n) == sympy.isprime(n), n

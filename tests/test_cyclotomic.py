@@ -13,7 +13,7 @@ from burauforge.cyclotomic import (CyclotomicNumber, _polymul_into,
                                    cyclotomic_polynomial, euler_phi,
                                    galois_conjugates, matmul,
                                    multiplicative_order, prime_factors,
-                                   root_of_unity, root_power_sum)
+                                   root_of_unity, root_power_sums)
 
 C = CyclotomicNumber
 
@@ -545,7 +545,8 @@ def test_root_lookups_agree_with_the_reference_table(m, j, negated, coeffs):
     assert x * inv == 1
     want = sum((c * reference_signed_power(n, sign and i % 2, k * i)
                 for i, c in enumerate(coeffs)), rational(0))
-    assert _stored(root_power_sum(x, coeffs)) == _stored(want)
+    assert [_stored(v) for v in root_power_sums(x, [enumerate(coeffs), [(-1, 3)]])] == [
+        _stored(want), _stored(3 * reference_signed_power(n, sign, -k))]
 
 
 @given(st.sampled_from(_CONDUCTORS), st.integers(min_value=0, max_value=3),
@@ -564,7 +565,7 @@ def test_non_roots_have_no_order(m, kind, j):
     assert multiplicative_order(x) is None
     assert x * x.inverse() == 1
     with pytest.raises(ValueError):
-        root_power_sum(x, [1, 1])
+        root_power_sums(x, [enumerate([1, 1])])
 
 
 @given(st.sampled_from(_CONDUCTORS))

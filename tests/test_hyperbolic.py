@@ -21,6 +21,7 @@ from burauforge.hyperbolic import (PAIR_CONTEXT, HermitianForm2, PingPongCertifi
                                    PingPongConfig, PrecisionExhausted, invariant_form,
                                    ping_pong_certify, short_relation_oracle, verify_certificate)
 from burauforge.words import free_group, generator, iterated_bracket, parse_word, word
+from test_burau import _least_split_root
 from test_cyclotomic import row_reduce
 
 Q14 = root_of_unity(14, 1)
@@ -324,20 +325,6 @@ def test_oracle_agrees_with_reference_at_a_norm_one_parameter_of_infinite_order(
                 reference_oracle(x, y, q, max_len))
 
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def _least_split_root(m, avoid):
-    # the least prime p = 1 (mod m) prime to avoid, and the least root of
-    # Phi_m modulo p
-    p = m + 1
-    while not (_is_prime(p) and math.gcd(p, avoid) == 1):
-        p += m
-    phi = cyclotomic_polynomial(m)
-    return p, next(r for r in range(p) if sum(c * r ** k for k, c in enumerate(phi)) % p == 0)
-
-
 def test_oracle_confirms_candidates_of_a_small_modulus(monkeypatch):
     # modulo the least prime p = 1 (mod m) many products that are not
     # scalar read as scalar; each is confirmed exactly and passed over
@@ -569,7 +556,7 @@ def reference_image(mat, embedding, centre_n, radius_n, t):
 
 
 def _float_circle(q, embedding):
-    circle = hyperbolic._invariant_circle(invariant_form(q, embedding))
+    circle = invariant_form(q, embedding).circle
     return (hyperbolic._numeric_value(circle.centre, embedding),
             math.sqrt(hyperbolic._numeric_value(circle.radius_sq, embedding).real))
 
@@ -800,9 +787,12 @@ def test_torsion_test_runs_when_the_search_fails(monkeypatch):
 
 
 def test_torsion_reason_precedes_a_degenerate_circle_chart(monkeypatch):
-    def degenerate(form):
-        raise ValueError("circle chart degenerate: J11 = 0")
-    monkeypatch.setattr(hyperbolic, "_invariant_circle", degenerate)
+    def degenerate(q, embedding):
+        form = invariant_form(q, embedding)
+        chartless = HermitianForm2(form.matrix, form.signature, form.embedding)
+        chartless.circle = None
+        return chartless
+    monkeypatch.setattr(hyperbolic, "invariant_form", degenerate)
     with pytest.raises(ValueError, match="generator x has finite projective order"):
         ping_pong_certify(parse_word(PAIR_CONTEXT, "A"), Y_WORD, Q14, 1)
     with pytest.raises(ValueError, match="circle chart degenerate"):
@@ -870,8 +860,15 @@ def test_verifying_a_certificate_seen_before_evaluates_nothing(monkeypatch, cert
     assert verify_certificate(certificate)
     calls = [_counting(monkeypatch, name) for name in
              ("squared_images", "pair_word_eval", "_inverse_of_q_minus_one")]
+    powers = []
+    pow_ = CycloMatrix.__pow__
+
+    def counted(self, e):
+        powers.append(e)
+        return pow_(self, e)
+    monkeypatch.setattr(CycloMatrix, "__pow__", counted)
     assert verify_certificate(certificate)
-    assert calls == [[], [], []]
+    assert calls == [[], [], []] and powers == []
 
 
 def _zeta_stored_at(order: int, conductor: int) -> CyclotomicNumber:
@@ -927,29 +924,33 @@ def test_search_makes_each_power_once(monkeypatch):
 
 
 # bytes the exact-data memos hold after certify plus verify at three of
-# the largest conductors a certificate may have, measured at 0.49 MB
-MEMO_BYTES_BOUND = 1 << 20
+# the largest conductors a certificate may have, measured at 1.06 MB: 0.49
+# MB for the pairs and forms, the rest for the certificates' powers
+MEMO_BYTES_BOUND = 1 << 21
 
 
 def test_exact_memos_stay_small():
-    # certify plus verify leaves one pair and one form per order in the
-    # memos; traced, the search takes ten times as long, so the bytes are
+    # certify plus verify leaves per order one form and one pair in the
+    # memos, and a second pair for the certificate's powers unless both are
+    # 1; traced, the search takes ten times as long, so the bytes are
     # measured by making those same entries again under tracemalloc
     orders = (1009, 1018, 1021)
     clear_exact_memos()
+    certs = []
     for order in orders:
-        cert = ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), 1,
-                                 PingPongConfig(precision=32))
-        assert cert is not None and verify_certificate(cert)
+        certs.append(ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), 1,
+                                       PingPongConfig(precision=32)))
+        assert certs[-1] is not None and verify_certificate(certs[-1])
     memos = (hyperbolic._pair_memo, hyperbolic._form_memo)
-    assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+    sizes = [len(orders) + sum((c.power_x, c.power_y) != (1, 1) for c in certs), len(orders)]
+    assert sizes[0] > len(orders)
+    assert [memo.cache_info().currsize for memo in memos] == sizes
     clear_exact_memos()
     tracemalloc.start()
     try:
-        for order in orders:
-            hyperbolic._pair_matrices(root_of_unity(order, 1), X_WORD, Y_WORD)
-            invariant_form(root_of_unity(order, 1), 1)
-        assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+        for cert in certs:
+            assert hyperbolic._exact_pair(cert) is not None
+        assert [memo.cache_info().currsize for memo in memos] == sizes
         held = tracemalloc.get_traced_memory()[0]
         clear_exact_memos()
         held -= tracemalloc.get_traced_memory()[0]
