@@ -27,14 +27,14 @@ are read off the centres of ``balls.embed`` enclosures; every accepted
 certificate is re-derived from exact data through ball arithmetic, and
 ``verify_certificate`` re-derives every inclusion at doubled precision.
 
-The exact data of a pair, its two word matrices (and their powers in a
-certificate) and its invariant form with the form's circle, is memoised
-on q's stored representation (conductor, num, den), never on value
-equality: equal values may be stored at different conductors, and
-``embed`` reads an embedding's exponent at the stored conductor.  Each
-entry is computed and checked on its first use exactly as without the
-memo, so the oracle, the search and the verification of one pair share
-one evaluation.
+The exact data of a pair, its two word matrices (and their powers last
+asked by a certificate) and its invariant form (with an indefinite form's
+circle), is memoised on q's stored representation (conductor, num, den),
+never on value equality: equal values may be stored at different
+conductors, and ``embed`` reads an embedding's exponent at the stored
+conductor.  Each entry is computed and checked on its first use exactly
+as without the memo, so the oracle, the search and the verification of
+one pair share one evaluation.
 """
 
 from __future__ import annotations
@@ -74,18 +74,23 @@ def _exact_key(q: CyclotomicNumber) -> tuple:
 def _pair_matrices(q: CyclotomicNumber, x_word: GroupWord, y_word: GroupWord,
                    power_x: int = 1, power_y: int = 1) -> tuple[CycloMatrix, CycloMatrix]:
     """x^power_x and y^power_y evaluated at the squared images A, B of q,
-    exactly; memoised on q's stored representation, the two words and the
-    two powers, the powers taken from the memo's x and y."""
-    return _pair_memo(_exact_key(q), x_word, y_word, power_x, power_y)
+    exactly; memoised on q's stored representation and the two words, one
+    entry holding x and y and the powers last asked of them."""
+    entry = _pair_memo(_exact_key(q), x_word, y_word)
+    powers = (power_x, power_y)
+    if powers == (1, 1):
+        return entry[0]
+    if entry[1] is None or entry[1][0] != powers:
+        x_mat, y_mat = entry[0]
+        entry[1] = powers, (x_mat ** power_x, y_mat ** power_y)
+    return entry[1][1]
 
 
 @lru_cache(maxsize=_EXACT_MEMO_SIZE)
-def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord, power_x: int, power_y: int):
-    if (power_x, power_y) != (1, 1):
-        x_mat, y_mat = _pair_memo(key, x_word, y_word, 1, 1)
-        return x_mat ** power_x, y_mat ** power_y
+def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord) -> list:
+    # [(x, y), None or (powers, the pair at those powers)]
     a, b, _ = squared_images(CyclotomicNumber(*key))
-    return pair_word_eval(x_word, a, b), pair_word_eval(y_word, a, b)
+    return [(pair_word_eval(x_word, a, b), pair_word_eval(y_word, a, b)), None]
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +99,14 @@ def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord, power_x: int, p
 class HermitianForm2:
     __slots__ = ("matrix", "signature", "embedding", "circle")
 
-    def __init__(self, matrix: CycloMatrix, signature: str, embedding: int):
+    def __init__(self, matrix: CycloMatrix, signature: str, embedding: int,
+                 circle: _Circle | None = None):
         self.matrix = matrix
         self.signature = signature      # "indefinite" | "definite"
         self.embedding = embedding
-        # the chart of the null circle, None when J11 = 0
-        self.circle = _invariant_circle(matrix)
+        # the chart of the null circle of an indefinite form; None for a
+        # definite form or when J11 = 0
+        self.circle = circle
 
 
 def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None:
@@ -117,8 +124,8 @@ def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None
     enclosure of det J (an exactly-real field element).
 
     Memoised on q's stored representation and the embedding: both checks
-    run on the first call for a key, and a later call returns that result,
-    the form's circle chart made once with it.
+    run on the first call for a key, and a later call returns that result;
+    an indefinite form's circle chart is made once with it.
     """
     return _form_memo(_exact_key(q), embedding)
 
@@ -143,8 +150,9 @@ def _form_memo(key: tuple, embedding: int) -> HermitianForm2 | None:
     if det.is_zero:
         return None
     _check_invariance(j_mat, (a, b))
-    sign = _real_sign_certified(det, embedding)
-    return HermitianForm2(j_mat, "indefinite" if sign < 0 else "definite", embedding)
+    if _real_sign_certified(det, embedding) < 0:
+        return HermitianForm2(j_mat, "indefinite", embedding, _invariant_circle(j_mat))
+    return HermitianForm2(j_mat, "definite", embedding)
 
 
 def _inverse_of_q_minus_one(q: CyclotomicNumber) -> CyclotomicNumber | None:

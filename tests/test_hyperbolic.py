@@ -789,9 +789,7 @@ def test_torsion_test_runs_when_the_search_fails(monkeypatch):
 def test_torsion_reason_precedes_a_degenerate_circle_chart(monkeypatch):
     def degenerate(q, embedding):
         form = invariant_form(q, embedding)
-        chartless = HermitianForm2(form.matrix, form.signature, form.embedding)
-        chartless.circle = None
-        return chartless
+        return HermitianForm2(form.matrix, form.signature, form.embedding)
     monkeypatch.setattr(hyperbolic, "invariant_form", degenerate)
     with pytest.raises(ValueError, match="generator x has finite projective order"):
         ping_pong_certify(parse_word(PAIR_CONTEXT, "A"), Y_WORD, Q14, 1)
@@ -923,37 +921,58 @@ def test_search_makes_each_power_once(monkeypatch):
     assert 0 < len(products) <= 2 * (config.max_power - 1)
 
 
+def test_pair_entry_holds_the_powers_last_asked():
+    # one memo entry per pair: asking other powers replaces the powered
+    # pair, and the pair itself stays
+    clear_exact_memos()
+    x_mat, y_mat = hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD)
+    for power_x, power_y in ((2, 3), (2, 3), (3, 1), (1, 1), (2, 3)):
+        assert (hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD, power_x, power_y)
+                == (x_mat ** power_x, y_mat ** power_y))
+    assert hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD) == (x_mat, y_mat)
+    assert hyperbolic._pair_memo.cache_info().currsize == 1
+    entry = hyperbolic._pair_memo(hyperbolic._exact_key(Q14), X_WORD, Y_WORD)
+    assert entry[1][0] == (2, 3)
+
+
 # bytes the exact-data memos hold after certify plus verify at three of
-# the largest conductors a certificate may have, measured at 1.06 MB: 0.49
-# MB for the pairs and forms, the rest for the certificates' powers
-MEMO_BYTES_BOUND = 1 << 21
+# the largest conductors a certificate may have: the pairs and forms,
+# measured at 0.68 MB (0.51 MB of it without the forms' circle charts), and
+# the certificates' powers of the pairs, measured at 0.41 MB
+MEMO_BYTES_BOUND = 1 << 20
+POWERED_BYTES_BOUND = 3 << 18
 
 
 def test_exact_memos_stay_small():
-    # certify plus verify leaves per order one form and one pair in the
-    # memos, and a second pair for the certificate's powers unless both are
-    # 1; traced, the search takes ten times as long, so the bytes are
-    # measured by making those same entries again under tracemalloc
+    # certify plus verify leaves one pair, with the certificate's powers of
+    # it, and one form per order in the memos; traced, the search takes ten
+    # times as long, so the bytes are measured by making those same entries
+    # again under tracemalloc, the powers last
     orders = (1009, 1018, 1021)
     clear_exact_memos()
     certs = []
     for order in orders:
-        certs.append(ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), 1,
-                                       PingPongConfig(precision=32)))
-        assert certs[-1] is not None and verify_certificate(certs[-1])
+        cert = ping_pong_certify(X_WORD, Y_WORD, root_of_unity(order, 1), 1,
+                                 PingPongConfig(precision=32))
+        assert cert is not None and verify_certificate(cert)
+        certs.append(cert)
+    assert any((cert.power_x, cert.power_y) != (1, 1) for cert in certs)
     memos = (hyperbolic._pair_memo, hyperbolic._form_memo)
-    sizes = [len(orders) + sum((c.power_x, c.power_y) != (1, 1) for c in certs), len(orders)]
-    assert sizes[0] > len(orders)
-    assert [memo.cache_info().currsize for memo in memos] == sizes
+    assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
     clear_exact_memos()
     tracemalloc.start()
     try:
+        for order in orders:
+            hyperbolic._pair_matrices(root_of_unity(order, 1), X_WORD, Y_WORD)
+            invariant_form(root_of_unity(order, 1), 1)
+        held = tracemalloc.get_traced_memory()[0]
         for cert in certs:
             assert hyperbolic._exact_pair(cert) is not None
-        assert [memo.cache_info().currsize for memo in memos] == sizes
-        held = tracemalloc.get_traced_memory()[0]
+        assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+        powered = tracemalloc.get_traced_memory()[0] - held
         clear_exact_memos()
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert 0 < held < MEMO_BYTES_BOUND
+    assert 0 < powered < POWERED_BYTES_BOUND
