@@ -254,23 +254,20 @@ def pair_word_eval(w: GroupWord, a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
 _RESIDUE_BITS = 30
 # bases a tried for a root a^((p - 1) / m) of Phi_m modulo one p
 _ROOT_TRIES = 64
-# the primes up to 37: as Miller-Rabin bases they decide primality
-# exactly below 3.1 * 10^23 (Sorenson and Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 86, 2017), so below 2^64
-_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the least strong pseudoprime to the nine prime bases up to 23 (Jiang and
-# Deng, "Strong pseudoprimes to the first eight prime bases", Math. Comp.
-# 83, 2014): below it those nine bases decide primality, and every
-# modulus of the scalar search lies below 2^30, under it
-_NINE_BASES_BOUND = 3825123056546413051
+# the primes up to 7: as Miller-Rabin bases they decide primality exactly
+# below the least strong pseudoprime to all four, 3,215,031,751 =
+# 151 * 751 * 28351 (Pomerance, Selfridge and Wagstaff, "The
+# pseudoprimes to 25 * 10^9", Math. Comp. 35, 1980), and every modulus
+# of the scalar search lies below 2^30, under it
+_WITNESS_BASES = (2, 3, 5, 7)
+_FOUR_BASES_BOUND = 3215031751
 
 
 def _is_prime(n: int) -> bool:
-    """Whether n < 2^64 is prime, by the deterministic Miller-Rabin test
-    over the nine prime bases up to 23 below 3,825,123,056,546,413,051
-    and the twelve up to 37 from there."""
-    if n >= 1 << 64:
-        raise ValueError("primality is decided below 2^64 only")
+    """Whether n < 3,215,031,751 is prime, by the deterministic
+    Miller-Rabin test over the bases 2, 3, 5 and 7."""
+    if n >= _FOUR_BASES_BOUND:
+        raise ValueError(f"primality is decided below {_FOUR_BASES_BOUND} only")
     if n < 2:
         return False
     for b in _WITNESS_BASES:
@@ -280,7 +277,7 @@ def _is_prime(n: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for b in _WITNESS_BASES[:9] if n < _NINE_BASES_BOUND else _WITNESS_BASES:
+    for b in _WITNESS_BASES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

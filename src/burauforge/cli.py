@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_params(args) -> int:
     params = build_params(args.p)
-    _, twist_claim = twist_projective_order(params)
+    _, twist_claim = twist_projective_order(params.p)
     _, gamma_claim = gamma_at_p(params)
     report = {"command": "params", "parameters": {"p": args.p},
               "params": params.to_json()}

@@ -27,14 +27,14 @@ are read off the centres of ``balls.embed`` enclosures; every accepted
 certificate is re-derived from exact data through ball arithmetic, and
 ``verify_certificate`` re-derives every inclusion at doubled precision.
 
-The exact data of a pair, its two word matrices (and their powers last
-asked by a certificate) and its invariant form (with an indefinite form's
-circle), is memoised on q's stored representation (conductor, num, den),
-never on value equality: equal values may be stored at different
-conductors, and ``embed`` reads an embedding's exponent at the stored
-conductor.  Each entry is computed and checked on its first use exactly
-as without the memo, so the oracle, the search and the verification of
-one pair share one evaluation.
+The exact data of a pair, the images A and B of q, its invariant form
+(with an indefinite form's circle) and the word powers x^k, each one
+product from powers held, is memoised on q's stored representation
+(conductor, num, den), never on value equality: equal values may be
+stored at different conductors, and ``embed`` reads an embedding's
+exponent at the stored conductor.  Each entry is computed and checked on
+its first use exactly as without the memo, so the oracle, the search and
+the verification of one pair share each word and each of its powers.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .balls import ComplexBall, PrecisionExhausted, embed, unit_turn
-from .burau import (CycloMatrix, first_scalar_word, pair_word_eval, projective_order,
-                    squared_images)
+from .burau import CycloMatrix, first_scalar_word, pair_word_eval, projective_order, squared_images
 from .cyclotomic import CyclotomicNumber, euler_phi, root_of_unity, root_power_sums
 from .reports import ClaimReport, dumps
 from .words import GroupWord, free_group, parse_word, word
@@ -61,9 +60,10 @@ __all__ = [
 
 PAIR_CONTEXT = free_group(("A", "B"))
 _ORACLE_CONTEXT = free_group(("x", "y"))
-# entries of each exact-data memo: one certify-free uses one of each, and
-# the verify-cert runs of its certificates in the same process reuse them
+# memo entries: a certify-free and the verify-cert runs of its certificates
+# in the same process use one q, and x, y and a few of their powers
 _EXACT_MEMO_SIZE = 8
+_WORD_MEMO_SIZE = 32
 
 
 def _exact_key(q: CyclotomicNumber) -> tuple:
@@ -71,26 +71,27 @@ def _exact_key(q: CyclotomicNumber) -> tuple:
     return q.conductor, q.num, q.den
 
 
-def _pair_matrices(q: CyclotomicNumber, x_word: GroupWord, y_word: GroupWord,
-                   power_x: int = 1, power_y: int = 1) -> tuple[CycloMatrix, CycloMatrix]:
-    """x^power_x and y^power_y evaluated at the squared images A, B of q,
-    exactly; memoised on q's stored representation and the two words, one
-    entry holding x and y and the powers last asked of them."""
-    entry = _pair_memo(_exact_key(q), x_word, y_word)
-    powers = (power_x, power_y)
-    if powers == (1, 1):
-        return entry[0]
-    if entry[1] is None or entry[1][0] != powers:
-        x_mat, y_mat = entry[0]
-        entry[1] = powers, (x_mat ** power_x, y_mat ** power_y)
-    return entry[1][1]
-
-
 @lru_cache(maxsize=_EXACT_MEMO_SIZE)
-def _pair_memo(key: tuple, x_word: GroupWord, y_word: GroupWord) -> list:
-    # [(x, y), None or (powers, the pair at those powers)]
+def _images_memo(key: tuple) -> tuple[CycloMatrix, CycloMatrix]:
     a, b, _ = squared_images(CyclotomicNumber(*key))
-    return [(pair_word_eval(x_word, a, b), pair_word_eval(y_word, a, b)), None]
+    return a, b
+
+
+def _word_matrix(q: CyclotomicNumber, w: GroupWord, k: int) -> CycloMatrix:
+    """w^k at the images A, B of q, k >= 1, memoised on (q as stored, w, k)."""
+    return _word_memo(_exact_key(q), w, k)
+
+
+@lru_cache(maxsize=_WORD_MEMO_SIZE)
+def _word_memo(key: tuple, w: GroupWord, k: int) -> CycloMatrix:
+    # an even power is the square of its half, an odd one the power below
+    # times the word: w^2, w^3 and w^4 take one product each
+    if k == 1:
+        return pair_word_eval(w, *_images_memo(key))
+    if k % 2 == 0:
+        half = _word_memo(key, w, k // 2)
+        return half * half
+    return _word_memo(key, w, k - 1) * _word_memo(key, w, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def invariant_form(q: CyclotomicNumber, embedding: int) -> HermitianForm2 | None
 @lru_cache(maxsize=_EXACT_MEMO_SIZE)
 def _form_memo(key: tuple, embedding: int) -> HermitianForm2 | None:
     q = CyclotomicNumber(*key)
-    a, b, _ = squared_images(q)
+    a, b = _images_memo(key)
     one = CyclotomicNumber.from_rational(1)
     zero = CyclotomicNumber.from_rational(0)
     if (q - 1).is_zero:
@@ -216,7 +217,7 @@ def short_relation_oracle(x_word: GroupWord, y_word: GroupWord,
     matches half-words by their projective classes modulo a prime and
     confirms each candidate by its exact product.
     """
-    x_mat, y_mat = _pair_matrices(q, x_word, y_word)
+    x_mat, y_mat = _word_matrix(q, x_word, 1), _word_matrix(q, y_word, 1)
     sylls = first_scalar_word({(0, 1): x_mat, (0, -1): x_mat.inverse(),
                                (1, 1): y_mat, (1, -1): y_mat.inverse()}, max_len)
     return None if sylls is None else word(_ORACLE_CONTEXT, sylls)
@@ -494,13 +495,14 @@ def _arcs_disjoint_margin(arcs: dict) -> Fraction | None:
 
 def _exact_pair(cert: PingPongCertificate) -> tuple[CycloMatrix, CycloMatrix, _Circle] | None:
     """The certificate's x^power_x, y^power_y and invariant circle, exactly;
-    None when the form at its embedding is not indefinite or has J11 = 0."""
+    None when the form at its embedding is not indefinite or has J11 = 0.
+    A search that found the certificate left the powers in the word memo."""
     form = invariant_form(cert.q, cert.embedding)
     if form is None or form.signature != "indefinite" or form.circle is None:
         return None
     x_word, y_word = (parse_word(PAIR_CONTEXT, w) for w in (cert.x_word, cert.y_word))
-    return (*_pair_matrices(cert.q, x_word, y_word, cert.power_x, cert.power_y),
-            form.circle)
+    return (_word_matrix(cert.q, x_word, cert.power_x),
+            _word_matrix(cert.q, y_word, cert.power_y), form.circle)
 
 
 def _check_inclusions(cert: PingPongCertificate, bits: int) -> bool:
@@ -596,7 +598,7 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
     # a certificate stores the words as text in the pair's alphabet: search
     # on the words that text denotes
     x_word, y_word = (parse_word(PAIR_CONTEXT, str(w)) for w in (x_word, y_word))
-    x_mat, y_mat = _pair_matrices(q, x_word, y_word)
+    x_mat, y_mat = _word_matrix(q, x_word, 1), _word_matrix(q, y_word, 1)
     # eligibility, checked in this order before any search: the torsion
     # test is the one-letter scalar search, on residues
     for name, mat in (("x", x_mat), ("y", y_mat)):
@@ -613,39 +615,36 @@ def ping_pong_certify(x_word: GroupWord, y_word: GroupWord, q: CyclotomicNumber,
         raise ValueError("invariant circle has nonpositive radius at this embedding")
     radius_n = math.sqrt(rsq_n)
 
-    # x^k, y^k and their fixed turns, each made once, on the level k of
-    # the search that first uses them
-    xs, ys, fxs, fys = [], [], [], []
+    # x^k has the fixed points of x and the k-th power of its multiplier,
+    # so the float data of every power comes from the pair's
+    fx, fy = (_fixed_turns(m, embedding, centre_n, radius_n) for m in (x_mat, y_mat))
+    if fx is None or fy is None:
+        return None
+    (x_att, x_rep, k_x), (y_att, y_rep, k_y) = fx, fy
     undecided = False
-    for power in range(1, config.max_power + 1):
-        for mats, turns, base in ((xs, fxs, x_mat), (ys, fys, y_mat)):
-            mats.append(mats[-1] * base if mats else base)
-            turns.append(_fixed_turns(mats[-1], embedding, centre_n, radius_n))
-        for ax, by in [(i, j) for i in range(1, power + 1) for j in range(1, power + 1)
-                       if max(i, j) == power]:
-            fx, fy = fxs[ax - 1], fys[by - 1]
-            if fx is None or fy is None:
+    # the pairs (a, b) by max(a, b), then a, then b
+    powers = range(1, config.max_power + 1)
+    for ax, by in sorted(((a, b) for a in powers for b in powers), key=max):
+        fxa, fyb = (x_att, x_rep, k_x ** ax), (y_att, y_rep, k_y ** by)
+        for shrink, pad in _SHRINK_LADDER:
+            arcs = _adaptive_arcs(fxa, fyb, centre_n, radius_n, shrink, pad)
+            if arcs is None:
                 continue
-            for shrink, pad in _SHRINK_LADDER:
-                arcs = _adaptive_arcs(fx, fy, centre_n, radius_n, shrink, pad)
-                if arcs is None:
-                    continue
-                margin = _arcs_disjoint_margin(arcs)
-                if margin is None or margin <= 0:
-                    continue
-                for bits in (config.precision, 2 * config.precision):
-                    cert = PingPongCertificate(
-                        q=q, embedding=embedding,
-                        x_word=str(x_word), y_word=str(y_word),
-                        power_x=ax, power_y=by, arcs=arcs,
-                        margin=margin, precision=bits,
-                    )
-                    try:
-                        if _ball_inclusions(cert, xs[ax - 1], ys[by - 1], circle, bits):
-                            return cert
-                        break  # decided negative: try the next shrink level
-                    except PrecisionExhausted:
-                        undecided = True
+            margin = _arcs_disjoint_margin(arcs)
+            if margin is None or margin <= 0:
+                continue
+            # the exact powers, made on the first candidate that needs them
+            x_pow, y_pow = _word_matrix(q, x_word, ax), _word_matrix(q, y_word, by)
+            for bits in (config.precision, 2 * config.precision):
+                cert = PingPongCertificate(q=q, embedding=embedding, x_word=str(x_word),
+                                           y_word=str(y_word), power_x=ax, power_y=by,
+                                           arcs=arcs, margin=margin, precision=bits)
+                try:
+                    if _ball_inclusions(cert, x_pow, y_pow, circle, bits):
+                        return cert
+                    break  # decided negative: try the next shrink level
+                except PrecisionExhausted:
+                    undecided = True
     if undecided:
         raise PrecisionExhausted("inclusions undecided at the configured precision")
     return None
@@ -704,9 +703,9 @@ def verify_certificate(cert: PingPongCertificate) -> bool:
     """Independent re-check: exact arc bookkeeping plus ball inclusions at
     doubled precision.  Returns False on any failure.
 
-    Every inclusion is re-derived on each call.  The exact pair comes from
-    the certificate's own q and re-parsed words: computed, or read from
-    the memo keyed by exactly that q representation and those words."""
+    Every inclusion is re-derived on each call.  The exact powers come
+    from the certificate's own q, re-parsed words and powers, through the
+    word memo, where a search that found the certificate left them."""
     margin = _arcs_disjoint_margin(cert.arcs)
     if margin is None or margin <= 0 or margin != cert.margin:
         return False

@@ -109,23 +109,18 @@ def build_params(p: int) -> QuantumParams:
                          burau_parameter=q, half_order=half)
 
 
-def twist_projective_order(level: int | QuantumParams) -> tuple[int, ClaimReport]:
+def twist_projective_order(p: int) -> tuple[int, ClaimReport]:
     """lcm over colours of ord(mu_l / mu_0); expected to equal p for p >= 5.
 
-    ``level`` is p or its record from ``build_params``.  With
-    -a = zeta_n^t as in ``build_params``, mu_l = zeta_n^(t l(l+2)) and
-    mu_0 = 1, so ord(mu_l / mu_0) = n / gcd(n, t l(l+2)): no field
+    With -a = zeta_n^t as in ``build_params``, mu_l = zeta_n^(t l(l+2))
+    and mu_0 = 1, so ord(mu_l / mu_0) = n / gcd(n, t l(l+2)): no field
     element is formed.
     """
-    if isinstance(level, QuantumParams):
-        p, colors = level.p, level.colors
-    else:
-        _validate_p(level)
-        p, colors = level, _colors(level)
+    _validate_p(p)
     n, t = _root_exponents(p)
     witnesses = []
     value = 1
-    for l in colors:
+    for l in _colors(p):
         o = n // math.gcd(n, t * l * (l + 2))
         witnesses.append({"color": l, "eigenvalue_order": o})
         value = math.lcm(value, o)

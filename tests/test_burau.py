@@ -305,24 +305,29 @@ def test_split_root_takes_the_first_prime_below_2_30_for_every_conductor_to_1024
 
 
 # strong pseudoprimes to the base 2 (23 * 89), to the bases 2, 3, 5 and 7
-# (151 * 751 * 28351), to every prime base up to 19 (10670053 * 32010157,
-# which the ninth base, 23, rejects), and to every prime base up to 23
+# (151 * 751 * 28351, the bound of the test), to every prime base up to 19
+# (10670053 * 32010157) and to every prime base up to 23: the first is
+# rejected, and the three from the bound up raise
 @pytest.mark.parametrize("n", [2047, 3215031751, 341550071728321, 3825123056546413051])
 def test_primality_rejects_strong_pseudoprimes(n):
-    assert not burau._is_prime(n)
+    if n < burau._FOUR_BASES_BOUND:
+        assert not burau._is_prime(n)
+    else:
+        with pytest.raises(ValueError, match="3215031751"):
+            burau._is_prime(n)
 
 
-def test_primality_accepts_the_mersenne_prime_below_2_61():
-    assert burau._is_prime((1 << 61) - 1)
-    assert not burau._is_prime((1 << 61) + 1)
+def test_primality_accepts_the_mersenne_prime_below_2_31():
+    assert burau._is_prime((1 << 31) - 1)
+    assert not burau._is_prime((1 << 31) + 1)
 
 
-def test_primality_agrees_with_trial_division_and_stops_at_2_64():
+def test_primality_agrees_with_trial_division_and_stops_at_3215031751():
     assert [n for n in range(5000) if burau._is_prime(n)] == [
         n for n in range(5000) if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
-    assert burau._is_prime((1 << 64) - 59)
-    with pytest.raises(ValueError, match="2\\^64"):
-        burau._is_prime(1 << 64)
+    assert burau._is_prime(3215031749)
+    with pytest.raises(ValueError, match="3215031751"):
+        burau._is_prime(3215031751)
 
 
 def test_residue_map_is_a_ring_map_across_subfields():

@@ -42,14 +42,15 @@ def test_field_products_match_numerically():
         assert abs(want - got) <= 1e-14 * max(1.0, abs(want)), m
 
 
-def test_primality_matches_sympy_below_2_64():
-    # random integers of every size up to 64 bits, and the walk's own
-    # candidates p = 1 (mod m) just below 2^30, and below 2^61
+def test_primality_matches_sympy_below_its_bound():
+    # random integers of every size below the bound of the four-base test,
+    # 3,215,031,751, and the walk's own candidates p = 1 (mod m) just
+    # below 2^30
     rng = random.Random(61)
-    ns = [rng.getrandbits(rng.randint(2, 64)) for _ in range(3000)]
-    for bits in (30, 61):
-        for m in (7, 60, 1021):
-            top = ((1 << bits) - 2) // m * m + 1
-            ns += range(top, top - 200 * m, -m)
+    ns = [rng.randrange(1 << rng.randint(2, 31)) for _ in range(2000)]
+    ns += [rng.randrange(1 << 31, burau._FOUR_BASES_BOUND) for _ in range(1000)]
+    for m in (7, 60, 1021):
+        top = ((1 << 30) - 2) // m * m + 1
+        ns += range(top, top - 200 * m, -m)
     for n in ns:
         assert burau._is_prime(n) == sympy.isprime(n), n

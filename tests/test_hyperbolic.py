@@ -30,7 +30,8 @@ Y_WORD = parse_word(PAIR_CONTEXT, "A^2 B A^-2 B^-1")
 
 
 def clear_exact_memos():
-    hyperbolic._pair_memo.cache_clear()
+    hyperbolic._images_memo.cache_clear()
+    hyperbolic._word_memo.cache_clear()
     hyperbolic._form_memo.cache_clear()
 
 
@@ -840,6 +841,23 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_products(monkeypatch):
+    # every exact matrix product, and every CycloMatrix ** call
+    products, powers = [], []
+    mul, pow_ = CycloMatrix.__mul__, CycloMatrix.__pow__
+
+    def counted_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    def counted_pow(self, e):
+        powers.append(e)
+        return pow_(self, e)
+    monkeypatch.setattr(CycloMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(CycloMatrix, "__pow__", counted_pow)
+    return products, powers
+
+
 def test_one_exact_pair_per_certify_free_command(monkeypatch, capsys):
     # the oracle, the form check, the search and the closing verification
     # share one evaluation of the pair and one solve of the form
@@ -858,15 +876,9 @@ def test_verifying_a_certificate_seen_before_evaluates_nothing(monkeypatch, cert
     assert verify_certificate(certificate)
     calls = [_counting(monkeypatch, name) for name in
              ("squared_images", "pair_word_eval", "_inverse_of_q_minus_one")]
-    powers = []
-    pow_ = CycloMatrix.__pow__
-
-    def counted(self, e):
-        powers.append(e)
-        return pow_(self, e)
-    monkeypatch.setattr(CycloMatrix, "__pow__", counted)
+    products, powers = _counting_products(monkeypatch)
     assert verify_certificate(certificate)
-    assert calls == [[], [], []] and powers == []
+    assert calls == [[], [], []] and products == [] and powers == []
 
 
 def _zeta_stored_at(order: int, conductor: int) -> CyclotomicNumber:
@@ -904,50 +916,122 @@ def test_memo_keys_are_stored_representations(order, embedding, stored):
 
 
 def test_search_makes_each_power_once(monkeypatch):
-    # an exhausted search at max power 4 builds x^2..x^4 and y^2..y^4 from
-    # the powers below, after the pair evaluation and nothing else
+    # the search reads the float data of every power off the pair's, so it
+    # forms no product before a candidate reaches the ball check; with every
+    # candidate refused there, an exhausted search at max power 4 makes each
+    # of x^2..x^4 and y^2..y^4 once, by one product from powers held
     config = PingPongConfig(max_power=4)
-    hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD)
-    invariant_form(Q14, 1)
-    monkeypatch.setattr(hyperbolic, "_adaptive_arcs", lambda *args: None)
-    products = []
-    mul = CycloMatrix.__mul__
-
-    def counted(self, other):
-        products.append(1)
-        return mul(self, other)
-    monkeypatch.setattr(CycloMatrix, "__mul__", counted)
-    assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1, config) is None
-    assert 0 < len(products) <= 2 * (config.max_power - 1)
-
-
-def test_pair_entry_holds_the_powers_last_asked():
-    # one memo entry per pair: asking other powers replaces the powered
-    # pair, and the pair itself stays
     clear_exact_memos()
-    x_mat, y_mat = hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD)
-    for power_x, power_y in ((2, 3), (2, 3), (3, 1), (1, 1), (2, 3)):
-        assert (hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD, power_x, power_y)
-                == (x_mat ** power_x, y_mat ** power_y))
-    assert hyperbolic._pair_matrices(Q14, X_WORD, Y_WORD) == (x_mat, y_mat)
-    assert hyperbolic._pair_memo.cache_info().currsize == 1
-    entry = hyperbolic._pair_memo(hyperbolic._exact_key(Q14), X_WORD, Y_WORD)
-    assert entry[1][0] == (2, 3)
+    hyperbolic._word_matrix(Q14, X_WORD, 1)
+    hyperbolic._word_matrix(Q14, Y_WORD, 1)
+    invariant_form(Q14, 1)
+    products, powers = _counting_products(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(hyperbolic, "_adaptive_arcs", lambda *args: None)
+        assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1, config) is None
+    assert products == [] and powers == []
+    monkeypatch.setattr(hyperbolic, "_ball_inclusions", lambda *args: False)
+    assert ping_pong_certify(X_WORD, Y_WORD, Q14, 1, config) is None
+    assert 0 < len(products) <= 2 * (config.max_power - 1) and powers == []
+    assert hyperbolic._word_memo.cache_info().currsize <= 2 * config.max_power
+
+
+@pytest.mark.parametrize("order", [7, 14, 60])
+def test_word_powers_agree_with_the_generic_power(order):
+    # each power is the square of its half or the power below times the
+    # word; CycloMatrix ** (square-and-multiply) is the reference
+    q = root_of_unity(order, 1)
+    clear_exact_memos()
+    for w in (X_WORD, Y_WORD):
+        base = hyperbolic._word_matrix(q, w, 1)
+        assert base == pair_word_eval(w, *squared_images(q)[:2])
+        made = [hyperbolic._word_matrix(q, w, k) for k in range(1, 9)]
+        assert made == [base ** k for k in range(1, 9)]
+        assert all(hyperbolic._word_matrix(q, w, k) is m for k, m in enumerate(made, 1))
+
+
+def _turns_close(s, t):
+    return abs((s - t + 0.5) % 1.0 - 0.5) < 1e-9
+
+
+def test_fixed_turns_of_a_power_come_from_the_word():
+    # the float oracle: x^k has x's fixed turns and the k-th power of its
+    # multiplier, read off the floats of x^k itself
+    a, b = generator(PAIR_CONTEXT, "A"), generator(PAIR_CONTEXT, "B")
+    pairs = [(X_WORD, Y_WORD), (iterated_bracket(a, b, 3), iterated_bracket(b, a, 3))]
+    for order in range(7, 61):
+        q = root_of_unity(order, 1)
+        circle = invariant_form(q, 1).circle
+        centre = hyperbolic._numeric_value(circle.centre, 1)
+        radius = math.sqrt(hyperbolic._numeric_value(circle.radius_sq, 1).real)
+        for w in (w for pair in pairs for w in pair):
+            mat = pair_word_eval(w, *squared_images(q)[:2])
+            fixed = hyperbolic._fixed_turns(mat, 1, centre, radius)
+            for k in range(1, 5):
+                direct = hyperbolic._fixed_turns(mat ** k, 1, centre, radius)
+                assert (direct is None) == (fixed is None), (order, str(w), k)
+                if fixed is None:
+                    continue
+                att, rep, mult = fixed
+                assert _turns_close(direct[0], att) and _turns_close(direct[1], rep)
+                assert abs(direct[2] - mult ** k) <= 1e-9 * abs(mult ** k), (order, str(w), k)
+
+
+def test_certify_free_powers_once_and_verifications_form_nothing(monkeypatch, capsys, tmp_path):
+    # the certify-free command at order 7 finds a (2, 1) certificate: it
+    # evaluates A and B once, makes 13 products (eight for the words, four
+    # for the form's invariance check, one for x^2) and no ** call; its
+    # closing verification and a verify-cert of the file it wrote then read
+    # every exact power from the memos
+    from burauforge import cli
+    clear_exact_memos()
+    images = _counting(monkeypatch, "squared_images")
+    products, powers = _counting_products(monkeypatch)
+    verified = []
+    verify = cli.verify_certificate
+
+    def counted(cert):
+        before = len(products)
+        ok = verify(cert)
+        verified.append((ok, len(products) - before))
+        return ok
+    monkeypatch.setattr(cli, "verify_certificate", counted)
+    out = tmp_path / "cert.json"
+    assert main(["certify-free", "--order", "7", "--x", str(X_WORD), "--y", str(Y_WORD),
+                 "--max-len", "6", "--pingpong", "--cert-out", str(out)]) == 0
+    cert = PingPongCertificate.load(str(out))
+    assert (cert.power_x, cert.power_y) == (2, 1)
+    assert len(products) == 13 and powers == [] and len(images) == 1
+    assert verified == [(True, 0)]
+    products.clear()
+    assert main(["verify-cert", "--file", str(out)]) == 0
+    capsys.readouterr()
+    assert products == [] and powers == [] and len(images) == 1
+    assert verified == [(True, 0)] * 2
 
 
 # bytes the exact-data memos hold after certify plus verify at three of
-# the largest conductors a certificate may have: the pairs and forms,
-# measured at 0.68 MB (0.51 MB of it without the forms' circle charts), and
-# the certificates' powers of the pairs, measured at 0.41 MB
+# the largest conductors a certificate may have: the images, words and
+# forms, measured at 0.78 MB (0.68 MB without the images A and B, 0.51 MB
+# without the forms' circle charts either), and the certificates' powers
+# of the words, measured at 0.41 MB
 MEMO_BYTES_BOUND = 1 << 20
 POWERED_BYTES_BOUND = 3 << 18
 
 
+def _power_chain(k):
+    # the powers the word memo holds once it has made w^k
+    if k == 1:
+        return {1}
+    return {k} | (_power_chain(k // 2) if k % 2 == 0 else _power_chain(k - 1))
+
+
 def test_exact_memos_stay_small():
-    # certify plus verify leaves one pair, with the certificate's powers of
-    # it, and one form per order in the memos; traced, the search takes ten
-    # times as long, so the bytes are measured by making those same entries
-    # again under tracemalloc, the powers last
+    # certify plus verify leaves one images entry and one form per order in
+    # the memos, and x, y and the certificate's powers of them in the word
+    # memo; traced, the search takes ten times as long, so the bytes are
+    # measured by making those same entries again under tracemalloc, the
+    # powers last
     orders = (1009, 1018, 1021)
     clear_exact_memos()
     certs = []
@@ -957,18 +1041,21 @@ def test_exact_memos_stay_small():
         assert cert is not None and verify_certificate(cert)
         certs.append(cert)
     assert any((cert.power_x, cert.power_y) != (1, 1) for cert in certs)
-    memos = (hyperbolic._pair_memo, hyperbolic._form_memo)
-    assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+    memos = (hyperbolic._images_memo, hyperbolic._form_memo, hyperbolic._word_memo)
+    words = sum(len(_power_chain(c.power_x)) + len(_power_chain(c.power_y)) for c in certs)
+    sizes = [len(orders)] * 2 + [words]
+    assert [memo.cache_info().currsize for memo in memos] == sizes
     clear_exact_memos()
     tracemalloc.start()
     try:
         for order in orders:
-            hyperbolic._pair_matrices(root_of_unity(order, 1), X_WORD, Y_WORD)
+            for w in (X_WORD, Y_WORD):
+                hyperbolic._word_matrix(root_of_unity(order, 1), w, 1)
             invariant_form(root_of_unity(order, 1), 1)
         held = tracemalloc.get_traced_memory()[0]
         for cert in certs:
             assert hyperbolic._exact_pair(cert) is not None
-        assert [memo.cache_info().currsize for memo in memos] == [len(orders)] * 2
+        assert [memo.cache_info().currsize for memo in memos] == sizes
         powered = tracemalloc.get_traced_memory()[0] - held
         clear_exact_memos()
         held -= tracemalloc.get_traced_memory()[0]

@@ -194,12 +194,14 @@ def _cache_sizes() -> dict[str, int | None]:
 
 def test_caches_are_bounded_or_listed():
     # a new cache must bound its size, or give here the reason its keys
-    # stay few; the exact-data memos of hyperbolic and the Artin memos
+    # stay few; the exact-data memos of hyperbolic (the images and the form
+    # per q, the word powers per q, word and power) and the Artin memos
     # (the word action per braid, the series fold per braid and degree)
     # are small and bounded
     sizes = _cache_sizes()
     assert {name for name, size in sizes.items() if size is None} == set(UNBOUNDED_CACHES)
-    assert sizes["hyperbolic._pair_memo"] == sizes["hyperbolic._form_memo"] == 8
+    assert sizes["hyperbolic._images_memo"] == sizes["hyperbolic._form_memo"] == 8
+    assert sizes["hyperbolic._word_memo"] == 32
     assert sizes["artin._magnus_fold"] == 4
     assert sizes["artin.artin_action"] == 8
     assert all(size > 0 for size in sizes.values() if size is not None)
@@ -218,6 +220,26 @@ def test_one_scalar_search():
     # the relation oracle and the torsion guard run the same search
     assert "first_scalar_word" in _called_names(SRC / "burau.py", "projective_order")
     assert "first_scalar_word" in _called_names(SRC / "hyperbolic.py", "short_relation_oracle")
+
+
+def test_one_route_to_an_exact_word_power():
+    # the search and the verification reach the words and their powers only
+    # through the word memo, and hyperbolic raises no matrix by **: the two
+    # powers it takes are of the complex multipliers of x and y
+    path = SRC / "hyperbolic.py"
+    for name in ("ping_pong_certify", "_exact_pair", "short_relation_oracle"):
+        called = _called_names(path, name)
+        assert "_word_matrix" in called, name
+        assert not called & {"pair_word_eval", "evaluate_word", "power", "pow"}, name
+    tree = ast.parse(path.read_text())
+    assert sorted(ast.unparse(node) for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  ) == ["k_x ** ax", "k_y ** by"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "__pow__"
+                   for node in ast.walk(tree))
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(getattr(call.func, "id", None) == "pair_word_eval"
+                    for call in ast.walk(node) if isinstance(call, ast.Call))] == ["_word_memo"]
 
 
 def test_conjugator_fold_builds_words_by_products_and_powers():
